@@ -12,6 +12,7 @@ Bus::Bus(EventQueue &eq, std::string bus_name, Tick cycles_per_txn,
          Tracer *trace)
     : eventq(eq),
       name_(std::move(bus_name)),
+      queueDepthName(name_ + ".queue_depth"),
       cyclesPerTxn(cycles_per_txn),
       tracer(trace),
       numTransactions(name_ + ".transactions"),
@@ -30,11 +31,11 @@ Bus::transact(ProcId who, GrantHandler on_done)
 void
 Bus::transact(ProcId who, GrantHandler on_grant, GrantHandler on_done)
 {
-    pending.push_back(Request{who, eventq.now(), std::move(on_grant),
-                              std::move(on_done)});
+    pending.push(Request{who, eventq.now(), std::move(on_grant),
+                         std::move(on_done)});
     maxQueueStat.updateMax(static_cast<double>(pending.size()));
     PSYNC_TRACE(tracer,
-                counterSample(name_ + ".queue_depth", eventq.now(),
+                counterSample(queueDepthName, eventq.now(),
                               static_cast<double>(pending.size())));
     if (!granting)
         grantNext();
@@ -49,8 +50,7 @@ Bus::grantNext()
     }
     granting = true;
 
-    Request req = std::move(pending.front());
-    pending.pop_front();
+    Request req = pending.pop();
 
     Tick grant = std::max(eventq.now(), freeAt);
     Tick done = grant + cyclesPerTxn;
@@ -66,7 +66,7 @@ Bus::grantNext()
                   static_cast<unsigned long long>(grant - req.issued));
     PSYNC_TRACE(tracer, resourceBusy(name_, 0, req.who, grant, done));
     PSYNC_TRACE(tracer,
-                counterSample(name_ + ".queue_depth", eventq.now(),
+                counterSample(queueDepthName, eventq.now(),
                               static_cast<double>(pending.size())));
 
     // grant == now() here: arbitration happens either immediately

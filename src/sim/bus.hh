@@ -13,12 +13,12 @@
 #define PSYNC_SIM_BUS_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "sim/event_queue.hh"
 #include "sim/interconnect.hh"
+#include "sim/ring_fifo.hh"
 #include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
@@ -113,11 +113,13 @@ class Bus : public Interconnect
 
     EventQueue &eventq;
     std::string name_;
+    /** Traced queue-depth counter name, built once. */
+    std::string queueDepthName;
     Tick cyclesPerTxn;
     Tracer *tracer;
     Tick freeAt = 0;
     bool granting = false;
-    std::deque<Request> pending;
+    RingFifo<Request> pending;
     /**
      * The granted transaction's completion callback. At most one
      * transaction drives the bus at a time (`granting`), so its

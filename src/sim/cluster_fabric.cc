@@ -56,15 +56,14 @@ HierarchicalSyncFabric::allocate(unsigned count, SyncWord init_value)
 void
 HierarchicalSyncFabric::pushReady(ReadyOp op)
 {
-    readyOps.push_back(std::move(op));
+    readyOps.push(std::move(op));
     eventq.scheduleIn(0, [this]() { runReady(); });
 }
 
 void
 HierarchicalSyncFabric::runReady()
 {
-    ReadyOp op = std::move(readyOps.front());
-    readyOps.pop_front();
+    ReadyOp op = readyOps.pop();
     switch (op.kind) {
       case ReadyOp::Kind::wake:
         op.onWait(op.waited);
@@ -83,34 +82,24 @@ HierarchicalSyncFabric::commitCluster(unsigned c, SyncVarId var,
                                       SyncWord value)
 {
     images[c][var] = value;
-    auto &wait_list = waiters[c][var];
-    if (wait_list.empty())
-        return;
-    std::vector<Waiter> still_waiting;
-    still_waiting.reserve(wait_list.size());
-    for (auto &w : wait_list) {
-        if (images[c][var] >= w.threshold) {
-            ++wakeupsStat;
-            if (tracer) {
-                auto it = activeWaiters.find(var);
-                if (it != activeWaiters.end() && --it->second == 0)
-                    activeWaiters.erase(it);
-            }
-            Tick waited = eventq.now() - w.started;
-            if (waited > 0) {
-                PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
-                                             eventq.now()));
-            }
-            ReadyOp ready;
-            ready.kind = ReadyOp::Kind::wake;
-            ready.waited = waited;
-            ready.onWait = std::move(w.onDone);
-            pushReady(std::move(ready));
-        } else {
-            still_waiting.push_back(std::move(w));
+    waiters[c][var].release(value, [this, var](Waiter &&w) {
+        ++wakeupsStat;
+        if (tracer) {
+            auto it = activeWaiters.find(var);
+            if (it != activeWaiters.end() && --it->second == 0)
+                activeWaiters.erase(it);
         }
-    }
-    wait_list.swap(still_waiting);
+        Tick waited = eventq.now() - w.started;
+        if (waited > 0) {
+            PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
+                                         eventq.now()));
+        }
+        ReadyOp ready;
+        ready.kind = ReadyOp::Kind::wake;
+        ready.waited = waited;
+        ready.onWait = std::move(w.onDone);
+        pushReady(std::move(ready));
+    });
 }
 
 void
@@ -135,9 +124,8 @@ HierarchicalSyncFabric::waitGE(ProcId who, SyncVarId var,
     }
     if (tracer)
         ++activeWaiters[var];
-    waiters[c][var].push_back(Waiter{who, threshold, eventq.now(),
-                                     nextWaiterSeq++,
-                                     std::move(on_done)});
+    waiters[c][var].park(threshold,
+                         Waiter{who, eventq.now(), std::move(on_done)});
 }
 
 void
@@ -241,8 +229,7 @@ HierarchicalSyncFabric::write(ProcId who, SyncVarId var,
 void
 HierarchicalSyncFabric::applyIncBatch()
 {
-    InflightBatch batch = std::move(inflightIncs.front());
-    inflightIncs.pop_front();
+    InflightBatch batch = inflightIncs.pop();
     ++globalBroadcastsStat;
     SyncWord base = values[batch.var];
     SyncWord count = static_cast<SyncWord>(batch.members.size());
@@ -269,10 +256,9 @@ HierarchicalSyncFabric::fetchInc(ProcId who, SyncVarId var,
     PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
     // The handler rests in the per-cluster FIFO (local buses grant
     // FIFO) so the bus closure captures only plain words.
-    localIncs[c].push_back(std::move(on_done));
+    localIncs[c].push(std::move(on_done));
     clusterBuses[c]->transact(who, [this, who, var, c](Tick) {
-        ValueHandler handler = std::move(localIncs[c].front());
-        localIncs[c].pop_front();
+        ValueHandler handler = localIncs[c].pop();
         ++localBroadcastsStat;
         std::uint64_t bkey = pairKey(c, var);
         auto it = openIncs.find(bkey);
@@ -299,7 +285,7 @@ HierarchicalSyncFabric::fetchInc(ProcId who, SyncVarId var,
                 inflight.members = std::move(open.members);
                 open.members.clear();
                 open.valid = false;
-                inflightIncs.push_back(std::move(inflight));
+                inflightIncs.push(std::move(inflight));
             },
             [this](Tick) { applyIncBatch(); });
     });

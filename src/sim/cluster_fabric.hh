@@ -26,16 +26,17 @@
 #define PSYNC_SIM_CLUSTER_FABRIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/bus.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_fifo.hh"
 #include "sim/stats.hh"
 #include "sim/sync_fabric.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
+#include "sim/waiter_queue.hh"
 
 namespace psync {
 namespace sim {
@@ -135,13 +136,11 @@ class HierarchicalSyncFabric : public SyncFabric
     void registerStats(stats::Group &group) const override;
 
   private:
+    /** A processor spinning on its cluster's image of a variable. */
     struct Waiter
     {
-        ProcId who;
-        SyncWord threshold;
-        Tick started;
-        /** FIFO ordering among waiters of the same variable. */
-        std::uint64_t seq;
+        ProcId who = 0;
+        Tick started = 0;
         WaitHandler onDone;
     };
 
@@ -211,14 +210,13 @@ class HierarchicalSyncFabric : public SyncFabric
     bool coalesceEnabled;
     Tracer *tracer;
     unsigned numVars = 0;
-    std::uint64_t nextWaiterSeq = 0;
 
     /** Authoritative values, serialized by the global stage. */
     std::vector<SyncWord> values;
     /** Per-cluster local images. */
     std::vector<std::vector<SyncWord>> images;
     /** Waiters spinning on cluster images: [cluster][var]. */
-    std::vector<std::vector<std::vector<Waiter>>> waiters;
+    std::vector<std::vector<WaiterQueue<Waiter>>> waiters;
     /** Blocked waiters per var (tracer-gated timeline shadow). */
     std::unordered_map<SyncVarId, unsigned> activeWaiters;
     /** Pending local write per (proc, var). */
@@ -228,11 +226,11 @@ class HierarchicalSyncFabric : public SyncFabric
     /** Open fetch&add batch per (cluster, var). */
     std::unordered_map<std::uint64_t, IncBatch> openIncs;
     /** Latched batches awaiting global completion, bus FIFO. */
-    std::deque<InflightBatch> inflightIncs;
+    RingFifo<InflightBatch> inflightIncs;
     /** Fetch&add handlers staged per cluster (local buses grant
      *  FIFO), so bus closures never capture fat handlers. */
-    std::vector<std::deque<ValueHandler>> localIncs;
-    std::deque<ReadyOp> readyOps;
+    std::vector<RingFifo<ValueHandler>> localIncs;
+    RingFifo<ReadyOp> readyOps;
 
     stats::Scalar localBroadcastsStat;
     stats::Scalar globalBroadcastsStat;

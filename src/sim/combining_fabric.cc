@@ -40,6 +40,7 @@ CombiningSyncFabric::allocate(unsigned count, SyncWord init_value)
 {
     SyncVarId first = numVars;
     values.resize(numVars + count, init_value);
+    parked.resize(numVars + count);
     numVars += count;
     return first;
 }
@@ -151,27 +152,17 @@ CombiningSyncFabric::fireOp(std::uint32_t slot)
 void
 CombiningSyncFabric::release(SyncVarId var, SyncWord value, Tick done)
 {
-    auto it = parked.find(var);
-    if (it == parked.end())
-        return;
-    auto &list = it->second;
-    std::vector<std::uint32_t> still;
-    still.reserve(list.size());
-    for (std::uint32_t slot : list) {
-        OpState &w = ops[slot];
-        if (value >= w.value) {
-            ++wakeupsStat;
-            parkedProcs.erase(w.who);
-            w.completion = done;
-            eventq.schedule(done, [this, slot]() { fireOp(slot); });
-        } else {
-            still.push_back(slot);
+    parked[var].release(value, [this, var, done](std::uint32_t slot) {
+        ++wakeupsStat;
+        if (tracer) {
+            auto it = activeWaiters.find(var);
+            if (it != activeWaiters.end() && --it->second == 0)
+                activeWaiters.erase(it);
         }
-    }
-    if (still.empty())
-        parked.erase(it);
-    else
-        list.swap(still);
+        parkedProcs.erase(ops[slot].who);
+        ops[slot].completion = done;
+        eventq.schedule(done, [this, slot]() { fireOp(slot); });
+    });
 }
 
 void
@@ -203,8 +194,10 @@ CombiningSyncFabric::waitGE(ProcId who, SyncVarId var,
     // anchors the wait handler and keeps combining references to
     // this packet valid) until release() schedules its wake.
     ++parkedStat;
+    if (tracer)
+        ++activeWaiters[var];
     parkedProcs.insert(who);
-    parked[var].push_back(slot);
+    parked[var].park(threshold, slot);
 }
 
 void
@@ -299,11 +292,9 @@ CombiningSyncFabric::hotSpotRatio() const
 void
 CombiningSyncFabric::sampleTimeline(Tracer &t, Tick at) const
 {
-    for (const auto &entry : parked) {
-        if (!entry.second.empty()) {
-            t.sample(SampleStream::syncVarWaiters, entry.first, at,
-                     static_cast<double>(entry.second.size()));
-        }
+    for (const auto &entry : activeWaiters) {
+        t.sample(SampleStream::syncVarWaiters, entry.first, at,
+                 static_cast<double>(entry.second));
     }
     network.sampleTimeline(t, at);
 }

@@ -39,6 +39,7 @@
 #include "sim/sync_fabric.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
+#include "sim/waiter_queue.hh"
 
 namespace psync {
 namespace sim {
@@ -172,12 +173,18 @@ class CombiningSyncFabric : public SyncFabric
     std::uint32_t freeOps = noOp;
 
     /**
-     * Parked op slots per variable, FIFO by park order. A parked
-     * poll keeps its slab slot (it anchors the wait handler and any
-     * combining references to its packet id) until release() wakes
-     * it.
+     * Parked poll slots per variable, keyed on their thresholds. A
+     * parked poll keeps its slab slot (it anchors the wait handler
+     * and any combining references to its packet id) until
+     * release() wakes it.
      */
-    std::unordered_map<SyncVarId, std::vector<std::uint32_t>> parked;
+    std::vector<WaiterQueue<std::uint32_t>> parked;
+    /**
+     * Parked waiters per variable, maintained only while a tracer
+     * is attached (timeline sampling), so a sample visits only the
+     * variables that have waiters.
+     */
+    std::unordered_map<SyncVarId, unsigned> activeWaiters;
     /** Processors currently parked (timeline sampling). */
     std::unordered_set<ProcId> parkedProcs;
 

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -149,11 +150,8 @@ EventQueue::nextRingTick() const
         }
         if (word == 0)
             continue;
-        std::uint64_t bit = word & (~word + 1);
-        unsigned bit_idx = 0;
-        while ((bit >> bit_idx) != 1)
-            ++bit_idx;
-        std::uint64_t bucket_idx = word_idx * 64 + bit_idx;
+        std::uint64_t bucket_idx =
+            word_idx * 64 + std::countr_zero(word);
         return ring_[bucket_idx].front().when;
     }
     panic("ring count %zu but no occupied bucket", ringCount_);

@@ -112,6 +112,7 @@ CombiningOmegaNetwork::CombiningOmegaNetwork(std::string net_name,
     unsigned switches = numStages * ((1u << numStages) / 2);
     switchFreeAt.assign(switches, 0);
     switchBusy.assign(switches, 0);
+    residents.resize(switches);
     conflictsStat.init(name_ + ".stage_conflicts", numStages);
     conflictCyclesStat.init(name_ + ".stage_conflict_cycles",
                             numStages);
@@ -129,16 +130,6 @@ CombiningOmegaNetwork::switchAt(ProcId who, unsigned dest,
     unsigned pos = ((who << (stage + 1)) |
                     (dest >> (endpointBits - stage - 1))) & (n - 1);
     return stage * (n / 2) + (pos >> 1);
-}
-
-std::uint64_t
-CombiningOmegaNetwork::residentKey(unsigned global_switch,
-                                   SyncVarId var,
-                                   CombineClass cls) const
-{
-    return (static_cast<std::uint64_t>(global_switch) << 36) |
-           (static_cast<std::uint64_t>(cls) << 34) |
-           static_cast<std::uint64_t>(var);
 }
 
 CombiningOmegaNetwork::Delivery
@@ -159,14 +150,22 @@ CombiningOmegaNetwork::inject(ProcId who, unsigned dest,
     Tick t = inject;
     for (unsigned s = 0; s < numStages; ++s) {
         unsigned sw = switchAt(who, dest, s);
+        Resident *resident = nullptr;
         if (cls != CombineClass::none) {
-            auto it = residents.find(residentKey(sw, var, cls));
-            if (it != residents.end() && it->second.departAt > t) {
+            auto &here = residents[sw];
+            std::erase_if(here, [now](const Resident &r) {
+                return r.departAt <= now;
+            });
+            for (Resident &r : here) {
+                if (r.var == var && r.cls == cls)
+                    resident = &r;
+            }
+            if (resident && resident->departAt > t) {
                 // A same-variable packet is still queued in this
                 // switch: merge into it instead of going further.
                 combinesStat[s] += 1;
                 d.combined = true;
-                d.mergedWith = it->second.packet;
+                d.mergedWith = resident->packet;
                 d.stage = s;
                 return d;
             }
@@ -183,8 +182,12 @@ CombiningOmegaNetwork::inject(ProcId who, unsigned dest,
         switchFreeAt[sw] = depart;
         switchBusy[sw] += stageCycles;
         stageBusyStat[s] += static_cast<double>(stageCycles);
-        if (cls != CombineClass::none)
-            residents[residentKey(sw, var, cls)] = {packet_id, depart};
+        if (resident) {
+            resident->packet = packet_id;
+            resident->departAt = depart;
+        } else if (cls != CombineClass::none) {
+            residents[sw].push_back({var, cls, packet_id, depart});
+        }
         t = depart;
     }
     d.arrive = t;
@@ -200,11 +203,11 @@ CombiningOmegaNetwork::holdResidents(ProcId who, unsigned dest,
     if (cls == CombineClass::none)
         return;
     for (unsigned s = 0; s < numStages; ++s) {
-        unsigned sw = switchAt(who, dest, s);
-        auto it = residents.find(residentKey(sw, var, cls));
-        if (it != residents.end() && it->second.packet == packet_id &&
-            it->second.departAt < until)
-            it->second.departAt = until;
+        for (Resident &r : residents[switchAt(who, dest, s)]) {
+            if (r.var == var && r.cls == cls &&
+                r.packet == packet_id && r.departAt < until)
+                r.departAt = until;
+        }
     }
 }
 

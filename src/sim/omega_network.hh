@@ -24,7 +24,6 @@
 #define PSYNC_SIM_OMEGA_NETWORK_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -172,7 +171,8 @@ class CombiningOmegaNetwork
      * reserving switch occupancy along the way. Pure state update —
      * no events are scheduled; the caller owns completion timing.
      * `var` identifies the combinable quantity; packets only merge
-     * with packets of the same (var, cls).
+     * with packets of the same (var, cls). `now` must never decrease
+     * from one call to the next (it is the event queue's time).
      */
     Delivery inject(ProcId who, unsigned dest, SyncVarId var,
                     CombineClass cls, std::uint64_t packet_id,
@@ -253,19 +253,19 @@ class CombiningOmegaNetwork
 
   private:
     /**
-     * Most recent combinable packet routed through a switch, per
-     * (switch, var, cls): a later same-key packet arriving before
+     * Most recent combinable packet of one (var, cls) routed through
+     * a switch: a later same-(var, cls) packet arriving before
      * `departAt` is still queued alongside it and merges.
      */
     struct Resident
     {
+        SyncVarId var = 0;
+        CombineClass cls = CombineClass::none;
         std::uint64_t packet = 0;
         Tick departAt = 0;
     };
 
     unsigned switchAt(ProcId who, unsigned dest, unsigned stage) const;
-    std::uint64_t residentKey(unsigned global_switch, SyncVarId var,
-                              CombineClass cls) const;
 
     std::string name_;
     unsigned numStages;
@@ -277,7 +277,13 @@ class CombiningOmegaNetwork
     std::vector<Tick> switchFreeAt;
     /** Busy cycles per switch, stage-major (heatmap source). */
     std::vector<Tick> switchBusy;
-    std::unordered_map<std::uint64_t, Resident> residents;
+    /**
+     * Wait-buffer residents per switch, stage-major, at most one per
+     * (var, cls). A probe at time `now` drops the switch's residents
+     * with departAt <= now: every later packet reaches the switch at
+     * or after `now`, so they can never merge again.
+     */
+    std::vector<std::vector<Resident>> residents;
 
     stats::Scalar numTransactions;
     stats::Scalar queueDelayStat;

@@ -413,8 +413,7 @@ RegisterSyncFabric::allocate(unsigned count, SyncWord init_value)
 void
 RegisterSyncFabric::runReady()
 {
-    ReadyOp op = std::move(readyOps.front());
-    readyOps.pop_front();
+    ReadyOp op = readyOps.pop();
     switch (op.kind) {
       case ReadyOp::Kind::wake:
         op.onWait(op.waited);
@@ -432,33 +431,25 @@ void
 RegisterSyncFabric::commit(SyncVarId var, SyncWord value)
 {
     values[var] = value;
-    auto &wait_list = waiters[var];
-    std::vector<Waiter> still_waiting;
-    still_waiting.reserve(wait_list.size());
-    for (auto &w : wait_list) {
-        if (values[var] >= w.threshold) {
-            ++wakeupsStat;
-            if (tracer) {
-                auto it = activeWaiters.find(var);
-                if (it != activeWaiters.end() && --it->second == 0)
-                    activeWaiters.erase(it);
-            }
-            Tick waited = eventq.now() - w.started;
-            if (waited > 0) {
-                PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
-                                             eventq.now()));
-            }
-            ReadyOp ready;
-            ready.kind = ReadyOp::Kind::wake;
-            ready.waited = waited;
-            ready.onWait = std::move(w.onDone);
-            readyOps.push_back(std::move(ready));
-            eventq.scheduleIn(0, [this]() { runReady(); });
-        } else {
-            still_waiting.push_back(std::move(w));
+    waiters[var].release(value, [this, var](Waiter &&w) {
+        ++wakeupsStat;
+        if (tracer) {
+            auto it = activeWaiters.find(var);
+            if (it != activeWaiters.end() && --it->second == 0)
+                activeWaiters.erase(it);
         }
-    }
-    wait_list.swap(still_waiting);
+        Tick waited = eventq.now() - w.started;
+        if (waited > 0) {
+            PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
+                                         eventq.now()));
+        }
+        ReadyOp ready;
+        ready.kind = ReadyOp::Kind::wake;
+        ready.waited = waited;
+        ready.onWait = std::move(w.onDone);
+        readyOps.push(std::move(ready));
+        eventq.scheduleIn(0, [this]() { runReady(); });
+    });
 }
 
 void
@@ -476,15 +467,14 @@ RegisterSyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
         ready.kind = ReadyOp::Kind::wake;
         ready.waited = 0;
         ready.onWait = std::move(on_done);
-        readyOps.push_back(std::move(ready));
+        readyOps.push(std::move(ready));
         eventq.scheduleIn(0, [this]() { runReady(); });
         return;
     }
     if (tracer)
         ++activeWaiters[var];
-    waiters[var].push_back(Waiter{who, threshold, eventq.now(),
-                                  nextWaiterSeq++,
-                                  std::move(on_done)});
+    waiters[var].park(threshold,
+                      Waiter{who, eventq.now(), std::move(on_done)});
 }
 
 void
@@ -505,7 +495,7 @@ RegisterSyncFabric::read(ProcId who, SyncVarId var, ValueHandler on_done)
     ready.kind = ReadyOp::Kind::readValue;
     ready.value = values[var];
     ready.onValue = std::move(on_done);
-    readyOps.push_back(std::move(ready));
+    readyOps.push(std::move(ready));
     eventq.scheduleIn(0, [this]() { runReady(); });
 }
 
@@ -555,7 +545,7 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
     ReadyOp ready;
     ready.kind = ReadyOp::Kind::writeDone;
     ready.onDone = std::move(on_done);
-    readyOps.push_back(std::move(ready));
+    readyOps.push(std::move(ready));
     eventq.scheduleIn(0, [this]() { runReady(); });
 }
 
@@ -568,10 +558,9 @@ RegisterSyncFabric::fetchInc(ProcId who, SyncVarId var,
     // this processor's turn on the bus. The bus grants FIFO, so
     // completions pop the pending handlers in push order.
     PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
-    pendingIncs.push_back(std::move(on_done));
+    pendingIncs.push(std::move(on_done));
     syncBus.transact(who, [this, who, var](Tick) {
-        ValueHandler handler = std::move(pendingIncs.front());
-        pendingIncs.pop_front();
+        ValueHandler handler = pendingIncs.pop();
         SyncWord old_value = values[var];
         ++broadcastsStat;
         PSYNC_TRACE(tracer,

@@ -20,7 +20,6 @@
 #define PSYNC_SIM_SYNC_FABRIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -30,9 +29,11 @@
 #include "sim/bus.hh"
 #include "sim/event_queue.hh"
 #include "sim/memory.hh"
+#include "sim/ring_fifo.hh"
 #include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
+#include "sim/waiter_queue.hh"
 
 namespace psync {
 namespace sim {
@@ -382,13 +383,11 @@ class RegisterSyncFabric : public SyncFabric
     void registerStats(stats::Group &group) const override;
 
   private:
+    /** A processor spinning on its local image of a variable. */
     struct Waiter
     {
-        ProcId who;
-        SyncWord threshold;
-        Tick started;
-        /** FIFO ordering among waiters of the same variable. */
-        std::uint64_t seq;
+        ProcId who = 0;
+        Tick started = 0;
         WaitHandler onDone;
     };
 
@@ -403,7 +402,7 @@ class RegisterSyncFabric : public SyncFabric
     /**
      * A completion ready to run after the posted-op delay. Wake,
      * local-read and posted-write-done events all capture only
-     * {this}; the fat handler waits here. The deque is FIFO and
+     * {this}; the fat handler waits here. The queue is FIFO and
      * every push pairs with one scheduled event, so pops line up
      * with event order deterministically.
      */
@@ -434,22 +433,21 @@ class RegisterSyncFabric : public SyncFabric
     bool coalesceEnabled;
     Tracer *tracer;
     unsigned numVars = 0;
-    std::uint64_t nextWaiterSeq = 0;
 
     std::vector<SyncWord> values;
-    std::vector<std::vector<Waiter>> waiters;
+    std::vector<WaiterQueue<Waiter>> waiters;
     /**
      * Blocked waiters per variable, maintained only while a tracer
      * is attached (timeline sampling): a sparse mirror of the
-     * non-empty `waiters` lists, so a sample never scans the full
+     * non-empty `waiters` queues, so a sample never scans the full
      * register file.
      */
     std::unordered_map<SyncVarId, unsigned> activeWaiters;
     /** Pending (not yet granted) write per (proc, var). */
     std::unordered_map<std::uint64_t, PendingWrite> pendingWrites;
-    std::deque<ReadyOp> readyOps;
+    RingFifo<ReadyOp> readyOps;
     /** Fetch&inc completions, FIFO — the bus grants in FIFO order. */
-    std::deque<ValueHandler> pendingIncs;
+    RingFifo<ValueHandler> pendingIncs;
 
     stats::Scalar broadcastsStat;
     stats::Scalar coalescedStat;

@@ -184,9 +184,34 @@ TEST(ClusterFabricTest, WaitersAcrossThresholdsReleaseInOrder)
     rig.eq.schedule(60, [&]() {
         rig.fab->write(7, var, 2, []() {});
     });
+
+    // One write meeting several thresholds parked out of order
+    // (3, 1, 2, 5) wakes the satisfied ones in park order, not
+    // threshold order; the waiter above the value stays parked
+    // until a later write reaches it.
+    SyncVarId mixed = rig.fab->allocate(1, 0);
+    std::vector<SyncWord> woke;
+    std::vector<SyncWord> woke_by_first;
+    rig.eq.schedule(100, [&]() {
+        const SyncWord thresholds[] = {3, 1, 2, 5};
+        for (ProcId p = 4; p < 8; ++p) {
+            SyncWord th = thresholds[p - 4];
+            rig.fab->waitGE(p, mixed, th,
+                            [&woke, th](Tick) { woke.push_back(th); });
+        }
+    });
+    rig.eq.schedule(120, [&]() {
+        rig.fab->write(0, mixed, 3, []() {});
+    });
+    rig.eq.schedule(160, [&]() {
+        woke_by_first = woke;
+        rig.fab->write(0, mixed, 5, []() {});
+    });
     rig.eq.run();
 
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 1u);
     EXPECT_EQ(order[1], 2u);
+    EXPECT_EQ(woke_by_first, (std::vector<SyncWord>{3, 1, 2}));
+    EXPECT_EQ(woke, (std::vector<SyncWord>{3, 1, 2, 5}));
 }

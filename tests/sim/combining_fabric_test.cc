@@ -121,11 +121,36 @@ TEST(CombiningFabricTest, ThresholdsReleaseInOrder)
     });
     eq.schedule(40, [&]() { fab.write(0, var, 1, []() {}); });
     eq.schedule(80, [&]() { fab.write(0, var, 2, []() {}); });
+
+    // One write meeting several thresholds parked out of order
+    // (3, 1, 2, 5) wakes the satisfied ones in park order, not
+    // threshold order; the waiter above the value stays parked
+    // until a later write reaches it.
+    SyncVarId mixed = fab.allocate(1, 0);
+    std::vector<SyncWord> woke;
+    std::vector<SyncWord> woke_by_first;
+    eq.schedule(100, [&]() {
+        const SyncWord thresholds[] = {3, 1, 2, 5};
+        for (ProcId p = 1; p <= 4; ++p) {
+            SyncWord th = thresholds[p - 1];
+            fab.waitGE(p, mixed, th,
+                       [&woke, th](Tick) { woke.push_back(th); });
+        }
+    });
+    eq.schedule(140, [&]() { fab.write(0, mixed, 3, []() {}); });
+    eq.schedule(180, [&]() {
+        woke_by_first = woke;
+        EXPECT_TRUE(fab.isParked(4));
+        fab.write(0, mixed, 5, []() {});
+    });
     eq.run();
 
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 1u);
     EXPECT_EQ(order[1], 2u);
+    EXPECT_EQ(woke_by_first, (std::vector<SyncWord>{3, 1, 2}));
+    EXPECT_EQ(woke, (std::vector<SyncWord>{3, 1, 2, 5}));
+    EXPECT_FALSE(fab.isParked(4));
 }
 
 TEST(CombiningFabricTest, ValuesSurviveCombiningUnderInterleaving)

@@ -102,6 +102,33 @@ TEST(RegisterFabricTest, WaiterStaysWhenThresholdUnmet)
     EXPECT_FALSE(woke);
 }
 
+TEST(RegisterFabricTest, OneWriteWakesSatisfiedWaitersInParkOrder)
+{
+    // Thresholds parked out of order (3, 1, 2, 5): the write of 3
+    // wakes the first three in park order, not threshold order, and
+    // leaves the 5 parked until the write of 5 reaches it.
+    RegRig rig;
+    SyncVarId v = rig.fab.allocate(1, 0);
+    std::vector<SyncWord> woke;
+    std::vector<SyncWord> woke_by_first;
+    rig.eq.schedule(0, [&]() {
+        const SyncWord thresholds[] = {3, 1, 2, 5};
+        for (ProcId p = 1; p <= 4; ++p) {
+            SyncWord th = thresholds[p - 1];
+            rig.fab.waitGE(p, v, th,
+                           [&woke, th](Tick) { woke.push_back(th); });
+        }
+    });
+    rig.eq.schedule(10, [&]() { rig.fab.write(0, v, 3, []() {}); });
+    rig.eq.schedule(20, [&]() {
+        woke_by_first = woke;
+        rig.fab.write(0, v, 5, []() {});
+    });
+    rig.eq.run();
+    EXPECT_EQ(woke_by_first, (std::vector<SyncWord>{3, 1, 2}));
+    EXPECT_EQ(woke, (std::vector<SyncWord>{3, 1, 2, 5}));
+}
+
 TEST(RegisterFabricTest, CoalescingCollapsesPendingWrites)
 {
     RegRig rig(32, true, 8); // slow bus so writes pile up
