@@ -150,10 +150,10 @@ NativeExecutor::runProgram(const sim::Program &program,
           case sim::OpKind::stmtEnd:
             break;
           case sim::OpKind::compute:
-            // No time model natively; a compute phase is a
-            // scheduling point, which on few-core hosts is what
-            // actually diversifies interleavings.
-            std::this_thread::yield();
+            // No time model natively; under seeded jitter a compute
+            // phase is a scheduling point (NativeConfig::timingSeed).
+            if (cfg_.timingSeed != 0)
+                std::this_thread::yield();
             break;
           case sim::OpKind::dataRead:
           case sim::OpKind::dataWrite: {

@@ -60,10 +60,10 @@ struct NativeConfig
     /** Spin polls before a waiter parks. */
     unsigned spinLimit = 64;
     /**
-     * Nonzero: perturb thread interleavings with seeded per-thread
-     * jitter (short pause bursts and forced yields between ops).
-     * The randomized-timing axis of the cross-validation suite;
-     * 0 runs ops back to back.
+     * Nonzero: seeded per-thread jitter perturbs interleavings
+     * (pause bursts and forced yields between ops, a yield at every
+     * compute op); the cross-validation suite's randomized-timing
+     * axis. 0 runs ops back to back.
      */
     std::uint64_t timingSeed = 0;
     /** Host-time budget before the run aborts as deadlocked. */

@@ -152,8 +152,8 @@ class MpmcQueue
 
     /**
      * Dequeue with a timeout: 1 = got an element, 0 = timed out,
-     * -1 = closed and drained. A 0 return is the service leader's
-     * idle hook (flush batched completions, then retry).
+     * -1 = closed and drained. pop() is this in a loop that
+     * retries on 0.
      */
     template <typename Rep, typename Period>
     int

@@ -120,16 +120,15 @@ DoacrossService::submitPlan(
 {
     if (!plan || stopped_.load(std::memory_order_acquire))
         return 0;
-    Request req;
-    req.id = nextId_.fetch_add(1, std::memory_order_relaxed);
-    req.plan = std::move(plan);
-    req.submitTime = Clock::now();
+    const std::uint64_t id =
+        nextId_.fetch_add(1, std::memory_order_relaxed);
+    Request req{id, std::move(plan), Clock::now()};
     submitted_.fetch_add(1, std::memory_order_seq_cst);
     if (!queue_.push(std::move(req))) {
         submitted_.fetch_sub(1, std::memory_order_seq_cst);
         return 0;
     }
-    return req.id;
+    return id;
 }
 
 DoacrossService::Arena &
@@ -221,8 +220,17 @@ DoacrossService::serveRequest(Gang &gang, Request &req)
                                       std::memory_order_relaxed);
     }
 
-    gang.batch.push_back(std::move(completion));
-    gang.batchTimes.push_back(req.submitTime);
+    completion.latencyNanos =
+        nanosSince(req.submitTime, Clock::now());
+    {
+        std::lock_guard<std::mutex> lk(completionsMutex_);
+        // Guarded by completionsMutex_ so stats() can merge
+        // per-gang histograms without racing the leaders.
+        gang.latencyNs.record(completion.latencyNanos);
+        completions_.push_back(std::move(completion));
+        ++published_;
+    }
+    idleCv_.notify_all();
 }
 
 void
@@ -271,48 +279,13 @@ DoacrossService::verifyRun(const Arena &arena,
 }
 
 void
-DoacrossService::flushBatch(Gang &gang)
-{
-    if (gang.batch.empty())
-        return;
-    const auto now = Clock::now();
-    {
-        std::lock_guard<std::mutex> lk(completionsMutex_);
-        for (std::size_t i = 0; i < gang.batch.size(); ++i) {
-            gang.batch[i].latencyNanos =
-                nanosSince(gang.batchTimes[i], now);
-            // Guarded by completionsMutex_ so stats() can merge
-            // per-gang histograms without racing the leaders.
-            gang.latencyNs.record(gang.batch[i].latencyNanos);
-            completions_.push_back(std::move(gang.batch[i]));
-        }
-        published_ += gang.batch.size();
-    }
-    idleCv_.notify_all();
-    gang.batch.clear();
-    gang.batchTimes.clear();
-}
-
-void
 DoacrossService::leaderLoop(Gang &gang)
 {
     Request req;
-    for (;;) {
-        int got =
-            queue_.popFor(req, std::chrono::milliseconds(2));
-        if (got < 0)
-            break; // closed and drained
-        if (got == 0) {
-            // Idle: don't sit on batched completions.
-            flushBatch(gang);
-            continue;
-        }
+    while (queue_.pop(req)) {
         serveRequest(gang, req);
         req = Request{};
-        if (gang.batch.size() >= cfg_.completionBatch)
-            flushBatch(gang);
     }
-    flushBatch(gang);
     {
         std::lock_guard<std::mutex> lk(gang.m);
         gang.shutdown = true;

@@ -20,9 +20,9 @@
  *    amortized away), a NativeDataMemory (cleared per request: data
  *    words are request payload, only sync vars are epoch-reused),
  *    and a NativeExecutor driven through its gang-mode API;
- *  - completions are published in batches; each request's
- *    submit-to-publish latency lands in a per-gang LogHistogram, so
- *    p50/p95/p99 include the batching cost;
+ *  - each completion is published as soon as its request is
+ *    served, with its submit-to-publish latency recorded in a
+ *    per-gang LogHistogram;
  *  - every Nth request per gang (verifySampleEvery) runs with
  *    access recording on and is fully verified after execution:
  *    trace-checker replay against the plan's dependence arcs, the
@@ -76,8 +76,6 @@ struct ServeConfig
      * replay; the rest run on the lean path.
      */
     unsigned verifySampleEvery = 0;
-    /** Completions per batched publish (idle flushes early). */
-    unsigned completionBatch = 32;
     /** Per-request watchdog: deadline before abortAll. */
     std::uint64_t requestTimeoutMs = 2000;
 };
@@ -93,7 +91,7 @@ struct Completion
     bool verified = false;
     /** Sample passed all three checks (true when not sampled). */
     bool verifyOk = true;
-    /** submit() to batched publish, host nanoseconds. */
+    /** submit() to publish, host nanoseconds. */
     std::uint64_t latencyNanos = 0;
     std::uint64_t programsRun = 0;
     /** Human-readable verification/execution problems. */
@@ -212,10 +210,6 @@ class DoacrossService
         /** Leader-local state (no locking needed). */
         std::unordered_map<std::string, std::unique_ptr<Arena>>
             arenas;
-        std::vector<Completion> batch;
-        /** Submit times of `batch`, for publish-time latency. */
-        std::vector<std::chrono::steady_clock::time_point>
-            batchTimes;
         std::uint64_t requestsSeen = 0;
         core::LogHistogram latencyNs;
     };
@@ -224,7 +218,6 @@ class DoacrossService
     void memberLoop(Gang &gang, unsigned lane);
     void serveRequest(Gang &gang, Request &req);
     void verifyRun(const Arena &arena, Completion &completion);
-    void flushBatch(Gang &gang);
     Arena &arenaFor(Gang &gang,
                     const std::shared_ptr<const core::CachedPlan> &plan);
 

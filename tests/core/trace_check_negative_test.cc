@@ -6,12 +6,13 @@
  * The stub mimics a broken signal-before-write compiler bug: the
  * producer posts its synchronization variable *before* performing
  * the guarded write (with work in between), so the consumer's
- * awaited read can start while the write is still pending. The
- * simulator makes the race deterministic (the producer's delay is
- * simulated time, so the read always lands inside the window); the
- * native run makes it probable and is retried across seeds until
- * observed. If the TraceChecker ever stops catching this, these
- * tests fail — the checker, not luck, is the correctness gate.
+ * awaited read can start while the write is still pending. Both
+ * backends make the race deterministic: on the simulator the
+ * producer's delay is simulated time, so the read always lands
+ * inside the window; natively a test-only handshake variable holds
+ * the write back until the read is done. If the TraceChecker ever
+ * stops catching this, these tests fail — the checker, not luck,
+ * is the correctness gate.
  */
 
 #include <gtest/gtest.h>
@@ -28,27 +29,33 @@ namespace {
 constexpr sim::Addr kAddr = 8192;
 
 /**
- * The under-synchronized pair. Producer (iter 1): signal, THEN a
- * long delay, THEN the write the signal was supposed to order.
- * Consumer (iter 2): await the signal, read. A correct scheme
- * emits the signal after the write; this stub has them swapped.
+ * The under-synchronized pair. Producer (iter 1): signal, THEN the
+ * `window` ops, THEN the write the signal was supposed to order.
+ * Consumer (iter 2): await the signal, read, THEN the `after_read`
+ * ops. A correct scheme emits the signal after the write; this stub
+ * has them swapped.
  */
 std::vector<sim::Program>
-brokenPrograms(sim::SyncVarId v, sim::Tick producer_delay)
+brokenPrograms(sim::SyncVarId v, const std::vector<sim::Op> &window,
+               const std::vector<sim::Op> &after_read = {})
 {
     sim::Program producer;
     producer.iter = 1;
-    producer.ops = {sim::Op::mkWrite(v, 1), // bug: signal first
-                    sim::Op::mkCompute(producer_delay),
-                    sim::Op::mkStmtStart(0),
-                    sim::Op::mkData(true, kAddr, 0, 0),
-                    sim::Op::mkStmtEnd(0)};
+    producer.ops = {sim::Op::mkWrite(v, 1)}; // bug: signal first
+    producer.ops.insert(producer.ops.end(), window.begin(),
+                        window.end());
+    producer.ops.insert(producer.ops.end(),
+                        {sim::Op::mkStmtStart(0),
+                         sim::Op::mkData(true, kAddr, 0, 0),
+                         sim::Op::mkStmtEnd(0)});
     sim::Program consumer;
     consumer.iter = 2;
     consumer.ops = {sim::Op::mkWaitGE(v, 1),
                     sim::Op::mkStmtStart(1),
                     sim::Op::mkData(false, kAddr, 1, 0),
                     sim::Op::mkStmtEnd(1)};
+    consumer.ops.insert(consumer.ops.end(), after_read.begin(),
+                        after_read.end());
     return {producer, consumer};
 }
 
@@ -100,7 +107,7 @@ TEST(TraceCheckNegativeTest, SimBackendReportsViolation)
 
     // 500 simulated cycles between signal and write: the awaited
     // read deterministically lands inside the window.
-    auto programs = brokenPrograms(v, 500);
+    auto programs = brokenPrograms(v, {sim::Op::mkCompute(500)});
     auto result = core::runProgramPool(
         machine, programs, core::SchedulePolicy::staticCyclic);
     ASSERT_TRUE(result.completed);
@@ -113,35 +120,28 @@ TEST(TraceCheckNegativeTest, SimBackendReportsViolation)
 
 TEST(TraceCheckNegativeTest, NativeBackendReportsViolation)
 {
-    // The native window is real time, so one rep may get lucky;
-    // retry across seeds. The compute op is a forced yield point
-    // between signal and write, which makes the interleaving in
-    // which the consumer's read overtakes the producer's write
-    // overwhelmingly likely per rep.
-    bool caught = false;
-    for (std::uint64_t seed = 1; seed <= 50 && !caught; ++seed) {
-        native::NativeSyncFabric fabric;
-        sim::SyncVarId v = fabric.allocate(1, 0);
-        auto programs = brokenPrograms(v, 500);
-        native::NativeDataMemory data(programs);
-        native::NativeConfig cfg;
-        cfg.numThreads = 2;
-        cfg.schedule = core::SchedulePolicy::staticCyclic;
-        cfg.timingSeed = seed;
-        native::NativeExecutor exec(fabric, data, cfg);
-        auto result = exec.runPool(programs);
-        ASSERT_TRUE(result.completed) << "seed " << seed;
+    // The native window is real time, so the test forces the bad
+    // interleaving: the consumer signals `read_done` after its read
+    // and the producer awaits it between its early signal and its
+    // write. Every run orders the read before the write.
+    native::NativeSyncFabric fabric;
+    sim::SyncVarId v = fabric.allocate(1, 0);
+    sim::SyncVarId read_done = fabric.allocate(1, 0);
+    auto programs =
+        brokenPrograms(v, {sim::Op::mkWaitGE(read_done, 1)},
+                       {sim::Op::mkWrite(read_done, 1)});
+    native::NativeDataMemory data(programs);
+    native::NativeConfig cfg;
+    cfg.numThreads = 2;
+    cfg.schedule = core::SchedulePolicy::staticCyclic;
+    native::NativeExecutor exec(fabric, data, cfg);
+    auto result = exec.runPool(programs);
+    ASSERT_TRUE(result.completed);
 
-        core::TraceChecker checker;
-        exec.replayAccesses(checker);
-        auto violations = checker.verify(brokenLoop(), {flowDep()});
-        if (!violations.empty()) {
-            EXPECT_NE(violations[0].find("violated"),
-                      std::string::npos);
-            caught = true;
-        }
-    }
-    EXPECT_TRUE(caught)
-        << "under-synchronized stub never tripped the native "
-           "checker in 50 seeded repetitions";
+    core::TraceChecker checker;
+    exec.replayAccesses(checker);
+    auto violations = checker.verify(brokenLoop(), {flowDep()});
+    ASSERT_FALSE(violations.empty())
+        << "under-synchronized stub passed the native checker";
+    EXPECT_NE(violations[0].find("violated"), std::string::npos);
 }

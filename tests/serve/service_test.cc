@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "serve/service.hh"
 #include "workloads/fig21.hh"
@@ -198,6 +200,46 @@ TEST(ServiceTest, WatchdogFailsStuckRequestAndArenaRecovers)
     serve::ServiceStats stats = service.stats();
     EXPECT_EQ(stats.failed, 2u);
     EXPECT_EQ(stats.completedOk, 2u);
+    service.stop();
+}
+
+TEST(ServiceTest, CompletionIsPublishedBeforeTheNextRequestFinishes)
+{
+    serve::ServeConfig cfg = smallService();
+    cfg.requestTimeoutMs = 2000;
+    serve::DoacrossService service(cfg);
+    auto healthy = service.plan(
+        workloads::makeFig21Loop(16), sync::SchemeKind::processImproved,
+        configFor(sync::SchemeKind::processImproved));
+    std::uint64_t healthy_id = service.submitPlan(healthy);
+    std::uint64_t stuck_id = service.submitPlan(stuckPlan());
+    ASSERT_NE(healthy_id, 0u);
+    ASSERT_NE(stuck_id, 0u);
+
+    // The healthy request's completion must appear on its own while
+    // the stuck request behind it is still inside its watchdog: the
+    // gang does not hold a served request back while it serves the
+    // next one. The check is on order, not on speed.
+    std::vector<serve::Completion> seen;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (seen.empty()) {
+        ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+            << "nothing was ever published";
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        seen = service.takeCompletions();
+    }
+    ASSERT_EQ(seen.size(), 1u);
+    EXPECT_EQ(seen[0].requestId, healthy_id);
+    EXPECT_TRUE(seen[0].completed);
+    EXPECT_EQ(service.stats().failed, 0u);
+
+    service.waitIdle();
+    auto rest = service.takeCompletions();
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0].requestId, stuck_id);
+    EXPECT_FALSE(rest[0].completed);
+    EXPECT_EQ(service.stats().failed, 1u);
     service.stop();
 }
 
