@@ -300,7 +300,7 @@ runFuzzCase(const dep::Loop &loop, const FuzzCaseConfig &ccfg,
 
             core::ValueTrace values;
             cfg.extraSink = &values;
-            core::TraceRecorder recorder;
+            sim::TraceLog recorder;
             bool gated = small_dag && kind == gate_kind &&
                          !passes_on;
             if (gated)

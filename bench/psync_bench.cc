@@ -60,7 +60,6 @@ struct Options
     bool noPasses = false;
     bool profile = false;
     bool timeline = false;
-    sim::Tick timelineInterval = 0;
     unsigned jobs = 1;
     bool fuzz = false;
     bool fuzzNoShrink = false;
@@ -98,8 +97,7 @@ usage(std::FILE *to)
         "                   [--native] [--threads N,N,...]\n"
         "                   [--forbid-heap-fallback] [--no-passes]\n"
         "                   [--profile] [--profile-trace FILE]\n"
-        "                   [--timeline] [--timeline-interval N]\n"
-        "                   [--timeline-json FILE]\n"
+        "                   [--timeline] [--timeline-json FILE]\n"
         "                   [--report [PATTERN]] "
         "[--report-json FILE]\n"
         "                   [--fuzz N] [--seed S] "
@@ -146,15 +144,15 @@ usage(std::FILE *to)
         "more than one is selected). Cycle counts are identical\n"
         "with profiling on or off.\n"
         "\n"
-        "--timeline samples each run at a fixed interval (bus\n"
-        "occupancy, per-module traffic and backlog, sync-var\n"
-        "waiters, processor state mix, event-core self-metrics),\n"
-        "prints a sparkline report with detected hot spots, and\n"
-        "stamps records with the schema-v6 \"timeline\" summary.\n"
-        "--timeline-interval N overrides the auto-picked interval\n"
-        "(~128 samples per run); --timeline-json FILE writes the\n"
-        "full series. Sampling is passive: cycle counts are\n"
-        "identical with it on or off. --scenarios selects by\n"
+        "--timeline samples each run (bus occupancy and queue,\n"
+        "per-module traffic and backlog, sync-var waiters,\n"
+        "processor state mix, event-core self-metrics) at most\n"
+        "1024 times: the interval starts at 16 cycles and doubles\n"
+        "whenever the budget fills. It prints a sparkline report\n"
+        "with detected hot spots and stamps records with the\n"
+        "schema-v6 \"timeline\" summary; --timeline-json FILE\n"
+        "writes the full series. Sampling is passive: cycle counts\n"
+        "are identical with it on or off. --scenarios selects by\n"
         "shell-style glob over scenario ids (\"fig32-*\",\n"
         "\"*/statement*\").\n");
 }
@@ -261,20 +259,6 @@ parseArgs(int argc, char **argv, Options &opts)
         } else if (arg == "--profile") {
             opts.profile = true;
         } else if (arg == "--timeline") {
-            opts.timeline = true;
-        } else if (arg == "--timeline-interval") {
-            const char *p = next("--timeline-interval");
-            if (!p)
-                return false;
-            long long n = std::atoll(p);
-            if (n < 1) {
-                std::fprintf(
-                    stderr,
-                    "--timeline-interval needs a positive cycle "
-                    "count\n");
-                return false;
-            }
-            opts.timelineInterval = static_cast<sim::Tick>(n);
             opts.timeline = true;
         } else if (arg == "--timeline-json") {
             const char *p = next("--timeline-json");
@@ -667,7 +651,7 @@ runReports(const Options &opts)
 
     core::json::Value reports = core::json::array();
     for (const auto *scenario : selected) {
-        core::TraceRecorder recorder;
+        sim::TraceLog recorder;
         bench::ScenarioRecord record = bench::runScenario(
             *scenario, &recorder, benchPasses(opts));
         core::BlameReport blame = core::buildBlameReport(
@@ -770,27 +754,25 @@ main(int argc, char **argv)
     // order after the join.
     const ir::PassConfig *passes = benchPasses(opts);
     std::vector<bench::ScenarioRecord> records(selected.size());
-    // Profiling and timeline sampling keep each run's recorder
-    // alive past the run so --profile-trace can render the full
-    // phase tracks (and counter tracks) afterwards.
+    // Profiling and timeline sampling trace each run. The record
+    // keeps what the reports need (profile, timeline), so a run's
+    // log is dropped as soon as the run is reduced, unless
+    // --profile-trace will render its phase tracks afterwards.
     bool record_trace = opts.profile || opts.timeline;
-    sim::Tick interval =
-        opts.timeline ? (opts.timelineInterval
-                             ? opts.timelineInterval
-                             : bench::kTimelineAutoInterval)
-                      : 0;
-    std::vector<std::unique_ptr<core::TraceRecorder>> recorders(
-        record_trace ? selected.size() : 0);
+    std::vector<std::unique_ptr<sim::TraceLog>> traces(
+        opts.profileTracePath.empty() ? 0 : selected.size());
     auto run_one = [&](std::size_t i) {
         if (!record_trace) {
             records[i] =
                 bench::runScenario(*selected[i], nullptr, passes);
             return;
         }
-        recorders[i] = std::make_unique<core::TraceRecorder>();
-        records[i] = bench::runScenario(
-            *selected[i], recorders[i].get(), passes, opts.profile,
-            interval);
+        auto log = std::make_unique<sim::TraceLog>();
+        records[i] = bench::runScenario(*selected[i], log.get(),
+                                        passes, opts.profile,
+                                        opts.timeline);
+        if (!traces.empty())
+            traces[i] = std::move(log);
     };
     unsigned workers = std::min<std::size_t>(opts.jobs,
                                              selected.size());
@@ -872,12 +854,11 @@ main(int argc, char **argv)
                 profile_rc = 1;
             }
 
-            if (!opts.profileTracePath.empty() && recorders[i]) {
+            if (!traces.empty()) {
                 std::string path = traceFileFor(
                     opts.profileTracePath, selected[i]->id,
                     selected.size() > 1);
-                core::json::Value trace =
-                    recorders[i]->chromeTrace();
+                core::json::Value trace = core::chromeTrace(*traces[i]);
                 core::json::Value events =
                     *trace.find("traceEvents");
                 core::json::Value path_events =

@@ -517,9 +517,8 @@ ScenarioRecord::toJson() const
 }
 
 ScenarioRecord
-runScenario(const Scenario &scenario, sim::Tracer *tracer,
-            const ir::PassConfig *passes, bool profile,
-            sim::Tick timeline_interval)
+runScenario(const Scenario &scenario, sim::TraceLog *tracer,
+            const ir::PassConfig *passes, bool profile, bool timeline)
 {
     ScenarioRecord record;
     record.scenario = &scenario;
@@ -538,13 +537,7 @@ runScenario(const Scenario &scenario, sim::Tracer *tracer,
     cfg.tracer = tracer;
     if (passes)
         cfg.passes = *passes;
-    if (timeline_interval == kTimelineAutoInterval) {
-        // ~128 samples across the run, but never finer than 16
-        // cycles so tiny scenarios don't sample every event.
-        timeline_interval = std::max<sim::Tick>(
-            16, record.boundCycles / 128);
-    }
-    cfg.machine.timelineInterval = timeline_interval;
+    cfg.machine.timeline = timeline;
     record.transformsEnabled = cfg.passes.enabled &&
                                (cfg.passes.eliminateRedundantWaits ||
                                 cfg.passes.peephole);
@@ -555,28 +548,23 @@ runScenario(const Scenario &scenario, sim::Tracer *tracer,
             .count());
     require(record.result, scenario.id.c_str());
 
+    if ((profile || timeline) && !tracer) {
+        std::fprintf(stderr,
+                     "FATAL: %s: profiling and timelines need a "
+                     "trace log\n",
+                     scenario.id.c_str());
+        std::abort();
+    }
     if (profile) {
-        auto *rec_tracer = dynamic_cast<core::TraceRecorder *>(tracer);
-        if (!rec_tracer) {
-            std::fprintf(stderr,
-                         "FATAL: %s: profiling requires a "
-                         "TraceRecorder tracer\n",
-                         scenario.id.c_str());
-            std::abort();
-        }
         record.profile = std::make_shared<core::CriticalPathProfile>(
-            core::buildCriticalPathProfile(*rec_tracer,
+            core::buildCriticalPathProfile(*tracer,
                                            record.result.run.cycles,
                                            record.boundCycles));
         record.result.run.waitLatency = record.profile->waitAll;
     }
-
-    if (timeline_interval > 0) {
-        if (auto *rec_tracer =
-                dynamic_cast<core::TraceRecorder *>(tracer)) {
-            record.timeline = std::make_shared<core::Timeline>(
-                core::buildTimeline(*rec_tracer));
-        }
+    if (timeline) {
+        record.timeline = std::make_shared<core::Timeline>(
+            core::buildTimeline(*tracer));
     }
     return record;
 }

@@ -166,15 +166,15 @@ struct ScenarioRecord
 
     /**
      * Achieved-critical-path profile, built when runScenario was
-     * asked to profile (requires a TraceRecorder tracer); null
-     * otherwise. Shared so records stay cheap to copy.
+     * asked to profile (requires a trace log); null otherwise.
+     * Shared so records stay cheap to copy.
      */
     std::shared_ptr<core::CriticalPathProfile> profile;
 
     /**
      * Assembled timeline, built when runScenario sampled the run
-     * (timeline_interval > 0, requires a TraceRecorder tracer);
-     * null otherwise. Shared so records stay cheap to copy.
+     * (requires a trace log); null otherwise. Shared so records
+     * stay cheap to copy.
      */
     std::shared_ptr<core::Timeline> timeline;
 
@@ -201,7 +201,7 @@ struct ScenarioRecord
  * Run one scenario (plan + run + trace-verify). Aborts the process
  * on a dependence violation or deadlock — a broken scenario must
  * never silently enter a trajectory file.
- * @param tracer optional event tracer for blame reports.
+ * @param tracer optional trace log for blame reports.
  * @param passes when non-null, overrides the scenario's registered
  *        ir::PassConfig (psync_bench uses this to turn the
  *        transform passes on by default and off under
@@ -209,26 +209,16 @@ struct ScenarioRecord
  *        verifier on, transforms off.
  * @param profile build the achieved-critical-path profile from the
  *        recorded trace and fill result.run.waitLatency; requires
- *        `tracer` to be a core::TraceRecorder.
- * @param timeline_interval sample the run's timeline every this
- *        many cycles (0 = off). Sampling is passive — cycle counts
- *        are identical with it on or off — and needs `tracer` to be
- *        a core::TraceRecorder for the Timeline to be assembled.
- *        kTimelineAutoInterval picks an interval from the scenario's
- *        cycle bound (~128 samples across the run).
+ *        `tracer`.
+ * @param timeline sample the run's timeline (MachineConfig::
+ *        timeline) and assemble it; requires `tracer`. Sampling is
+ *        passive: cycle counts are identical with it on or off.
  */
 ScenarioRecord runScenario(const Scenario &scenario,
-                           sim::Tracer *tracer = nullptr,
+                           sim::TraceLog *tracer = nullptr,
                            const ir::PassConfig *passes = nullptr,
                            bool profile = false,
-                           sim::Tick timeline_interval = 0);
-
-/**
- * Sentinel for runScenario's timeline_interval: derive the interval
- * from the scenario's achievable cycle bound, max(16, bound / 128).
- */
-constexpr sim::Tick kTimelineAutoInterval =
-    static_cast<sim::Tick>(-1);
+                           bool timeline = false);
 
 /**
  * Outcome of one native (real-thread) scenario run. Records host

@@ -67,9 +67,8 @@ main(int argc, char **argv)
     dep::DataLayout layout(loop);
     dep::DepGraph graph(loop);
 
-    core::TraceRecorder recorder;
-    core::TraceRecorder *tracer =
-        trace_path.empty() ? nullptr : &recorder;
+    sim::TraceLog recorder;
+    sim::TraceLog *tracer = trace_path.empty() ? nullptr : &recorder;
 
     // Asynchronous pipelining (Fig. 5.1d).
     core::TraceChecker pipe_checker;
@@ -125,8 +124,8 @@ main(int argc, char **argv)
             std::cerr << "cannot write " << trace_path << "\n";
             return 1;
         }
-        recorder.writeChromeTrace(os);
-        std::cout << "\nwrote " << recorder.eventCount()
+        core::writeChromeTrace(recorder, os);
+        std::cout << "\nwrote " << recorder.size()
                   << " trace events to " << trace_path
                   << " (open in Perfetto / chrome://tracing)\n";
     }

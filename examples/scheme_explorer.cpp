@@ -26,8 +26,8 @@
  * is printed after the sweep, so where each scheme loses its
  * cycles is directly comparable.
  *
- * With --timeline, each scheme's run is sampled at a fixed
- * interval and a sparkline report (bus occupancy, module traffic,
+ * With --timeline, each scheme's run is sampled (at most 1024
+ * times) and a sparkline report (bus occupancy, module traffic,
  * waiter counts, processor state mix, detected hot spots) is
  * printed per scheme. Sampling is passive; cycle counts are
  * identical with it on or off.
@@ -37,7 +37,6 @@
  *                        [seed] [N] [statements] [P]
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,7 +48,6 @@
 #include "core/profile.hh"
 #include "core/runtime.hh"
 #include "core/timeline.hh"
-#include "core/tracing.hh"
 #include "core/value_trace.hh"
 #include "dep/dep_graph.hh"
 #include "native/runner.hh"
@@ -114,10 +112,6 @@ main(int argc, char **argv)
         core::Timeline timeline;
     };
     std::vector<TimelineRow> timeline_rows;
-    // ~128 samples across an ideally-parallel run; floor of 16
-    // cycles so tiny loops don't sample every event.
-    sim::Tick timeline_interval = std::max<sim::Tick>(
-        16, seq / (static_cast<sim::Tick>(procs) * 128));
 
     std::cout << "scheme             cycles    speedup  spin-frac  "
                  "sync-vars  verified";
@@ -136,11 +130,10 @@ main(int argc, char **argv)
         core::ValueTrace sim_values;
         if (with_native)
             cfg.extraSink = &sim_values;
-        core::TraceRecorder recorder;
+        sim::TraceLog recorder;
         if (with_profile || with_timeline)
             cfg.tracer = &recorder;
-        if (with_timeline)
-            cfg.machine.timelineInterval = timeline_interval;
+        cfg.machine.timeline = with_timeline;
 
         if (dump_ir) {
             // Plan twice against throwaway machines: once with the

@@ -8,13 +8,6 @@
 namespace psync {
 namespace core {
 
-namespace {
-
-/** Resource name the memory model reports its modules under. */
-const char *const kModuleResource = "memory.module";
-
-} // namespace
-
 std::string
 BlameReport::VarBlame::name() const
 {
@@ -32,7 +25,7 @@ BlameReport::SiteBlame::name() const
 }
 
 BlameReport
-buildBlameReport(const TraceRecorder &recorder, const RunResult &run,
+buildBlameReport(const sim::TraceLog &log, const RunResult &run,
                  sim::Tick bound)
 {
     BlameReport report;
@@ -42,19 +35,37 @@ buildBlameReport(const TraceRecorder &recorder, const RunResult &run,
     report.boundCycles = bound;
 
     std::map<sim::SyncVarId, BlameReport::VarBlame> by_var;
-    for (const auto &edge : recorder.waitEdges()) {
-        BlameReport::VarBlame &blame = by_var[edge.var];
-        blame.var = edge.var;
-        ++blame.waits;
-        blame.blockedCycles += edge.cycles();
-        blame.maxWait = std::max(blame.maxWait, edge.cycles());
-        blame.perProc[edge.who] += edge.cycles();
-        report.attributedSpinCycles += edge.cycles();
-    }
+    std::map<std::pair<sim::SyncVarId, std::uint32_t>,
+             BlameReport::SiteBlame>
+        by_site;
+    std::map<unsigned, BlameReport::ModuleHeat> by_module;
+    log.forEach([&](const sim::TraceEvent &e) {
+        if (e.kind == sim::TraceKind::wait) {
+            BlameReport::VarBlame &blame = by_var[e.id];
+            blame.var = e.id;
+            ++blame.waits;
+            blame.blockedCycles += e.cycles();
+            blame.maxWait = std::max(blame.maxWait, e.cycles());
+            blame.perProc[e.proc] += e.cycles();
+            report.attributedSpinCycles += e.cycles();
+
+            BlameReport::SiteBlame &site = by_site[{e.id, e.op}];
+            site.var = e.id;
+            site.opId = e.op;
+            ++site.waits;
+            site.blockedCycles += e.cycles();
+            site.maxWait = std::max(site.maxWait, e.cycles());
+        } else if (e.kind == sim::TraceKind::busy &&
+                   e.codeAs<sim::Resource>() == sim::Resource::module) {
+            BlameReport::ModuleHeat &heat = by_module[e.id];
+            heat.module = e.id;
+            heat.busyCycles += e.cycles();
+            ++heat.accesses;
+        }
+    });
+
     for (auto &entry : by_var) {
-        auto it = recorder.syncVars().find(entry.first);
-        if (it != recorder.syncVars().end())
-            entry.second.label = it->second.label;
+        entry.second.label = log.syncVarLabel(entry.first);
         report.vars.push_back(std::move(entry.second));
     }
     std::stable_sort(report.vars.begin(), report.vars.end(),
@@ -62,22 +73,8 @@ buildBlameReport(const TraceRecorder &recorder, const RunResult &run,
                          return a.blockedCycles > b.blockedCycles;
                      });
 
-    std::map<std::pair<sim::SyncVarId, std::uint32_t>,
-             BlameReport::SiteBlame>
-        by_site;
-    for (const auto &edge : recorder.waitSiteEdges()) {
-        BlameReport::SiteBlame &site =
-            by_site[{edge.var, edge.opId}];
-        site.var = edge.var;
-        site.opId = edge.opId;
-        ++site.waits;
-        site.blockedCycles += edge.cycles();
-        site.maxWait = std::max(site.maxWait, edge.cycles());
-    }
     for (auto &entry : by_site) {
-        auto it = recorder.syncVars().find(entry.first.first);
-        if (it != recorder.syncVars().end())
-            entry.second.label = it->second.label;
+        entry.second.label = log.syncVarLabel(entry.first.first);
         report.sites.push_back(std::move(entry.second));
     }
     std::stable_sort(report.sites.begin(), report.sites.end(),
@@ -85,15 +82,6 @@ buildBlameReport(const TraceRecorder &recorder, const RunResult &run,
                          return a.blockedCycles > b.blockedCycles;
                      });
 
-    std::map<unsigned, BlameReport::ModuleHeat> by_module;
-    for (const auto &event : recorder.resources()) {
-        if (event.resource != kModuleResource)
-            continue;
-        BlameReport::ModuleHeat &heat = by_module[event.index];
-        heat.module = event.index;
-        heat.busyCycles += event.end - event.start;
-        ++heat.accesses;
-    }
     for (auto &entry : by_module)
         report.modules.push_back(entry.second);
 

@@ -2,11 +2,11 @@
  * @file
  * Contention blame attribution.
  *
- * Reduces a recorded trace (core/tracing) plus the run's metrics
+ * Reduces a recorded trace (sim::TraceLog) plus the run's metrics
  * into an explanation of *where the cycles went*: which
  * synchronization variables blocked which processors for how long
- * (from the fabric wait-edge events), which memory modules were
- * hot (from resource-occupancy events), and how far the achieved
+ * (from the processors' wait events), which memory modules were
+ * hot (from module busy events), and how far the achieved
  * time sits above the dependence-limited critical-path bound. The
  * report is emitted both as an aligned text table and as JSON, and
  * is what `psync_bench --report` prints.
@@ -24,7 +24,7 @@
 #include "core/critical_path.hh"
 #include "core/json.hh"
 #include "core/metrics.hh"
-#include "core/tracing.hh"
+#include "sim/tracing.hh"
 
 namespace psync {
 namespace core {
@@ -120,7 +120,7 @@ struct BlameReport
     /** Per-cluster bus heat (hierarchical fabric runs only). */
     std::vector<ClusterHeat> clusters;
 
-    /** Spin cycles covered by wait edges (<= totalSpinCycles). */
+    /** Spin cycles covered by wait events (<= totalSpinCycles). */
     sim::Tick attributedSpinCycles = 0;
 
     /** The run's total spin cycles (summed over processors). */
@@ -135,7 +135,7 @@ struct BlameReport
     /** The run's cycle split, for the slack breakdown. */
     RunResult run;
 
-    /** Fraction of spin cycles attributed to a named wait edge. */
+    /** Fraction of spin cycles attributed to a wait event. */
     double
     spinCoverage() const
     {
@@ -164,14 +164,14 @@ struct BlameReport
 
 /**
  * Reduce a recorded trace into a blame report.
- * @param recorder trace of the run (wait edges, resource events,
- *        sync-variable labels)
+ * @param log      trace of the run (wait events, module busy
+ *        events, sync-variable labels)
  * @param run      the run's collected metrics
  * @param bound    optional achievable bound in cycles (pass the
  *        critical path's achievableBound; 0 disables the slack
  *        section)
  */
-BlameReport buildBlameReport(const TraceRecorder &recorder,
+BlameReport buildBlameReport(const sim::TraceLog &log,
                              const RunResult &run,
                              sim::Tick bound = 0);
 

@@ -2,21 +2,39 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <tuple>
 
 namespace psync {
 namespace core {
 
 namespace {
 
-using Span = TraceRecorder::OpSpan;
-using Edge = TraceRecorder::WaitEdge;
-using SyncEvent = TraceRecorder::SyncOpEvent;
+using sim::TraceEvent;
+using sim::TraceKind;
 using Segment = CriticalPathProfile::Segment;
 using SegmentKind = CriticalPathProfile::SegmentKind;
 
-/** Must match what sim::Memory reports busy intervals under. */
-constexpr const char *kModuleResource = "memory.module";
+/** Events of one kind, one list per processor. */
+using PerProc = std::vector<std::vector<const TraceEvent *>>;
+
+/** `lists[p]`, growing `lists` to cover processor `p`. */
+std::vector<const TraceEvent *> &
+procList(PerProc &lists, sim::ProcId p)
+{
+    if (p >= lists.size())
+        lists.resize(static_cast<std::size_t>(p) + 1);
+    return lists[p];
+}
+
+/** Stable-sort `v` by `key`, so push order breaks ties. */
+template <typename Key>
+void
+sortBy(std::vector<const TraceEvent *> &v, Key key)
+{
+    std::stable_sort(v.begin(), v.end(),
+                     [&](const TraceEvent *a, const TraceEvent *b) {
+                         return key(a) < key(b);
+                     });
+}
 
 const char *
 segmentKindName(SegmentKind kind)
@@ -71,115 +89,134 @@ isSyncWriterKind(ir::OpKind kind)
     }
 }
 
-/** Sync-var event names that commit a new value (vs. observe one). */
+/** Sync-var accesses that commit a new value (vs. observe one). */
 bool
-isCommitOp(const std::string &op)
+isCommitOp(sim::SyncOp op)
 {
-    return op == "write" || op == "broadcast" || op == "rmw" ||
-           op == "keyed" || op == "coalesced";
+    switch (op) {
+      case sim::SyncOp::write:
+      case sim::SyncOp::broadcast:
+      case sim::SyncOp::rmw:
+      case sim::SyncOp::keyed:
+      case sim::SyncOp::coalesced:
+        return true;
+      default:
+        return false;
+    }
 }
 
 } // namespace
 
 CriticalPathProfile
-buildCriticalPathProfile(const TraceRecorder &rec,
+buildCriticalPathProfile(const sim::TraceLog &log,
                          sim::Tick run_cycles, sim::Tick bound_cycles)
 {
     CriticalPathProfile prof;
     prof.boundCycles = bound_cycles;
 
+    // --- Per-processor indices, one pass over the log ---
+    PerProc proc_spans, proc_edges, proc_phases, proc_modules;
+    std::map<sim::SyncVarId, std::vector<const TraceEvent *>>
+        var_events;
+    std::size_t num_spans = 0;
+    log.forEach([&](const TraceEvent &e) {
+        switch (e.kind) {
+          case TraceKind::span:
+            procList(proc_spans, e.proc).push_back(&e);
+            ++num_spans;
+            break;
+          case TraceKind::wait:
+            procList(proc_edges, e.proc).push_back(&e);
+            break;
+          case TraceKind::phase:
+            procList(proc_phases, e.proc).push_back(&e);
+            break;
+          case TraceKind::syncOp:
+            if (isCommitOp(e.codeAs<sim::SyncOp>()))
+                var_events[e.id].push_back(&e);
+            break;
+          case TraceKind::busy:
+            if (e.codeAs<sim::Resource>() == sim::Resource::module)
+                procList(proc_modules, e.proc).push_back(&e);
+            break;
+          default:
+            break;
+        }
+    });
+    const std::size_t np = std::max(
+        {proc_spans.size(), proc_edges.size(), proc_phases.size()});
+    proc_spans.resize(np);
+    proc_edges.resize(np);
+    proc_phases.resize(np);
+    proc_modules.resize(np);
+    auto by_end = [](const TraceEvent *e) { return e->t1; };
+    auto by_start = [](const TraceEvent *e) { return e->t0; };
+    for (auto &v : proc_spans)
+        sortBy(v, by_end);
+    for (auto &v : proc_edges)
+        sortBy(v, by_end);
+    for (auto &v : proc_phases)
+        sortBy(v, by_start);
+    for (auto &v : proc_modules)
+        sortBy(v, by_start);
+    for (auto &entry : var_events)
+        sortBy(entry.second, by_start);
+
+    // Op `op` of processor `p` that completed at `end`; the first
+    // recorded one when several match. Op ids restart at 1 per
+    // program, so the id alone is ambiguous across program shapes
+    // (init vs. main loop, branch variants).
+    auto span_ending = [&](sim::ProcId p, std::uint32_t op,
+                           sim::Tick end) -> const TraceEvent * {
+        const auto &v = proc_spans[p];
+        auto it = std::lower_bound(
+            v.begin(), v.end(), end,
+            [](const TraceEvent *s, sim::Tick t) { return s->t1 < t; });
+        for (; it != v.end() && (*it)->t1 == end; ++it) {
+            if ((*it)->op == op)
+                return *it;
+        }
+        return nullptr;
+    };
+
     // --- Latency histograms (independent of the path walk) ---
-    for (const auto &e : rec.waitEdges()) {
-        prof.waitAll.record(e.cycles());
-        prof.waitByVar[e.var].record(e.cycles());
-    }
-    // Key by (proc, op id, completion tick): op ids restart at 1
-    // per program, so the id alone is ambiguous across program
-    // shapes (init vs. main loop, branch variants). The blocking
-    // op's span ends exactly when its site edge does.
-    std::map<std::tuple<sim::ProcId, std::uint32_t, sim::Tick>,
-             ir::OpKind>
-        kind_of;
-    for (const auto &s : rec.opSpans())
-        kind_of.emplace(std::make_tuple(s.who, s.opId, s.end),
-                        s.kind);
-    for (const auto &e : rec.waitSiteEdges()) {
-        auto it = kind_of.find(
-            std::make_tuple(e.who, e.opId, e.end));
-        const char *name = it != kind_of.end()
-                               ? ir::opKindName(it->second)
-                               : "unknown";
-        prof.waitByKind[name].record(e.cycles());
+    // The blocking op's span ends exactly when its wait does.
+    for (const auto &edges : proc_edges) {
+        for (const TraceEvent *e : edges) {
+            prof.waitAll.record(e->cycles());
+            prof.waitByVar[e->id].record(e->cycles());
+            const TraceEvent *s = span_ending(e->proc, e->op, e->t1);
+            const char *name =
+                s ? ir::opKindName(s->codeAs<ir::OpKind>())
+                  : "unknown";
+            prof.waitByKind[name].record(e->cycles());
+        }
     }
 
-    const auto &spans = rec.opSpans();
-    if (spans.empty() || run_cycles == 0)
+    if (num_spans == 0 || run_cycles == 0)
         return prof;
 
-    // --- Per-processor indices ---
-    sim::ProcId max_proc = 0;
-    for (const auto &s : spans)
-        max_proc = std::max(max_proc, s.who);
-    for (const auto &e : rec.waitEdges())
-        max_proc = std::max(max_proc, e.who);
-    for (const auto &p : rec.phases())
-        max_proc = std::max(max_proc, p.who);
-    const std::size_t np = static_cast<std::size_t>(max_proc) + 1;
-
-    std::vector<std::vector<const Span *>> proc_spans(np);
-    for (const auto &s : spans)
-        proc_spans[s.who].push_back(&s);
-    for (auto &v : proc_spans) {
-        std::stable_sort(v.begin(), v.end(),
-                         [](const Span *a, const Span *b) {
-                             return a->end < b->end;
-                         });
-    }
-
-    std::vector<std::vector<const Edge *>> proc_edges(np);
-    for (const auto &e : rec.waitEdges())
-        proc_edges[e.who].push_back(&e);
-    for (auto &v : proc_edges) {
-        std::stable_sort(v.begin(), v.end(),
-                         [](const Edge *a, const Edge *b) {
-                             return a->end < b->end;
-                         });
-    }
-
-    std::map<sim::SyncVarId, std::vector<const SyncEvent *>>
-        var_events;
-    for (const auto &e : rec.syncOpEvents()) {
-        if (isCommitOp(e.op))
-            var_events[e.var].push_back(&e);
-    }
-    for (auto &entry : var_events) {
-        std::stable_sort(entry.second.begin(), entry.second.end(),
-                         [](const SyncEvent *a, const SyncEvent *b) {
-                             return a->at < b->at;
-                         });
-    }
-
     // --- Lookup helpers over the indices ---
-    // Latest wait edge of `p` satisfied inside (lo, hi].
+    // Latest wait of `p` satisfied inside (lo, hi].
     auto latest_edge_in = [&](sim::ProcId p, sim::Tick lo,
-                              sim::Tick hi) -> const Edge * {
+                              sim::Tick hi) -> const TraceEvent * {
         const auto &v = proc_edges[p];
         auto it = std::upper_bound(
             v.begin(), v.end(), hi,
-            [](sim::Tick t, const Edge *e) { return t < e->end; });
+            [](sim::Tick t, const TraceEvent *e) { return t < e->t1; });
         if (it == v.begin())
             return nullptr;
-        const Edge *e = *(it - 1);
-        return e->end > lo ? e : nullptr;
+        const TraceEvent *e = *(it - 1);
+        return e->t1 > lo ? e : nullptr;
     };
 
     // Latest span of `p` completing at or before `t`.
     auto latest_span_before = [&](sim::ProcId p,
-                                  sim::Tick t) -> const Span * {
+                                  sim::Tick t) -> const TraceEvent * {
         const auto &v = proc_spans[p];
         auto it = std::upper_bound(
             v.begin(), v.end(), t,
-            [](sim::Tick tt, const Span *s) { return tt < s->end; });
+            [](sim::Tick tt, const TraceEvent *s) { return tt < s->t1; });
         if (it == v.begin())
             return nullptr;
         return *(it - 1);
@@ -189,49 +226,48 @@ buildCriticalPathProfile(const TraceRecorder &rec,
     // prefer a recent sync-writing op on `var`, fall back to the
     // latest op of `q` (its completion still happens-before `t`).
     auto producer_span = [&](sim::ProcId q, sim::SyncVarId var,
-                             sim::Tick t) -> const Span * {
+                             sim::Tick t) -> const TraceEvent * {
         const auto &v = proc_spans[q];
         auto it = std::upper_bound(
             v.begin(), v.end(), t,
-            [](sim::Tick tt, const Span *s) { return tt < s->end; });
-        const Span *fallback = nullptr;
+            [](sim::Tick tt, const TraceEvent *s) { return tt < s->t1; });
+        const TraceEvent *fallback = nullptr;
         unsigned scanned = 0;
         while (it != v.begin() && scanned < 8) {
             --it;
             ++scanned;
-            const Span *s = *it;
+            const TraceEvent *s = *it;
             if (!fallback)
                 fallback = s;
-            if (s->var == var && isSyncWriterKind(s->kind))
+            if (s->id == var &&
+                isSyncWriterKind(s->codeAs<ir::OpKind>()))
                 return s;
         }
         return fallback;
     };
 
-    // The committing access on `edge.var` that woke the waiter:
-    // latest commit event by another processor at or before the
-    // wake tick; returns that writer's producing span.
-    auto find_writer = [&](const Edge &edge,
-                           sim::ProcId waiter) -> const Span * {
-        auto itv = var_events.find(edge.var);
+    // The committing access on the waited variable that woke the
+    // waiter: latest commit event by another processor at or
+    // before the wake tick; returns that writer's producing span.
+    auto find_writer = [&](const TraceEvent &edge,
+                           sim::ProcId waiter) -> const TraceEvent * {
+        auto itv = var_events.find(edge.id);
         if (itv == var_events.end())
             return nullptr;
         const auto &v = itv->second;
         auto it = std::upper_bound(
-            v.begin(), v.end(), edge.end,
-            [](sim::Tick t, const SyncEvent *e) {
-                return t < e->at;
-            });
+            v.begin(), v.end(), edge.t1,
+            [](sim::Tick t, const TraceEvent *e) { return t < e->t0; });
         unsigned scanned = 0;
         while (it != v.begin() && scanned < 64) {
             --it;
             ++scanned;
-            if ((*it)->who == waiter)
+            if ((*it)->proc == waiter)
                 continue;
-            if ((*it)->who >= np)
+            if ((*it)->proc >= np)
                 continue;
-            const Span *sq =
-                producer_span((*it)->who, edge.var, edge.end);
+            const TraceEvent *sq =
+                producer_span((*it)->proc, edge.id, edge.t1);
             if (sq)
                 return sq;
         }
@@ -239,11 +275,16 @@ buildCriticalPathProfile(const TraceRecorder &rec,
     };
 
     // --- Backward walk from the op that finished last ---
-    const Span *cur = nullptr;
-    for (const auto &s : spans) {
-        if (!cur || s.end > cur->end ||
-            (s.end == cur->end && s.who < cur->who))
-            cur = &s;
+    // Ties go to the lowest processor, then to the first recorded.
+    const TraceEvent *cur = nullptr;
+    for (const auto &v : proc_spans) {
+        if (v.empty())
+            continue;
+        auto last = std::lower_bound(
+            v.begin(), v.end(), v.back()->t1,
+            [](const TraceEvent *s, sim::Tick t) { return s->t1 < t; });
+        if (!cur || (*last)->t1 > cur->t1)
+            cur = *last;
     }
 
     std::vector<Segment> segs;
@@ -251,7 +292,7 @@ buildCriticalPathProfile(const TraceRecorder &rec,
 
     // Close the path tile [from, frontier) and move the frontier.
     auto push_seg = [&](SegmentKind kind, sim::ProcId proc,
-                        sim::Tick from, const Span *sp,
+                        sim::Tick from, const TraceEvent *sp,
                         sim::SyncVarId var, bool has_var) {
         if (from >= frontier)
             return;
@@ -261,8 +302,8 @@ buildCriticalPathProfile(const TraceRecorder &rec,
         g.start = from;
         g.end = frontier;
         if (sp) {
-            g.opId = sp->opId;
-            g.opKind = sp->kind;
+            g.opId = sp->op;
+            g.opKind = sp->codeAs<ir::OpKind>();
             g.iter = sp->iter;
         }
         g.var = var;
@@ -270,91 +311,65 @@ buildCriticalPathProfile(const TraceRecorder &rec,
         segs.push_back(g);
         frontier = from;
     };
+    auto push_op = [&](const TraceEvent *sp, sim::Tick from) {
+        push_seg(SegmentKind::op, sp->proc, from, sp, sp->id,
+                 spanHasVar(sp->codeAs<ir::OpKind>()));
+    };
 
     // Drain between the last op and the completion tick.
-    if (cur->end < frontier)
-        push_seg(SegmentKind::dispatch, cur->who, cur->end, nullptr,
+    if (cur->t1 < frontier)
+        push_seg(SegmentKind::dispatch, cur->proc, cur->t1, nullptr,
                  0, false);
 
-    const std::size_t max_steps = spans.size() * 2 + 64;
+    const std::size_t max_steps = num_spans * 2 + 64;
     std::size_t steps = 0;
     while (true) {
         if (++steps > max_steps) {
             prof.truncated = true;
             break;
         }
-        const Edge *edge = latest_edge_in(
-            cur->who, cur->start, std::min(cur->end, frontier));
+        const TraceEvent *edge = latest_edge_in(
+            cur->proc, cur->t0, std::min(cur->t1, frontier));
         if (edge) {
             // Post-wake part of the op.
-            push_seg(SegmentKind::op, cur->who, edge->end, cur,
-                     cur->var, spanHasVar(cur->kind));
-            const Span *sq = find_writer(*edge, cur->who);
-            if (sq && sq->end <= edge->end && sq != cur) {
+            push_op(cur, edge->t1);
+            const TraceEvent *sq = find_writer(*edge, cur->proc);
+            if (sq && sq->t1 <= edge->t1 && sq != cur) {
                 // Producer completion -> waiter wake: fabric
                 // propagation charged to the variable.
-                push_seg(SegmentKind::wait, cur->who, sq->end,
-                         nullptr, edge->var, true);
+                push_seg(SegmentKind::wait, cur->proc, sq->t1,
+                         nullptr, edge->id, true);
                 cur = sq;
                 continue;
             }
             // No visible causal writer (e.g. the value predates the
             // recorded window): charge the block to the variable
             // and continue in this processor's program order.
-            push_seg(SegmentKind::wait, cur->who, cur->start,
-                     nullptr, edge->var, true);
+            push_seg(SegmentKind::wait, cur->proc, cur->t0,
+                     nullptr, edge->id, true);
         } else {
-            push_seg(SegmentKind::op, cur->who, cur->start, cur,
-                     cur->var, spanHasVar(cur->kind));
+            push_op(cur, cur->t0);
         }
-        const Span *prev = latest_span_before(
-            cur->who, std::min(cur->start, frontier));
+        const TraceEvent *prev = latest_span_before(
+            cur->proc, std::min(cur->t0, frontier));
         if (prev == nullptr) {
-            push_seg(SegmentKind::start, cur->who, 0, nullptr, 0,
+            push_seg(SegmentKind::start, cur->proc, 0, nullptr, 0,
                      false);
             break;
         }
-        push_seg(SegmentKind::dispatch, cur->who, prev->end, nullptr,
+        push_seg(SegmentKind::dispatch, cur->proc, prev->t1, nullptr,
                  0, false);
         cur = prev;
     }
     // A truncated walk leaves [0, frontier) unattributed; tile it
     // so the achieved length still equals total cycles.
     if (frontier > 0)
-        push_seg(SegmentKind::start, cur->who, 0, nullptr, 0, false);
+        push_seg(SegmentKind::start, cur->proc, 0, nullptr, 0, false);
 
     std::reverse(segs.begin(), segs.end());
     prof.segments = std::move(segs);
 
     // --- Phase decomposition and attribution ---
-    std::vector<std::vector<const TraceRecorder::PhaseEvent *>>
-        proc_phases(np);
-    for (const auto &p : rec.phases())
-        proc_phases[p.who].push_back(&p);
-    for (auto &v : proc_phases) {
-        std::stable_sort(
-            v.begin(), v.end(),
-            [](const TraceRecorder::PhaseEvent *a,
-               const TraceRecorder::PhaseEvent *b) {
-                return a->start < b->start;
-            });
-    }
-
-    std::vector<std::vector<const TraceRecorder::ResourceEvent *>>
-        proc_modules(np);
-    for (const auto &r : rec.resources()) {
-        if (r.resource == kModuleResource && r.who < np)
-            proc_modules[r.who].push_back(&r);
-    }
-    for (auto &v : proc_modules) {
-        std::stable_sort(
-            v.begin(), v.end(),
-            [](const TraceRecorder::ResourceEvent *a,
-               const TraceRecorder::ResourceEvent *b) {
-                return a->start < b->start;
-            });
-    }
-
     std::map<sim::SyncVarId, sim::Tick> var_cycles;
     std::map<sim::ProcId, sim::Tick> proc_cycles;
     std::map<unsigned, sim::Tick> module_cycles;
@@ -370,15 +385,15 @@ buildCriticalPathProfile(const TraceRecorder &rec,
         proc_cycles[g.proc] += len;
 
         sim::Tick covered = 0;
-        for (const auto *p : proc_phases[g.proc]) {
-            if (p->end <= g.start)
+        for (const TraceEvent *p : proc_phases[g.proc]) {
+            if (p->t1 <= g.start)
                 continue;
-            if (p->start >= g.end)
+            if (p->t0 >= g.end)
                 break;
-            sim::Tick ov = std::min(p->end, g.end) -
-                           std::max(p->start, g.start);
+            sim::Tick ov = std::min(p->t1, g.end) -
+                           std::max(p->t0, g.start);
             covered += ov;
-            switch (p->phase) {
+            switch (p->codeAs<sim::TracePhase>()) {
               case sim::TracePhase::compute:
                 g.compute += ov;
                 break;
@@ -404,23 +419,20 @@ buildCriticalPathProfile(const TraceRecorder &rec,
         prof.dispatchCycles += g.dispatch;
         prof.otherCycles += g.other;
 
-        for (const auto *r : proc_modules[g.proc]) {
-            if (r->end <= g.start)
+        for (const TraceEvent *r : proc_modules[g.proc]) {
+            if (r->t1 <= g.start)
                 continue;
-            if (r->start >= g.end)
+            if (r->t0 >= g.end)
                 break;
-            module_cycles[r->index] += std::min(r->end, g.end) -
-                                       std::max(r->start, g.start);
+            module_cycles[r->id] += std::min(r->t1, g.end) -
+                                    std::max(r->t0, g.start);
         }
     }
 
-    const auto &var_stats = rec.syncVars();
     for (const auto &entry : var_cycles) {
         CriticalPathProfile::VarShare share;
         share.var = entry.first;
-        auto it = var_stats.find(entry.first);
-        if (it != var_stats.end())
-            share.label = it->second.label;
+        share.label = log.syncVarLabel(entry.first);
         share.cycles = entry.second;
         prof.varShares.push_back(std::move(share));
     }

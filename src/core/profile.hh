@@ -3,10 +3,10 @@
  * Causal critical-path profiler.
  *
  * Replays one run's recorded trace — per-op execution spans, wait
- * edges and sync-variable access events (core/tracing) — into the
+ * events and sync-variable accesses (sim::TraceLog) — into the
  * *achieved* critical path: the longest weighted chain of actually
  * executed op instances through per-processor program order plus
- * the observed cross-processor wait edges. The reconstruction walks
+ * the observed cross-processor waits. The reconstruction walks
  * backward from the op that finished last; whenever the current op
  * was gated by a satisfied wait, the path hops to the producing op
  * on the writer's processor, charging the gap between the
@@ -16,7 +16,7 @@
  * cycles and every cycle of the run is attributed to an op, a wait
  * on a named sync variable, or dispatch.
  *
- * Alongside the path, the profiler reduces the wait edges into
+ * Alongside the path, the profiler reduces the waits into
  * fixed-bucket log2 latency histograms (core/metrics): overall, per
  * sync variable, and per emitting op kind. Both views answer the
  * question the analytical bound (core/critical_path) cannot: not
@@ -35,7 +35,7 @@
 
 #include "core/json.hh"
 #include "core/metrics.hh"
-#include "core/tracing.hh"
+#include "sim/tracing.hh"
 
 namespace psync {
 namespace core {
@@ -165,8 +165,8 @@ struct CriticalPathProfile
 
     /**
      * Chrome trace events for a "critical path" track (pid 2):
-     * one complete event per segment. Append to a TraceRecorder
-     * chromeTrace() document's "traceEvents" array to view the
+     * one complete event per segment. Append to a chromeTrace()
+     * document's "traceEvents" array to view the
      * path against the per-processor phase tracks in Perfetto.
      */
     json::Value perfettoEvents() const;
@@ -176,12 +176,12 @@ struct CriticalPathProfile
  * Reconstruct the achieved critical path of a recorded run.
  * `bound_cycles` is the analytical floor (CriticalPath::
  * achievableBound) used for gap reporting; pass 0 when unknown.
- * Requires the run to have been traced with op spans (any run
- * recorded through TraceRecorder); returns an empty profile when
+ * Requires the run to have been traced (op spans come from any
+ * run recorded into a sim::TraceLog); returns an empty profile when
  * the trace has no spans.
  */
 CriticalPathProfile
-buildCriticalPathProfile(const TraceRecorder &recorder,
+buildCriticalPathProfile(const sim::TraceLog &log,
                          sim::Tick run_cycles,
                          sim::Tick bound_cycles);
 

@@ -79,11 +79,12 @@ struct RunConfig
     /** Abort threshold for deadlocked synchronization. */
     sim::Tick tickLimit = 1000000000ull;
     /**
-     * Optional event tracer attached to the machine (and handed to
+     * Optional trace log attached to the machine (and handed to
      * the scheme for sync-variable labeling). Null — the default —
-     * records nothing and costs one branch per hook site. Not owned.
+     * records nothing and costs one branch per event site. Not
+     * owned.
      */
-    sim::Tracer *tracer = nullptr;
+    sim::TraceLog *tracer = nullptr;
     /**
      * Optional extra trace sink fed the same access stream as the
      * trace checker (e.g. a ValueTrace computing the functional

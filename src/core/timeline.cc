@@ -250,15 +250,15 @@ varName(sim::SyncVarId var, const std::string &label)
 } // namespace
 
 Timeline
-buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
+buildTimeline(const sim::TraceLog &log, const TimelineConfig &cfg)
 {
     Timeline tl;
-    const auto &samples = recorder.samples();
-    if (samples.empty())
+    log.forEach([&](const sim::TraceEvent &e) {
+        if (e.kind == sim::TraceKind::sample)
+            tl.boundaries.push_back(e.t0);
+    });
+    if (tl.boundaries.empty())
         return tl;
-
-    for (const auto &s : samples)
-        tl.boundaries.push_back(s.at);
     std::sort(tl.boundaries.begin(), tl.boundaries.end());
     tl.boundaries.erase(std::unique(tl.boundaries.begin(),
                                     tl.boundaries.end()),
@@ -286,13 +286,32 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
         }
     }
 
+    // Raw samples per (stream, id), one slot per boundary; sync-op
+    // events bucketed per variable give per-variable traffic
+    // without a dedicated stream.
     std::map<RawKey, std::vector<double>> raw;
-    for (const auto &s : samples) {
-        auto &vec = raw[{static_cast<int>(s.stream), s.index}];
-        if (vec.empty())
-            vec.assign(n, unsampled);
-        vec[boundaryIndex(s.at)] = s.value;
-    }
+    std::map<sim::SyncVarId, TimelineSeries> traffic;
+    log.forEach([&](const sim::TraceEvent &e) {
+        if (e.kind == sim::TraceKind::sample) {
+            auto &vec = raw[{static_cast<int>(e.code), e.id}];
+            if (vec.empty())
+                vec.assign(n, unsampled);
+            vec[boundaryIndex(e.t0)] = e.value();
+        } else if (e.kind == sim::TraceKind::syncOp) {
+            auto it = traffic.find(e.id);
+            if (it == traffic.end()) {
+                it = traffic
+                         .emplace(e.id,
+                                  TimelineSeries{
+                                      varName(e.id,
+                                              log.syncVarLabel(e.id)) +
+                                          " traffic",
+                                      std::vector<double>(n, 0.0)})
+                         .first;
+            }
+            it->second.values[boundaryIndex(e.t0)] += 1;
+        }
+    });
     auto rawOf = [&](sim::SampleStream stream,
                      std::uint32_t index) -> const std::vector<double> * {
         auto it = raw.find({static_cast<int>(stream), index});
@@ -306,28 +325,30 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
         }
         return indices;
     };
-
-    // Buses: cumulative busy cycles -> occupancy per interval.
-    static const char *busNames[2] = {"data_bus", "sync_bus"};
-    for (std::uint32_t b = 0; b < 2; ++b) {
-        const auto *busy = rawOf(sim::SampleStream::busBusyCycles, b);
-        if (!busy)
-            continue;
-        TimelineSeries occ =
-            diffSeries(busy, n,
-                       std::string(busNames[b]) + " occupancy");
+    // Cumulative busy cycles -> busy fraction of each interval.
+    auto occupancy = [&](const std::vector<double> *busy,
+                         std::string name) {
+        TimelineSeries occ = diffSeries(busy, n, std::move(name));
         for (std::size_t k = 1; k < n; ++k) {
-            sim::Tick span =
-                tl.boundaries[k] - tl.boundaries[k - 1];
+            sim::Tick span = tl.boundaries[k] - tl.boundaries[k - 1];
             double frac = span
                 ? occ.values[k] / static_cast<double>(span)
                 : 0.0;
             occ.values[k] = std::max(0.0, std::min(1.0, frac));
         }
-        tl.busOccupancy.push_back(std::move(occ));
+        return occ;
+    };
+
+    // Buses, each under its own name, in trace-id order.
+    for (std::uint32_t b :
+         indicesOf(sim::SampleStream::busBusyCycles)) {
+        std::string name = log.busName(b);
+        tl.busOccupancy.push_back(occupancy(
+            rawOf(sim::SampleStream::busBusyCycles, b),
+            name + " occupancy"));
         tl.busQueue.push_back(instantSeries(
             rawOf(sim::SampleStream::busQueueDepth, b), n,
-            std::string(busNames[b]) + " queue"));
+            name + " queue"));
     }
 
     // Memory modules.
@@ -341,9 +362,9 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
             "module " + std::to_string(m) + " backlog"));
     }
 
-    // Combining-network stages and cluster buses (absent entirely
-    // on the flat fabrics, so these families stay empty there and
-    // every JSON emission below skips them).
+    // Combining-network stages (absent entirely on the other
+    // fabrics, so these families stay empty there and every JSON
+    // emission below skips them).
     for (std::uint32_t s :
          indicesOf(sim::SampleStream::netStageConflictCycles)) {
         tl.netStageWait.push_back(diffSeries(
@@ -356,58 +377,18 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
             rawOf(sim::SampleStream::netStageCombines, s), n,
             "net stage " + std::to_string(s) + " combines"));
     }
-    for (std::uint32_t c :
-         indicesOf(sim::SampleStream::clusterBusBusyCycles)) {
-        TimelineSeries occ = diffSeries(
-            rawOf(sim::SampleStream::clusterBusBusyCycles, c), n,
-            "cluster_bus" + std::to_string(c) + " occupancy");
-        for (std::size_t k = 1; k < n; ++k) {
-            sim::Tick span = tl.boundaries[k] - tl.boundaries[k - 1];
-            double frac = span
-                ? occ.values[k] / static_cast<double>(span)
-                : 0.0;
-            occ.values[k] = std::max(0.0, std::min(1.0, frac));
-        }
-        tl.clusterBusOccupancy.push_back(std::move(occ));
-    }
-
     // Sync-variable waiter counts (sparse stream).
-    const auto &varStats = recorder.syncVars();
-    auto labelOf = [&](sim::SyncVarId var) -> std::string {
-        auto it = varStats.find(var);
-        return it == varStats.end() ? std::string()
-                                    : it->second.label;
-    };
     for (std::uint32_t var :
          indicesOf(sim::SampleStream::syncVarWaiters)) {
         tl.varWaiters.emplace_back(
             var, instantSeries(
                      rawOf(sim::SampleStream::syncVarWaiters, var),
                      n,
-                     varName(var, labelOf(var)) + " waiters"));
+                     varName(var, log.syncVarLabel(var)) + " waiters"));
     }
 
-    // Per-variable traffic, bucketed from the sync-op event log.
-    {
-        std::map<sim::SyncVarId, TimelineSeries> traffic;
-        for (const auto &ev : recorder.syncOpEvents()) {
-            auto it = traffic.find(ev.var);
-            if (it == traffic.end()) {
-                it = traffic
-                         .emplace(ev.var,
-                                  TimelineSeries{
-                                      varName(ev.var,
-                                              labelOf(ev.var)) +
-                                          " traffic",
-                                      std::vector<double>(n, 0.0)})
-                         .first;
-            }
-            it->second.values[boundaryIndex(ev.at)] += 1;
-        }
-        for (auto &entry : traffic)
-            tl.varTraffic.emplace_back(entry.first,
-                                       std::move(entry.second));
-    }
+    for (auto &entry : traffic)
+        tl.varTraffic.emplace_back(entry.first, std::move(entry.second));
     auto byTotalDesc = [](const auto &a, const auto &b) {
         return a.second.total() > b.second.total();
     };
@@ -465,7 +446,7 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
                    tl.hotspots);
     std::vector<HotCandidate> vars;
     for (const auto &entry : tl.varTraffic)
-        vars.push_back({entry.first, labelOf(entry.first),
+        vars.push_back({entry.first, log.syncVarLabel(entry.first),
                         &entry.second});
     detectHotSpots("sync_var", vars, tl.boundaries, cfg,
                    tl.hotspots);
@@ -503,10 +484,6 @@ Timeline::toJson() const
         series.set("net_stage_wait", family(netStageWait));
     if (!netStageCombines.empty())
         series.set("net_stage_combines", family(netStageCombines));
-    if (!clusterBusOccupancy.empty()) {
-        series.set("cluster_bus_occupancy",
-                   family(clusterBusOccupancy));
-    }
     auto varFamily =
         [](const std::vector<std::pair<sim::SyncVarId,
                                        TimelineSeries>> &list) {
@@ -582,12 +559,6 @@ Timeline::summaryJson() const
             combines += s.total();
         sum.set("net_combines", combines);
     }
-    if (!clusterBusOccupancy.empty()) {
-        double cluster_occ = 0;
-        for (const auto &s : clusterBusOccupancy)
-            cluster_occ = std::max(cluster_occ, s.peak());
-        sum.set("peak_cluster_bus_occupancy", cluster_occ);
-    }
     sum.set("peak_events_per_interval", eventsPerInterval.peak());
     sum.set("far_heap_peak", farHeap.peak());
     sum.set("heap_fallbacks", heapFallbacks.total());
@@ -621,10 +592,23 @@ Timeline::writeText(std::ostream &os, std::size_t width) const
            << " @ " << boundaries[s.peakIndex()] << "\n";
     };
 
-    for (const auto &s : busOccupancy)
-        row(s, "%.2f");
-    for (const auto &s : busQueue)
-        row(s, "%.0f");
+    // The (up to) three buses with the highest peak occupancy, in
+    // trace-id order: every bus of a flat machine, the busiest
+    // ones of a cluster hierarchy.
+    std::vector<std::size_t> buses(busOccupancy.size());
+    for (std::size_t b = 0; b < buses.size(); ++b)
+        buses[b] = b;
+    std::stable_sort(buses.begin(), buses.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return busOccupancy[a].peak() >
+                                busOccupancy[b].peak();
+                     });
+    buses.resize(std::min<std::size_t>(buses.size(), 3));
+    std::sort(buses.begin(), buses.end());
+    for (std::size_t b : buses)
+        row(busOccupancy[b], "%.2f");
+    for (std::size_t b : buses)
+        row(busQueue[b], "%.0f");
     if (!moduleTraffic.empty()) {
         std::vector<const TimelineSeries *> parts;
         for (const auto &s : moduleTraffic)
@@ -653,14 +637,6 @@ Timeline::writeText(std::ostream &os, std::size_t width) const
             combine_parts.push_back(&s);
         row(mergeSeries("net combines (total)", combine_parts),
             "%.0f");
-    }
-    if (!clusterBusOccupancy.empty()) {
-        const TimelineSeries *busiest = &clusterBusOccupancy[0];
-        for (const auto &s : clusterBusOccupancy) {
-            if (s.peak() > busiest->peak())
-                busiest = &s;
-        }
-        row(*busiest, "%.2f");
     }
     for (std::size_t i = 0; i < varWaiters.size() && i < 3; ++i)
         row(varWaiters[i].second, "%.0f");

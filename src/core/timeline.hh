@@ -2,17 +2,18 @@
  * @file
  * Time-series telemetry built from fixed-interval timeline samples.
  *
- * The machine emits one batch of sim::Tracer::sample calls per
- * sampling boundary (MachineConfig::timelineInterval); the
- * TraceRecorder buffers them. buildTimeline turns that buffer into
- * per-interval series — bus occupancy, per-module traffic and
- * backlog, per-sync-var waiter counts and traffic, the
- * processor-state mix, and the event core's self-metrics — and runs
- * a hot-spot detector over the traffic series: sustained windows
- * where one module or variable absorbs a disproportionate share of
- * its family's traffic, reported with onset cycle, duration and
- * peak share. The result exports as JSON (full series or the
- * compact trajectory summary) and as a terminal sparkline report.
+ * A sampled run (MachineConfig::timeline) records one batch of
+ * sample events per boundary into its sim::TraceLog, at most
+ * sim::timelineSampleBudget batches. buildTimeline turns them into
+ * per-interval series — occupancy and queue depth per bus,
+ * per-module traffic and backlog, per-sync-var waiter counts and
+ * traffic, the processor-state mix, and the event core's
+ * self-metrics — and runs a hot-spot detector over the traffic
+ * series: sustained windows where one module or variable absorbs a
+ * disproportionate share of its family's traffic, reported with
+ * onset cycle, duration and peak share. The result exports as JSON
+ * (full series or the compact trajectory summary) and as a
+ * terminal sparkline report.
  */
 
 #ifndef PSYNC_CORE_TIMELINE_HH
@@ -25,7 +26,6 @@
 #include <vector>
 
 #include "core/json.hh"
-#include "core/tracing.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
 
@@ -113,9 +113,13 @@ struct Timeline
     /** Sampling boundary ticks, ascending (one per sample batch). */
     std::vector<sim::Tick> boundaries;
 
-    /** Bus occupancy in [0, 1] per interval; data bus then sync. */
+    /**
+     * Bus occupancy in [0, 1] per interval, one series per bus in
+     * trace-id order (data bus, sync or global bus, cluster buses),
+     * each named after its bus.
+     */
     std::vector<TimelineSeries> busOccupancy;
-    /** Instantaneous bus queue depth (queued + in flight). */
+    /** Instantaneous queue depth (queued + in flight), per bus. */
     std::vector<TimelineSeries> busQueue;
 
     /** Requests serviced per interval, one series per module. */
@@ -130,14 +134,12 @@ struct Timeline
     std::vector<TimelineSeries> netStageWait;
     /** Packets absorbed by combining per interval, per stage. */
     std::vector<TimelineSeries> netStageCombines;
-    /** Cluster-bus occupancy in [0, 1] per interval, per cluster. */
-    std::vector<TimelineSeries> clusterBusOccupancy;
 
     /** Blocked waiters per sync var (sorted by descending total). */
     std::vector<std::pair<sim::SyncVarId, TimelineSeries>> varWaiters;
     /**
-     * Sync ops per interval per variable, bucketed from the
-     * recorder's sync-op events (sorted by descending total).
+     * Sync ops per interval per variable, bucketed from the log's
+     * sync-op events (sorted by descending total).
      */
     std::vector<std::pair<sim::SyncVarId, TimelineSeries>> varTraffic;
 
@@ -171,13 +173,12 @@ struct Timeline
 };
 
 /**
- * Assemble a timeline from a recorder's sample buffer (and its
- * sync-op events, which provide per-variable traffic without a
- * dedicated stream). Returns an empty Timeline when the run was not
- * sampled. `labels` resolution uses the recorder's nameSyncVar
- * records.
+ * Assemble a timeline from a log's sample events (and its sync-op
+ * events, which provide per-variable traffic without a dedicated
+ * stream). Returns an empty Timeline when the run was not sampled.
+ * Series names use the log's sync-variable labels and bus names.
  */
-Timeline buildTimeline(const TraceRecorder &recorder,
+Timeline buildTimeline(const sim::TraceLog &log,
                        const TimelineConfig &cfg = TimelineConfig());
 
 /**

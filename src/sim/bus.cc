@@ -9,17 +9,19 @@ namespace psync {
 namespace sim {
 
 Bus::Bus(EventQueue &eq, std::string bus_name, Tick cycles_per_txn,
-         Tracer *trace)
+         TraceLog *trace_log, std::uint32_t trace_id)
     : eventq(eq),
       name_(std::move(bus_name)),
-      queueDepthName(name_ + ".queue_depth"),
       cyclesPerTxn(cycles_per_txn),
-      tracer(trace),
+      tracer(trace_log),
+      traceId(trace_id),
       numTransactions(name_ + ".transactions"),
       busyCyclesStat(name_ + ".busy_cycles"),
       queueDelayStat(name_ + ".queue_delay"),
       maxQueueStat(name_ + ".max_queue")
 {
+    if (tracer)
+        tracer->nameBus(traceId, name_);
 }
 
 void
@@ -34,9 +36,6 @@ Bus::transact(ProcId who, GrantHandler on_grant, GrantHandler on_done)
     pending.push(Request{who, eventq.now(), std::move(on_grant),
                          std::move(on_done)});
     maxQueueStat.updateMax(static_cast<double>(pending.size()));
-    PSYNC_TRACE(tracer,
-                counterSample(queueDepthName, eventq.now(),
-                              static_cast<double>(pending.size())));
     if (!granting)
         grantNext();
 }
@@ -64,10 +63,8 @@ Bus::grantNext()
                   "%s grant proc %u (queued %llu cycles)",
                   name_.c_str(), req.who,
                   static_cast<unsigned long long>(grant - req.issued));
-    PSYNC_TRACE(tracer, resourceBusy(name_, 0, req.who, grant, done));
-    PSYNC_TRACE(tracer,
-                counterSample(queueDepthName, eventq.now(),
-                              static_cast<double>(pending.size())));
+    trace(tracer, TraceEvent::busy(Resource::bus, traceId, req.who, grant,
+                                   done));
 
     // grant == now() here: arbitration happens either immediately
     // on request or right as the previous transaction completes.
@@ -85,7 +82,7 @@ Bus::grantNext()
 }
 
 void
-Bus::sampleTimeline(Tracer &t, std::uint32_t index, Tick at) const
+Bus::sampleTimeline(TraceLog &t, Tick at) const
 {
     // busyCyclesStat books a transaction's full occupancy at grant
     // time; back out the not-yet-elapsed tail of an in-flight
@@ -96,9 +93,11 @@ Bus::sampleTimeline(Tracer &t, std::uint32_t index, Tick at) const
         busy -= static_cast<double>(freeAt - at);
     if (busy < 0)
         busy = 0;
-    t.sample(SampleStream::busBusyCycles, index, at, busy);
-    t.sample(SampleStream::busQueueDepth, index, at,
-             static_cast<double>(pending.size() + (granting ? 1 : 0)));
+    t.push(TraceEvent::sample(SampleStream::busBusyCycles, traceId, at,
+                              busy));
+    t.push(TraceEvent::sample(
+        SampleStream::busQueueDepth, traceId, at,
+        static_cast<double>(pending.size() + (granting ? 1 : 0))));
 }
 
 double

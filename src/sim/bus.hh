@@ -34,10 +34,13 @@ class Bus : public Interconnect
      * @param eq            event queue driving the simulation
      * @param bus_name      name used in statistics output
      * @param cycles_per_txn bus occupancy of one transaction
-     * @param tracer        optional event tracer (may be null)
+     * @param tracer        optional trace log (may be null)
+     * @param trace_id      id of this bus's busy events and timeline
+     *                      samples: 0 data bus, 1 sync or global
+     *                      bus, 2 + c cluster bus c
      */
     Bus(EventQueue &eq, std::string bus_name, Tick cycles_per_txn,
-        Tracer *tracer = nullptr);
+        TraceLog *tracer = nullptr, std::uint32_t trace_id = 0);
 
     /**
      * Queue a transaction. `on_done` runs when the transaction has
@@ -86,11 +89,10 @@ class Bus : public Interconnect
     double utilization(Tick end_tick) const override;
 
     /**
-     * Emit one timeline sample pair (cumulative busy cycles,
-     * instantaneous queue depth) to `t`, tagged with this bus's
-     * stream index (0 = data bus, 1 = sync bus).
+     * Record one timeline sample pair (cumulative busy cycles,
+     * instantaneous queue depth) under this bus's trace id.
      */
-    void sampleTimeline(Tracer &t, std::uint32_t index, Tick at) const;
+    void sampleTimeline(TraceLog &t, Tick at) const;
 
     /** Write the bus statistics to a stream. */
     void dumpStats(std::ostream &os) const override;
@@ -113,10 +115,9 @@ class Bus : public Interconnect
 
     EventQueue &eventq;
     std::string name_;
-    /** Traced queue-depth counter name, built once. */
-    std::string queueDepthName;
     Tick cyclesPerTxn;
-    Tracer *tracer;
+    TraceLog *tracer;
+    std::uint32_t traceId;
     Tick freeAt = 0;
     bool granting = false;
     RingFifo<Request> pending;

@@ -11,7 +11,7 @@ namespace sim {
 HierarchicalSyncFabric::HierarchicalSyncFabric(
     EventQueue &eq, std::vector<Bus *> cluster_buses, Bus &global_bus,
     unsigned num_procs, unsigned capacity, bool coalesce,
-    Tracer *trace)
+    TraceLog *trace)
     : eventq(eq),
       clusterBuses(std::move(cluster_buses)),
       globalBus(global_bus),
@@ -90,10 +90,6 @@ HierarchicalSyncFabric::commitCluster(unsigned c, SyncVarId var,
                 activeWaiters.erase(it);
         }
         Tick waited = eventq.now() - w.started;
-        if (waited > 0) {
-            PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
-                                         eventq.now()));
-        }
         ReadyOp ready;
         ready.kind = ReadyOp::Kind::wake;
         ready.waited = waited;
@@ -113,7 +109,7 @@ HierarchicalSyncFabric::waitGE(ProcId who, SyncVarId var,
                   who, var,
                   static_cast<unsigned long long>(threshold), c,
                   static_cast<unsigned long long>(images[c][var]));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::wait, var, who, eventq.now()));
     if (images[c][var] >= threshold) {
         ReadyOp ready;
         ready.kind = ReadyOp::Kind::wake;
@@ -175,7 +171,7 @@ void
 HierarchicalSyncFabric::commitGlobal(SyncVarId var, SyncWord value)
 {
     ++globalBroadcastsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "broadcast", 0, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::broadcast, var, 0, eventq.now()));
     values[var] = value;
     for (unsigned c = 0; c < numClusters(); ++c)
         commitCluster(c, var, value);
@@ -190,14 +186,14 @@ HierarchicalSyncFabric::write(ProcId who, SyncVarId var,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (cluster %u)", who, var,
                   static_cast<unsigned long long>(value), c);
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::write, var, who, eventq.now()));
     auto it = pendingLocal.find(key);
     if (coalesceEnabled && it != pendingLocal.end() &&
         it->second.valid) {
         it->second.value = value;
         ++coalescedLocalStat;
-        PSYNC_TRACE(tracer,
-                    syncVarOp(var, "coalesced", who, eventq.now()));
+        trace(tracer, TraceEvent::syncOp(SyncOp::coalesced, var, who,
+                                         eventq.now()));
     } else {
         auto &pw = pendingLocal[key];
         pw.value = value;
@@ -253,7 +249,7 @@ HierarchicalSyncFabric::fetchInc(ProcId who, SyncVarId var,
                                  ValueHandler on_done)
 {
     unsigned c = clusterOf(who);
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::rmw, var, who, eventq.now()));
     // The handler rests in the per-cluster FIFO (local buses grant
     // FIFO) so the bus closure captures only plain words.
     localIncs[c].push(std::move(on_done));
@@ -306,15 +302,12 @@ HierarchicalSyncFabric::poke(SyncVarId var, SyncWord value)
 }
 
 void
-HierarchicalSyncFabric::sampleTimeline(Tracer &t, Tick at) const
+HierarchicalSyncFabric::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (const auto &entry : activeWaiters) {
-        t.sample(SampleStream::syncVarWaiters, entry.first, at,
-                 static_cast<double>(entry.second));
-    }
-    for (unsigned c = 0; c < numClusters(); ++c) {
-        t.sample(SampleStream::clusterBusBusyCycles, c, at,
-                 static_cast<double>(clusterBuses[c]->busyCycles()));
+        t.push(TraceEvent::sample(SampleStream::syncVarWaiters,
+                                  entry.first, at,
+                                  static_cast<double>(entry.second)));
     }
 }
 

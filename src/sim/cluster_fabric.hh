@@ -60,7 +60,7 @@ class HierarchicalSyncFabric : public SyncFabric
                            std::vector<Bus *> cluster_buses,
                            Bus &global_bus, unsigned num_procs,
                            unsigned capacity, bool coalesce = true,
-                           Tracer *tracer = nullptr);
+                           TraceLog *tracer = nullptr);
 
     FabricKind kind() const override
     {
@@ -130,7 +130,7 @@ class HierarchicalSyncFabric : public SyncFabric
         return static_cast<std::uint64_t>(combinedIncsStat.value());
     }
 
-    void sampleTimeline(Tracer &t, Tick at) const override;
+    void sampleTimeline(TraceLog &t, Tick at) const override;
 
     void dumpStats(std::ostream &os) const override;
     void registerStats(stats::Group &group) const override;
@@ -208,7 +208,7 @@ class HierarchicalSyncFabric : public SyncFabric
     unsigned procsPerCluster_;
     unsigned capacity_;
     bool coalesceEnabled;
-    Tracer *tracer;
+    TraceLog *tracer;
     unsigned numVars = 0;
 
     /** Authoritative values, serialized by the global stage. */

@@ -14,7 +14,7 @@ CombiningSyncFabric::CombiningSyncFabric(EventQueue &eq,
                                          Tick stage_cycles,
                                          Tick port_cycles,
                                          Tick service_cycles,
-                                         Tracer *trace)
+                                         TraceLog *trace)
     : eventq(eq),
       numModules_(num_modules),
       serviceCycles(service_cycles),
@@ -138,10 +138,6 @@ CombiningSyncFabric::fireOp(std::uint32_t slot)
       case OpState::Kind::poll: {
         WaitHandler handler = std::move(op.onWait);
         Tick waited = eventq.now() - op.started;
-        if (waited > 0) {
-            PSYNC_TRACE(tracer, waitEdge(op.var, op.who, op.started,
-                                         eventq.now()));
-        }
         freeOp(slot);
         handler(waited);
         return;
@@ -173,7 +169,7 @@ CombiningSyncFabric::waitGE(ProcId who, SyncVarId var,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(threshold));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::wait, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::poll;
@@ -205,7 +201,7 @@ CombiningSyncFabric::read(ProcId who, SyncVarId var,
                           ValueHandler on_done)
 {
     ++readsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "poll", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::poll, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::read;
@@ -226,7 +222,7 @@ CombiningSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(value));
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::write, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::write;
@@ -248,7 +244,7 @@ CombiningSyncFabric::fetchInc(ProcId who, SyncVarId var,
                               ValueHandler on_done)
 {
     ++rmwsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::rmw, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::rmw;
@@ -290,11 +286,12 @@ CombiningSyncFabric::hotSpotRatio() const
 }
 
 void
-CombiningSyncFabric::sampleTimeline(Tracer &t, Tick at) const
+CombiningSyncFabric::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (const auto &entry : activeWaiters) {
-        t.sample(SampleStream::syncVarWaiters, entry.first, at,
-                 static_cast<double>(entry.second));
+        t.push(TraceEvent::sample(SampleStream::syncVarWaiters,
+                                  entry.first, at,
+                                  static_cast<double>(entry.second)));
     }
     network.sampleTimeline(t, at);
 }

@@ -59,7 +59,7 @@ class CombiningSyncFabric : public SyncFabric
     CombiningSyncFabric(EventQueue &eq, unsigned num_ports,
                         unsigned num_modules, Tick stage_cycles,
                         Tick port_cycles, Tick service_cycles,
-                        Tracer *tracer = nullptr);
+                        TraceLog *tracer = nullptr);
 
     FabricKind kind() const override { return FabricKind::combining; }
 
@@ -106,7 +106,7 @@ class CombiningSyncFabric : public SyncFabric
         return static_cast<Tick>(moduleDelayStat.value());
     }
 
-    void sampleTimeline(Tracer &t, Tick at) const override;
+    void sampleTimeline(TraceLog &t, Tick at) const override;
     bool isParked(ProcId who) const override;
 
     void dumpStats(std::ostream &os) const override;
@@ -163,7 +163,7 @@ class CombiningSyncFabric : public SyncFabric
     EventQueue &eventq;
     unsigned numModules_;
     Tick serviceCycles;
-    Tracer *tracer;
+    TraceLog *tracer;
     CombiningOmegaNetwork network;
     unsigned numVars = 0;
 

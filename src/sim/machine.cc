@@ -34,7 +34,7 @@ stagesFor(unsigned endpoints)
 } // namespace
 
 Machine::Machine(const MachineConfig &cfg, TraceSink *trace,
-                 Tracer *tracer)
+                 TraceLog *tracer)
     : config_(cfg), tracer_(tracer), eventq_(cfg.eventCore)
 {
     if (config_.numProcs == 0)
@@ -44,7 +44,7 @@ Machine::Machine(const MachineConfig &cfg, TraceSink *trace,
       case InterconnectKind::bus:
         dataNet_ = std::make_unique<Bus>(eventq_, "data_bus",
                                          config_.dataBusCycles,
-                                         tracer);
+                                         tracer, /*trace_id=*/0);
         break;
       case InterconnectKind::omega:
         dataNet_ = std::make_unique<OmegaNetwork>(
@@ -85,10 +85,8 @@ Machine::run(Processor::Dispatch dispatch, Tick limit)
 {
     for (auto &proc : processors_)
         proc->start(dispatch);
-#ifndef PSYNC_TRACING_DISABLED
-    if (tracer_ && config_.timelineInterval > 0)
+    if (tracer_ && config_.timeline)
         return runSampled(limit);
-#endif
     bool drained = eventq_.run(limit);
     return drained && allHalted();
 }
@@ -109,12 +107,17 @@ Machine::runSampled(Tick limit)
     // The resumable event core executes events with when <= chunk
     // limit and pauses with everything else intact, so chunking by
     // interval boundaries observes the exact (when, seq) order of
-    // an unchunked run — sampling is passive by construction.
-    const Tick interval = config_.timelineInterval;
-    Tick last_sampled = eventq_.now();
-    sampleTimeline(last_sampled);
-    Tick boundary = last_sampled + interval;
-    while (boundary < limit) {
+    // an unchunked run — sampling is passive by construction. The
+    // kept boundaries are always origin + k * interval for k <
+    // stored, so thinning them to the budget leaves exactly the
+    // batches a run sampled at the doubled interval would hold.
+    const Tick origin = eventq_.now();
+    Tick interval = timelineFirstInterval;
+    std::size_t stored = 1;
+    sampleTimeline(origin);
+    Tick last_sampled = origin;
+    for (Tick boundary = origin + interval; boundary < limit;
+         boundary = origin + stored * interval) {
         if (eventq_.run(boundary)) {
             // Drained mid-interval: close the timeline with a final
             // (possibly partial) sample at the last executed tick.
@@ -124,7 +127,14 @@ Machine::runSampled(Tick limit)
         }
         sampleTimeline(boundary);
         last_sampled = boundary;
-        boundary += interval;
+        if (++stored == timelineSampleBudget) {
+            interval *= 2;
+            stored /= 2;
+            tracer_->eraseIf([origin, interval](const TraceEvent &e) {
+                return e.kind == TraceKind::sample &&
+                       (e.t0 - origin) % interval != 0;
+            });
+        }
     }
     bool drained = eventq_.run(limit);
     if (drained && eventq_.now() > last_sampled)
@@ -135,36 +145,33 @@ Machine::runSampled(Tick limit)
 void
 Machine::sampleTimeline(Tick at)
 {
-#ifndef PSYNC_TRACING_DISABLED
     if (!tracer_)
         return;
-    Tracer &t = *tracer_;
+    TraceLog &t = *tracer_;
     if (Bus *data_bus = dataBus())
-        data_bus->sampleTimeline(t, 0, at);
+        data_bus->sampleTimeline(t, at);
     if (syncBus_)
-        syncBus_->sampleTimeline(t, 1, at);
+        syncBus_->sampleTimeline(t, at);
+    for (const auto &bus : clusterBuses_)
+        bus->sampleTimeline(t, at);
     memory_->sampleTimeline(t, at);
     fabric_->sampleTimeline(t, at);
-    t.sample(SampleStream::eventsExecuted, 0, at,
-             static_cast<double>(eventq_.eventsExecuted()));
-    t.sample(SampleStream::pendingEvents, 0, at,
-             static_cast<double>(eventq_.pendingEvents()));
-    t.sample(SampleStream::ringBuckets, 0, at,
-             static_cast<double>(eventq_.occupiedBuckets()));
-    t.sample(SampleStream::farHeapEvents, 0, at,
-             static_cast<double>(eventq_.farEvents()));
-    t.sample(SampleStream::heapFallbacks, 0, at,
-             static_cast<double>(eventq_.heapFallbackEvents()));
+    auto global = [&](SampleStream stream, std::uint64_t value) {
+        t.push(TraceEvent::sample(stream, 0, at,
+                                  static_cast<double>(value)));
+    };
+    global(SampleStream::eventsExecuted, eventq_.eventsExecuted());
+    global(SampleStream::pendingEvents, eventq_.pendingEvents());
+    global(SampleStream::ringBuckets, eventq_.occupiedBuckets());
+    global(SampleStream::farHeapEvents, eventq_.farEvents());
+    global(SampleStream::heapFallbacks, eventq_.heapFallbackEvents());
     for (ProcId id = 0; id < config_.numProcs; ++id) {
         ProcActivity a = processors_[id]->activity();
         if (a == ProcActivity::spin && fabric_->isParked(id))
             a = ProcActivity::parked;
-        t.sample(SampleStream::procActivity, id, at,
-                 static_cast<double>(a));
+        t.push(TraceEvent::sample(SampleStream::procActivity, id, at,
+                                  static_cast<double>(a)));
     }
-#else
-    (void)at;
-#endif
 }
 
 Tick

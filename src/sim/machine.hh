@@ -31,6 +31,18 @@
 namespace psync {
 namespace sim {
 
+/**
+ * Most sample batches one sampled run keeps. Boundaries start
+ * timelineFirstInterval cycles apart; each time this many are
+ * stored, the interval doubles and every other boundary is dropped,
+ * so the kept boundaries always equal those of a run sampled at the
+ * final interval from the start.
+ */
+constexpr std::size_t timelineSampleBudget = 1024;
+
+/** Cycles between a sampled run's first boundaries. */
+constexpr Tick timelineFirstInterval = 16;
+
 /** Processor-to-memory transport choice. */
 enum class InterconnectKind
 {
@@ -106,16 +118,16 @@ struct MachineConfig
     Addr syncVarBase = Addr(1) << 40;
 
     /**
-     * Timeline sampling interval, in cycles (0 = off). When nonzero
-     * and a tracer is attached, Machine::run executes the event
-     * queue in interval-sized chunks and emits one batch of
-     * Tracer::sample calls per boundary (plus a baseline sample at
+     * Sample the run's timeline when a trace log is attached:
+     * Machine::run executes the event queue in chunks and records
+     * one batch of samples per boundary (plus a baseline batch at
      * the start tick and a final one at drain). Chunking pauses and
      * resumes the queue between the same (when, seq)-ordered
      * events, so a sampled run is cycle-identical to an unsampled
-     * one.
+     * one. The interval adapts to the run's length; see
+     * timelineSampleBudget.
      */
-    Tick timelineInterval = 0;
+    bool timeline = false;
 };
 
 /**
@@ -151,7 +163,7 @@ class Machine
   public:
     explicit Machine(const MachineConfig &cfg,
                      TraceSink *trace = nullptr,
-                     Tracer *tracer = nullptr);
+                     TraceLog *tracer = nullptr);
 
     ~Machine();
 
@@ -196,9 +208,9 @@ class Machine
     Tick completionTick() const;
 
     /**
-     * Emit one batch of timeline samples (every SampleStream, all
-     * components) to the attached tracer at tick `at`. Driven by
-     * run() at interval boundaries; exposed for tests.
+     * Record one batch of timeline samples (every SampleStream, all
+     * components) at tick `at`. Driven by run() at interval
+     * boundaries; exposed for tests.
      */
     void sampleTimeline(Tick at);
 
@@ -208,14 +220,17 @@ class Machine
     void registerStats(stats::Group &group) const;
 
   private:
-    /** Run the queue in interval chunks, sampling at boundaries. */
+    /**
+     * Run the queue in interval chunks, sampling at boundaries and
+     * thinning them to the timelineSampleBudget.
+     */
     bool runSampled(Tick limit);
 
     /** True once every processor has drained its work. */
     bool allHalted() const;
 
     MachineConfig config_;
-    Tracer *tracer_;
+    TraceLog *tracer_;
     EventQueue eventq_;
     std::unique_ptr<Interconnect> dataNet_;
     std::unique_ptr<Bus> syncBus_;

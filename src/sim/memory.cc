@@ -9,7 +9,7 @@ namespace psync {
 namespace sim {
 
 Memory::Memory(EventQueue &eq, Interconnect &data_net,
-               const MemoryConfig &cfg, Tracer *trace)
+               const MemoryConfig &cfg, TraceLog *trace)
     : eventq(eq),
       dataNet(data_net),
       config(cfg),
@@ -74,9 +74,8 @@ Memory::arrived(std::uint32_t slot)
                   module, req.who,
                   static_cast<unsigned long long>(start),
                   static_cast<unsigned long long>(done));
-    PSYNC_TRACE(tracer,
-                resourceBusy("memory.module", module, req.who, start,
-                             done));
+    trace(tracer, TraceEvent::busy(Resource::module, module, req.who, start,
+                                   done));
     eventq.schedule(done, [this, slot]() { complete(slot); });
 }
 
@@ -188,16 +187,17 @@ Memory::serviceAtModule(Addr addr, AccessHandler on_done)
     Tick done = start + config.serviceCycles;
     moduleFreeAt[module] = done;
     queueDelayStat += static_cast<double>(start - arrive);
-    PSYNC_TRACE(tracer, resourceBusy("memory.module", module,
-                                     /*who=*/0, start, done));
+    trace(tracer, TraceEvent::busy(Resource::module, module, /*who=*/0, start,
+                                   done));
     eventq.schedule(done, std::move(on_done));
 }
 
 void
-Memory::sampleTimeline(Tracer &t, Tick at) const
+Memory::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (unsigned m = 0; m < config.numModules; ++m) {
-        t.sample(SampleStream::moduleAccesses, m, at, accessesStat[m]);
+        t.push(TraceEvent::sample(SampleStream::moduleAccesses, m, at,
+                                  accessesStat[m]));
         // The reserved-until horizon divided by the service time is
         // the number of requests queued or in service at the module
         // right now (rmw counts double, matching its occupancy).
@@ -206,7 +206,8 @@ Memory::sampleTimeline(Tracer &t, Tick at) const
             backlog = static_cast<double>(moduleFreeAt[m] - at) /
                       static_cast<double>(config.serviceCycles);
         }
-        t.sample(SampleStream::moduleBacklog, m, at, backlog);
+        t.push(TraceEvent::sample(SampleStream::moduleBacklog, m, at,
+                                  backlog));
     }
 }
 

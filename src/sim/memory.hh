@@ -56,7 +56,7 @@ class Memory
     using Modify = InlineFunction<SyncWord(SyncWord old_value)>;
 
     Memory(EventQueue &eq, Interconnect &data_net,
-           const MemoryConfig &cfg, Tracer *tracer = nullptr);
+           const MemoryConfig &cfg, TraceLog *tracer = nullptr);
 
     /** Which module services an address. */
     unsigned
@@ -132,7 +132,7 @@ class Memory
      * requests and the instantaneous backlog (service-queue depth in
      * requests, from the module's reserved-until horizon).
      */
-    void sampleTimeline(Tracer &t, Tick at) const;
+    void sampleTimeline(TraceLog &t, Tick at) const;
 
     void dumpStats(std::ostream &os) const;
 
@@ -182,7 +182,7 @@ class Memory
     EventQueue &eventq;
     Interconnect &dataNet;
     MemoryConfig config;
-    Tracer *tracer;
+    TraceLog *tracer;
 
     std::vector<Tick> moduleFreeAt;
     std::unordered_map<Addr, SyncWord> words;

@@ -222,13 +222,13 @@ CombiningOmegaNetwork::busiestSwitchCycles(unsigned s) const
 }
 
 void
-CombiningOmegaNetwork::sampleTimeline(Tracer &t, Tick at) const
+CombiningOmegaNetwork::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (unsigned s = 0; s < numStages; ++s) {
-        t.sample(SampleStream::netStageConflictCycles, s, at,
-                 conflictCyclesStat[s]);
-        t.sample(SampleStream::netStageCombines, s, at,
-                 combinesStat[s]);
+        t.push(TraceEvent::sample(SampleStream::netStageConflictCycles,
+                                  s, at, conflictCyclesStat[s]));
+        t.push(TraceEvent::sample(SampleStream::netStageCombines, s, at,
+                                  combinesStat[s]));
     }
 }
 

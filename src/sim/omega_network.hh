@@ -245,7 +245,7 @@ class CombiningOmegaNetwork
     }
 
     /** Emit per-stage conflict/combine samples to `t` at `at`. */
-    void sampleTimeline(Tracer &t, Tick at) const;
+    void sampleTimeline(TraceLog &t, Tick at) const;
 
     void dumpStats(std::ostream &os) const;
     void registerStats(stats::Group &group) const;

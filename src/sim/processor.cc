@@ -9,7 +9,7 @@ namespace sim {
 
 Processor::Processor(EventQueue &eq, ProcId id, SyncFabric &fab,
                      CacheSystem &cache_sys, TraceSink *sink,
-                     Tracer *event_tracer)
+                     TraceLog *event_tracer)
     : eventq(eq), id_(id), fabric(fab), caches(cache_sys),
       trace(sink), tracer(event_tracer)
 {
@@ -36,7 +36,8 @@ Processor::fetchNext()
             haltTick_ = eventq.now();
             setActivity(ProcActivity::halted);
             PSYNC_DPRINTF(eventq, Proc, "proc %u halted", id_);
-            PSYNC_TRACE(tracer, instant("halt", id_, eventq.now()));
+            sim::trace(tracer, TraceEvent::instant(Instant::halt, id_,
+                                                   eventq.now()));
             return;
         }
         beginProgram(program);
@@ -167,12 +168,7 @@ Processor::execWaitGE(const Op &op)
             spinCycles_ += waited;
             tracePhase(TracePhase::spin, eventq.now() - waited,
                        eventq.now());
-            if (waited > 0) {
-                PSYNC_TRACE(tracer,
-                            waitEdgeOp(op.var, id_, op.id,
-                                       eventq.now() - waited,
-                                       eventq.now()));
-            }
+            traceWait(op.var, op.id, eventq.now() - waited);
             traceOpSpan(op.id, op.kind, op.var, opIter(op), start,
                         eventq.now());
             step();
@@ -302,12 +298,7 @@ Processor::execPcTransfer(const Op &op)
             spinCycles_ += waited;
             tracePhase(TracePhase::spin, eventq.now() - waited,
                        eventq.now());
-            if (waited > 0) {
-                PSYNC_TRACE(tracer,
-                            waitEdgeOp(op.var, id_, op.id,
-                                       eventq.now() - waited,
-                                       eventq.now()));
-            }
+            traceWait(op.var, op.id, eventq.now() - waited);
             ownedPc = true;
             setActivity(ProcActivity::sync);
             fabric.write(id_, op.var, op.value, [this, op, start]() {
@@ -364,11 +355,7 @@ Processor::execKeyed(const Op &op)
                 ? past_issue - waited
                 : 0;
             Tick end = eventq.now();
-            if (waited > 0) {
-                PSYNC_TRACE(tracer,
-                            waitEdgeOp(key, id_, op_id,
-                                       end - waited, end));
-            }
+            traceWait(key, op_id, end - waited);
             traceOpSpan(op_id,
                         is_write ? OpKind::keyedWrite
                                  : OpKind::keyedRead,
@@ -416,12 +403,7 @@ Processor::execCtrBarrier(const Op &op)
                     : 0;
                 tracePhase(TracePhase::spin, wait_start,
                            eventq.now());
-                if (eventq.now() > wait_start) {
-                    PSYNC_TRACE(tracer,
-                                waitEdgeOp(release, id_, op_id,
-                                           wait_start,
-                                           eventq.now()));
-                }
+                traceWait(release, op_id, wait_start);
                 traceOpSpan(op_id, OpKind::ctrBarrier, release,
                             iter, start, eventq.now());
                 step();

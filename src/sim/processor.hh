@@ -44,7 +44,7 @@ class Processor
 
     Processor(EventQueue &eq, ProcId id, SyncFabric &fabric,
               CacheSystem &caches, TraceSink *sink,
-              Tracer *tracer = nullptr);
+              TraceLog *tracer = nullptr);
 
     /** Begin the fetch-execute loop. */
     void start(Dispatch dispatch);
@@ -81,52 +81,47 @@ class Processor
     void beginProgram(const Program *program);
     void step();
 
-    /** Emit a non-empty phase interval to the attached tracer. */
+    /** Record a non-empty phase interval. */
     void
     tracePhase(TracePhase phase, Tick start, Tick end)
     {
-#ifndef PSYNC_TRACING_DISABLED
-        if (tracer && end > start)
-            tracer->phaseInterval(id_, phase, start, end);
-#else
-        (void)phase;
-        (void)start;
-        (void)end;
-#endif
+        if (end > start)
+            sim::trace(tracer,
+                       TraceEvent::phase(id_, phase, start, end));
     }
 
     /**
-     * Emit one executed-op span (issue through completion) to the
-     * attached tracer. Empty spans are dropped, matching the
-     * phase-interval contract.
+     * Record one executed-op span (issue through completion).
+     * Empty spans are dropped, like empty phase intervals.
      */
     void
     traceOpSpan(std::uint32_t op_id, OpKind kind, SyncVarId var,
                 std::uint64_t iter, Tick start, Tick end)
     {
-#ifndef PSYNC_TRACING_DISABLED
-        if (tracer && end > start)
-            tracer->opSpan(id_, iter, op_id, kind, var, start, end);
-#else
-        (void)op_id;
-        (void)kind;
-        (void)var;
-        (void)iter;
-        (void)start;
-        (void)end;
-#endif
+        if (end > start) {
+            sim::trace(tracer, TraceEvent::span(id_, iter, op_id,
+                                                kind, var, start,
+                                                end));
+        }
+    }
+
+    /** Record a wait of op `op_id` on `var` that ended now. */
+    void
+    traceWait(SyncVarId var, std::uint32_t op_id, Tick start)
+    {
+        if (eventq.now() > start) {
+            sim::trace(tracer, TraceEvent::wait(id_, var, op_id,
+                                                start,
+                                                eventq.now()));
+        }
     }
 
     /** Update live activity state (no-op when untraced). */
     void
     setActivity(ProcActivity a)
     {
-#ifndef PSYNC_TRACING_DISABLED
         if (tracer)
             activity_ = a;
-#else
-        (void)a;
-#endif
     }
 
     /** Iteration an op belongs to (iterTag overrides program iter). */
@@ -151,7 +146,7 @@ class Processor
     SyncFabric &fabric;
     CacheSystem &caches;
     TraceSink *trace;
-    Tracer *tracer;
+    TraceLog *tracer;
 
     Dispatch dispatch_;
     const Program *current = nullptr;

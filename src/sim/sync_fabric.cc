@@ -30,7 +30,7 @@ fabricKindName(FabricKind kind)
 
 MemorySyncFabric::MemorySyncFabric(EventQueue &eq, Memory &mem, Addr base,
                                    Tick poll_interval, bool cached_spin,
-                                   Tracer *trace)
+                                   TraceLog *trace)
     : eventq(eq),
       memory(mem),
       baseAddr(base),
@@ -85,11 +85,12 @@ MemorySyncFabric::trackUnpark(ProcId who)
 }
 
 void
-MemorySyncFabric::sampleTimeline(Tracer &t, Tick at) const
+MemorySyncFabric::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (const auto &entry : activeWaiters) {
-        t.sample(SampleStream::syncVarWaiters, entry.first, at,
-                 static_cast<double>(entry.second));
+        t.push(TraceEvent::sample(SampleStream::syncVarWaiters,
+                                  entry.first, at,
+                                  static_cast<double>(entry.second)));
     }
 }
 
@@ -137,8 +138,8 @@ void
 MemorySyncFabric::pollLoop(std::uint32_t slot)
 {
     ++pollsStat;
-    PSYNC_TRACE(tracer, syncVarOp(ops[slot].var, "poll",
-                                  ops[slot].who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::poll, ops[slot].var,
+                                     ops[slot].who, eventq.now()));
     memory.read(ops[slot].who, addrOf(ops[slot].var),
                 [this, slot](SyncWord value) {
         pollValue(slot, value);
@@ -150,10 +151,6 @@ MemorySyncFabric::pollValue(std::uint32_t slot, SyncWord value)
 {
     OpState &op = ops[slot];
     if (value >= op.threshold) {
-        if (eventq.now() > op.started) {
-            PSYNC_TRACE(tracer, waitEdge(op.var, op.who, op.started,
-                                         eventq.now()));
-        }
         trackWaitEnd(op.var);
         WaitHandler on_done = std::move(op.onWait);
         Tick waited = eventq.now() - op.started;
@@ -204,7 +201,7 @@ MemorySyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (memory fabric)", who,
                   var, static_cast<unsigned long long>(threshold));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::wait, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
     op.who = who;
@@ -230,7 +227,7 @@ MemorySyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (memory fabric)", who,
                   var, static_cast<unsigned long long>(value));
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::write, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     ops[slot].var = var;
     ops[slot].onDone = std::move(on_done);
@@ -253,7 +250,7 @@ MemorySyncFabric::fetchInc(ProcId who, SyncVarId var,
                            ValueHandler on_done)
 {
     ++rmwsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::rmw, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     ops[slot].var = var;
     ops[slot].onValue = std::move(on_done);
@@ -287,10 +284,6 @@ MemorySyncFabric::keyedService(std::uint32_t slot)
         // increment.
         memory.poke(key_addr, current + 1);
         Tick waited = eventq.now() - op.started;
-        if (waited > 0)
-            PSYNC_TRACE(tracer,
-                        waitEdge(key, op.who, op.started,
-                                 eventq.now()));
         trackWaitEnd(key);
         WaitHandler on_done = std::move(op.onWait);
         freeOp(slot);
@@ -331,7 +324,7 @@ MemorySyncFabric::keyedAccess(ProcId who, SyncVarId key,
                               WaitHandler on_done)
 {
     ++keyedOpsStat;
-    PSYNC_TRACE(tracer, syncVarOp(key, "keyed", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::keyed, key, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
     op.who = who;
@@ -384,7 +377,7 @@ MemorySyncFabric::registerStats(stats::Group &group) const
 
 RegisterSyncFabric::RegisterSyncFabric(EventQueue &eq, Bus &sync_bus,
                                        unsigned capacity, bool coalesce,
-                                       Tracer *trace)
+                                       TraceLog *trace)
     : eventq(eq),
       syncBus(sync_bus),
       capacity_(capacity),
@@ -439,10 +432,6 @@ RegisterSyncFabric::commit(SyncVarId var, SyncWord value)
                 activeWaiters.erase(it);
         }
         Tick waited = eventq.now() - w.started;
-        if (waited > 0) {
-            PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
-                                         eventq.now()));
-        }
         ReadyOp ready;
         ready.kind = ReadyOp::Kind::wake;
         ready.waited = waited;
@@ -461,7 +450,7 @@ RegisterSyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
                   "proc %u wait v%u >= %llu (local image %llu)", who,
                   var, static_cast<unsigned long long>(threshold),
                   static_cast<unsigned long long>(values[var]));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::wait, var, who, eventq.now()));
     if (values[var] >= threshold) {
         ReadyOp ready;
         ready.kind = ReadyOp::Kind::wake;
@@ -478,11 +467,12 @@ RegisterSyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
 }
 
 void
-RegisterSyncFabric::sampleTimeline(Tracer &t, Tick at) const
+RegisterSyncFabric::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (const auto &entry : activeWaiters) {
-        t.sample(SampleStream::syncVarWaiters, entry.first, at,
-                 static_cast<double>(entry.second));
+        t.push(TraceEvent::sample(SampleStream::syncVarWaiters,
+                                  entry.first, at,
+                                  static_cast<double>(entry.second)));
     }
 }
 
@@ -507,7 +497,7 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (register fabric)", who,
                   var, static_cast<unsigned long long>(value));
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::write, var, who, eventq.now()));
     auto it = pendingWrites.find(key);
     if (coalesceEnabled && it != pendingWrites.end() &&
         it->second.valid) {
@@ -515,8 +505,8 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
         // waiting for the bus; the newer value covers the older one.
         it->second.value = value;
         ++coalescedStat;
-        PSYNC_TRACE(tracer,
-                    syncVarOp(var, "coalesced", who, eventq.now()));
+        trace(tracer, TraceEvent::syncOp(SyncOp::coalesced, var, who,
+                                         eventq.now()));
     } else {
         auto &pw = pendingWrites[key];
         pw.value = value;
@@ -534,10 +524,10 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
             },
             [this, who, var, key](Tick) {
                 ++broadcastsStat;
-                PSYNC_TRACE(tracer, instant("sync_broadcast", who,
-                                            eventq.now()));
-                PSYNC_TRACE(tracer, syncVarOp(var, "broadcast", who,
-                                              eventq.now()));
+                trace(tracer, TraceEvent::instant(Instant::syncBroadcast, who,
+                                                  eventq.now()));
+                trace(tracer, TraceEvent::syncOp(SyncOp::broadcast, var, who,
+                                                 eventq.now()));
                 commit(var, pendingWrites[key].latched);
             });
     }
@@ -557,14 +547,14 @@ RegisterSyncFabric::fetchInc(ProcId who, SyncVarId var,
     // applied at broadcast time, and no value is returned until
     // this processor's turn on the bus. The bus grants FIFO, so
     // completions pop the pending handlers in push order.
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    trace(tracer, TraceEvent::syncOp(SyncOp::rmw, var, who, eventq.now()));
     pendingIncs.push(std::move(on_done));
     syncBus.transact(who, [this, who, var](Tick) {
         ValueHandler handler = pendingIncs.pop();
         SyncWord old_value = values[var];
         ++broadcastsStat;
-        PSYNC_TRACE(tracer,
-                    instant("sync_broadcast", who, eventq.now()));
+        trace(tracer, TraceEvent::instant(Instant::syncBroadcast, who,
+                                          eventq.now()));
         commit(var, old_value + 1);
         handler(old_value);
     });

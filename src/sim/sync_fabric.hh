@@ -136,7 +136,7 @@ class SyncFabric
      * reports nothing.
      */
     virtual void
-    sampleTimeline(Tracer &t, Tick at) const
+    sampleTimeline(TraceLog &t, Tick at) const
     {
         (void)t; (void)at;
     }
@@ -186,7 +186,7 @@ class MemorySyncFabric : public SyncFabric
      */
     MemorySyncFabric(EventQueue &eq, Memory &mem, Addr base,
                      Tick poll_interval, bool cached_spin = true,
-                     Tracer *tracer = nullptr);
+                     TraceLog *tracer = nullptr);
 
     FabricKind kind() const override { return FabricKind::memory; }
 
@@ -236,7 +236,7 @@ class MemorySyncFabric : public SyncFabric
         return static_cast<std::uint64_t>(keyedRetriesStat.value());
     }
 
-    void sampleTimeline(Tracer &t, Tick at) const override;
+    void sampleTimeline(TraceLog &t, Tick at) const override;
     bool isParked(ProcId who) const override;
 
     void dumpStats(std::ostream &os) const override;
@@ -288,7 +288,7 @@ class MemorySyncFabric : public SyncFabric
     Addr baseAddr;
     Tick pollInterval;
     bool cachedSpin;
-    Tracer *tracer;
+    TraceLog *tracer;
     unsigned numVars = 0;
 
     std::vector<OpState> ops;
@@ -344,7 +344,7 @@ class RegisterSyncFabric : public SyncFabric
      * @param coalesce  enable pending-write coalescing
      */
     RegisterSyncFabric(EventQueue &eq, Bus &sync_bus, unsigned capacity,
-                       bool coalesce = true, Tracer *tracer = nullptr);
+                       bool coalesce = true, TraceLog *tracer = nullptr);
 
     FabricKind kind() const override { return FabricKind::registers; }
 
@@ -377,7 +377,7 @@ class RegisterSyncFabric : public SyncFabric
         return static_cast<std::uint64_t>(coalescedStat.value());
     }
 
-    void sampleTimeline(Tracer &t, Tick at) const override;
+    void sampleTimeline(TraceLog &t, Tick at) const override;
 
     void dumpStats(std::ostream &os) const override;
     void registerStats(stats::Group &group) const override;
@@ -431,7 +431,7 @@ class RegisterSyncFabric : public SyncFabric
     Bus &syncBus;
     unsigned capacity_;
     bool coalesceEnabled;
-    Tracer *tracer;
+    TraceLog *tracer;
     unsigned numVars = 0;
 
     std::vector<SyncWord> values;

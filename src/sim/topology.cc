@@ -12,7 +12,7 @@ namespace sim {
 
 FabricAssembly
 buildSyncFabric(const SyncTopology &topo, EventQueue &eq, Memory &mem,
-                Tracer *tracer)
+                TraceLog *tracer)
 {
     FabricAssembly a;
     switch (topo.fabric) {
@@ -24,7 +24,8 @@ buildSyncFabric(const SyncTopology &topo, EventQueue &eq, Memory &mem,
 
       case FabricKind::registers:
         a.syncBus = std::make_unique<Bus>(eq, "sync_bus",
-                                          topo.syncBusCycles, tracer);
+                                          topo.syncBusCycles, tracer,
+                                          /*trace_id=*/1);
         a.fabric = std::make_unique<RegisterSyncFabric>(
             eq, *a.syncBus, topo.syncRegisters, topo.coalesceWrites,
             tracer);
@@ -45,11 +46,12 @@ buildSyncFabric(const SyncTopology &topo, EventQueue &eq, Memory &mem,
         for (unsigned c = 0; c < clusters; ++c) {
             a.clusterBuses.push_back(std::make_unique<Bus>(
                 eq, "cluster_bus" + std::to_string(c),
-                topo.clusterBusCycles, tracer));
+                topo.clusterBusCycles, tracer, /*trace_id=*/2 + c));
             bus_refs.push_back(a.clusterBuses.back().get());
         }
         a.syncBus = std::make_unique<Bus>(eq, "global_bus",
-                                          topo.syncBusCycles, tracer);
+                                          topo.syncBusCycles, tracer,
+                                          /*trace_id=*/1);
         a.fabric = std::make_unique<HierarchicalSyncFabric>(
             eq, std::move(bus_refs), *a.syncBus, topo.numProcs,
             topo.syncRegisters, topo.coalesceWrites, tracer);

@@ -124,7 +124,7 @@ struct FabricAssembly
  */
 FabricAssembly buildSyncFabric(const SyncTopology &topo,
                                EventQueue &eq, Memory &mem,
-                               Tracer *tracer);
+                               TraceLog *tracer);
 
 } // namespace sim
 } // namespace psync

@@ -3,8 +3,6 @@
 namespace psync {
 namespace sim {
 
-Tracer::~Tracer() = default;
-
 const char *
 tracePhaseName(TracePhase phase)
 {
@@ -19,6 +17,40 @@ tracePhaseName(TracePhase phase)
         return "stall";
       case TracePhase::dispatch:
         return "dispatch";
+    }
+    return "unknown";
+}
+
+const char *
+syncOpName(SyncOp op)
+{
+    switch (op) {
+      case SyncOp::wait:
+        return "wait";
+      case SyncOp::poll:
+        return "poll";
+      case SyncOp::write:
+        return "write";
+      case SyncOp::coalesced:
+        return "coalesced";
+      case SyncOp::broadcast:
+        return "broadcast";
+      case SyncOp::rmw:
+        return "rmw";
+      case SyncOp::keyed:
+        return "keyed";
+    }
+    return "unknown";
+}
+
+const char *
+instantName(Instant what)
+{
+    switch (what) {
+      case Instant::halt:
+        return "halt";
+      case Instant::syncBroadcast:
+        return "sync_broadcast";
     }
     return "unknown";
 }
@@ -53,8 +85,6 @@ sampleStreamName(SampleStream stream)
         return "net_stage_conflict_cycles";
       case SampleStream::netStageCombines:
         return "net_stage_combines";
-      case SampleStream::clusterBusBusyCycles:
-        return "cluster_bus_busy_cycles";
     }
     return "unknown";
 }
@@ -69,7 +99,6 @@ sampleStreamCumulative(SampleStream stream)
       case SampleStream::heapFallbacks:
       case SampleStream::netStageConflictCycles:
       case SampleStream::netStageCombines:
-      case SampleStream::clusterBusBusyCycles:
         return true;
       default:
         return false;
@@ -88,7 +117,6 @@ sampleStreamIndexed(SampleStream stream)
       case SampleStream::procActivity:
       case SampleStream::netStageConflictCycles:
       case SampleStream::netStageCombines:
-      case SampleStream::clusterBusBusyCycles:
         return true;
       default:
         return false;
@@ -115,6 +143,45 @@ procActivityName(ProcActivity activity)
         return "halted";
     }
     return "unknown";
+}
+
+void
+TraceLog::clear()
+{
+    chunks_.clear();
+    size_ = 0;
+    varLabels_.clear();
+    busNames_.clear();
+}
+
+void
+TraceLog::nameSyncVar(SyncVarId var, std::string label)
+{
+    varLabels_[var] = std::move(label);
+}
+
+const std::string &
+TraceLog::syncVarLabel(SyncVarId var) const
+{
+    static const std::string none;
+    auto it = varLabels_.find(var);
+    return it == varLabels_.end() ? none : it->second;
+}
+
+void
+TraceLog::nameBus(std::uint32_t id, std::string name)
+{
+    if (id >= busNames_.size())
+        busNames_.resize(id + 1);
+    busNames_[id] = std::move(name);
+}
+
+std::string
+TraceLog::busName(std::uint32_t id) const
+{
+    if (id < busNames_.size() && !busNames_[id].empty())
+        return busNames_[id];
+    return "bus" + std::to_string(id);
 }
 
 } // namespace sim

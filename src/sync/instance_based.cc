@@ -162,9 +162,10 @@ InstanceBasedScheme::plan(const dep::DepGraph &graph,
     std::uint64_t num_keys = keysPerIter_ * iterations;
     keyBase_ = fabric.allocate(static_cast<unsigned>(num_keys), 0);
     for (std::uint64_t v = 0; v < num_keys; ++v) {
-        PSYNC_TRACE(cfg.tracer,
-                    nameSyncVar(keyBase_ + v,
-                                "ikey[" + std::to_string(v) + "]"));
+        if (cfg.tracer) {
+            cfg.tracer->nameSyncVar(keyBase_ + v,
+                                    "ikey[" + std::to_string(v) + "]");
+        }
     }
 
     // Renamed copies live in their own region above the arrays.

@@ -48,9 +48,10 @@ ProcessOrientedScheme::plan(const dep::DepGraph &graph,
     for (unsigned v = 0; v < numPcs_; ++v) {
         std::uint32_t first_owner = (v == 0) ? numPcs_ : v;
         fabric.poke(pcBase_ + v, sim::PcWord::pack(first_owner, 0));
-        PSYNC_TRACE(cfg.tracer,
-                    nameSyncVar(pcBase_ + v,
-                                "pc[" + std::to_string(v) + "]"));
+        if (cfg.tracer) {
+            cfg.tracer->nameSyncVar(pcBase_ + v,
+                                    "pc[" + std::to_string(v) + "]");
+        }
     }
 
     SchemePlan result;

@@ -34,9 +34,10 @@ ReferenceBasedScheme::plan(const dep::DepGraph &graph,
     keyBase_ = fabric.allocate(
         static_cast<unsigned>(num_keys), 0);
     for (std::uint64_t v = 0; v < num_keys; ++v) {
-        PSYNC_TRACE(cfg.tracer,
-                    nameSyncVar(keyBase_ + v,
-                                "key[" + std::to_string(v) + "]"));
+        if (cfg.tracer) {
+            cfg.tracer->nameSyncVar(keyBase_ + v,
+                                    "key[" + std::to_string(v) + "]");
+        }
     }
 
     // Assign order numbers by replaying the loop sequentially with

@@ -103,11 +103,11 @@ struct SchemeConfig
     bool earlyBranchSignals = true;
 
     /**
-     * Optional event tracer: schemes label the synchronization
+     * Optional trace log: schemes label the synchronization
      * variables they allocate ("pc[i]", "sc[i]", "key[i]") so trace
-     * summaries read in source terms. Not owned.
+     * reports read in source terms. Not owned.
      */
-    sim::Tracer *tracer = nullptr;
+    sim::TraceLog *tracer = nullptr;
 };
 
 /** Static characteristics of a planned scheme (benches report). */

@@ -43,9 +43,10 @@ StatementOrientedScheme::plan(const dep::DepGraph &graph,
     // initialized to k-1 = 0 for 1-based iterations.
     scBase_ = fabric.allocate(numScs_, 0);
     for (unsigned v = 0; v < numScs_; ++v) {
-        PSYNC_TRACE(cfg.tracer,
-                    nameSyncVar(scBase_ + v,
-                                "sc[" + std::to_string(v) + "]"));
+        if (cfg.tracer) {
+            cfg.tracer->nameSyncVar(scBase_ + v,
+                                    "sc[" + std::to_string(v) + "]");
+        }
     }
 
     SchemePlan result;

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "bench/registry.hh"
-#include "core/tracing.hh"
+#include "sim/tracing.hh"
 
 using namespace psync;
 
@@ -87,10 +87,14 @@ TEST(RegistryTest, TracedRunRecordsWaitEdges)
     const bench::Scenario *s =
         bench::findScenario("fig21-n64/reference");
     ASSERT_NE(s, nullptr);
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     bench::ScenarioRecord record = bench::runScenario(*s, &rec);
     EXPECT_TRUE(record.result.run.completed);
-    EXPECT_FALSE(rec.waitEdges().empty());
+    std::size_t waits = 0;
+    rec.forEach([&](const sim::TraceEvent &e) {
+        waits += e.kind == sim::TraceKind::wait;
+    });
+    EXPECT_GT(waits, 0u);
 }
 
 TEST(RegistryTest, GlobMatchSemantics)
@@ -143,10 +147,9 @@ TEST(RegistryTest, SampledRunAttachesTimelineSummary)
     EXPECT_EQ(plain.timeline, nullptr);
     EXPECT_FALSE(plain.toJson().has("timeline"));
 
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     bench::ScenarioRecord sampled = bench::runScenario(
-        *s, &rec, nullptr, /*profile=*/false,
-        bench::kTimelineAutoInterval);
+        *s, &rec, nullptr, /*profile=*/false, /*timeline=*/true);
 
     // Sampling is passive: identical cycles.
     EXPECT_EQ(sampled.result.run.cycles, plain.result.run.cycles);

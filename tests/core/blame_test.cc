@@ -6,43 +6,44 @@
 
 #include "core/blame.hh"
 #include "core/runtime.hh"
-#include "core/tracing.hh"
+#include "sync/barrier.hh"
+#include "workloads/butterfly.hh"
 #include "workloads/fig21.hh"
 
 using namespace psync;
 
 namespace {
 
-/** Recorder pre-loaded with a known wait/heat pattern. */
-core::TraceRecorder
-handBuiltTrace()
+/** Log pre-loaded with a known wait/heat pattern. */
+void
+handBuiltTrace(sim::TraceLog &log)
 {
-    core::TraceRecorder rec;
-    rec.nameSyncVar(3, "pc[0]");
-    rec.nameSyncVar(7, "sc[2]");
+    using sim::TraceEvent;
+    log.nameSyncVar(3, "pc[0]");
+    log.nameSyncVar(7, "sc[2]");
 
     // var 3: proc 1 blocked twice (30 + 10), proc 2 once (60).
-    rec.waitEdge(3, 1, 100, 130);
-    rec.waitEdge(3, 1, 200, 210);
-    rec.waitEdge(3, 2, 100, 160);
+    log.push(TraceEvent::wait(1, 3, 11, 100, 130));
+    log.push(TraceEvent::wait(1, 3, 11, 200, 210));
+    log.push(TraceEvent::wait(2, 3, 11, 100, 160));
     // var 7: one short wait.
-    rec.waitEdge(7, 0, 50, 55);
+    log.push(TraceEvent::wait(0, 7, 12, 50, 55));
     // var 9: unlabeled.
-    rec.waitEdge(9, 3, 10, 12);
+    log.push(TraceEvent::wait(3, 9, 13, 10, 12));
 
-    rec.resourceBusy("memory.module", 0, 1, 0, 40);
-    rec.resourceBusy("memory.module", 0, 2, 40, 60);
-    rec.resourceBusy("memory.module", 5, 1, 0, 10);
+    log.push(TraceEvent::busy(sim::Resource::module, 0, 1, 0, 40));
+    log.push(TraceEvent::busy(sim::Resource::module, 0, 2, 40, 60));
+    log.push(TraceEvent::busy(sim::Resource::module, 5, 1, 0, 10));
     // Non-module resources must not leak into the heatmap.
-    rec.resourceBusy("bus.data", 0, 1, 0, 500);
-    return rec;
+    log.push(TraceEvent::busy(sim::Resource::bus, 0, 1, 0, 500));
 }
 
 } // namespace
 
 TEST(BlameTest, AttributesWaitEdgesPerVariable)
 {
-    core::TraceRecorder rec = handBuiltTrace();
+    sim::TraceLog rec;
+    handBuiltTrace(rec);
     core::RunResult run;
     run.numProcs = 4;
     run.cycles = 250;
@@ -70,6 +71,12 @@ TEST(BlameTest, AttributesWaitEdgesPerVariable)
     EXPECT_EQ(report.vars[2].name(), "v9");
     EXPECT_EQ(report.vars[2].blockedCycles, 2u);
 
+    // The same events attribute per wait site.
+    ASSERT_EQ(report.sites.size(), 3u);
+    EXPECT_EQ(report.sites[0].name(), "pc[0]@op11");
+    EXPECT_EQ(report.sites[0].waits, 3u);
+    EXPECT_EQ(report.sites[0].blockedCycles, 100u);
+
     // Every spin cycle in the hand-built run is covered.
     EXPECT_EQ(report.attributedSpinCycles, 107u);
     EXPECT_EQ(report.totalSpinCycles, run.spinCycles);
@@ -79,7 +86,8 @@ TEST(BlameTest, AttributesWaitEdgesPerVariable)
 
 TEST(BlameTest, ModuleHeatmapCountsOnlyMemoryModules)
 {
-    core::TraceRecorder rec = handBuiltTrace();
+    sim::TraceLog rec;
+    handBuiltTrace(rec);
     core::RunResult run;
     run.numProcs = 4;
     run.cycles = 250;
@@ -98,7 +106,8 @@ TEST(BlameTest, ModuleHeatmapCountsOnlyMemoryModules)
 
 TEST(BlameTest, JsonAndTextCarryTheAttribution)
 {
-    core::TraceRecorder rec = handBuiltTrace();
+    sim::TraceLog rec;
+    handBuiltTrace(rec);
     core::RunResult run;
     run.numProcs = 4;
     run.cycles = 250;
@@ -128,13 +137,13 @@ TEST(BlameTest, JsonAndTextCarryTheAttribution)
 }
 
 // End-to-end guarantee behind `psync_bench --report`: on the
-// Fig. 3.2 jitter workload, the fabric wait edges must account for
-// at least 95% of the processors' accumulated spin cycles.
+// Fig. 3.2 jitter workload, the processors' wait events must
+// account for at least 95% of their accumulated spin cycles.
 TEST(BlameTest, SpinCoverageOnFig32JitterRun)
 {
     dep::Loop loop =
         workloads::makeFig21JitterLoop(256, 8, 800, 0.15, 1234);
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     core::RunConfig cfg;
     cfg.machine.numProcs = 8;
     cfg.machine.fabric = sim::FabricKind::registers;
@@ -152,4 +161,34 @@ TEST(BlameTest, SpinCoverageOnFig32JitterRun)
     EXPECT_GE(report.spinCoverage(), 0.95);
     EXPECT_LE(report.spinCoverage(), 1.0 + 1e-9);
     EXPECT_FALSE(report.vars.empty());
+}
+
+// Counter barriers book the fetch&add leg of an arrival as spin;
+// the processor's wait event starts where that spin does, so every
+// spin cycle is attributed on both fabric organizations.
+TEST(BlameTest, CounterBarrierSpinIsFullyAttributed)
+{
+    for (auto fabric :
+         {sim::FabricKind::registers, sim::FabricKind::memory}) {
+        sim::MachineConfig mcfg;
+        mcfg.numProcs = 8;
+        mcfg.fabric = fabric;
+        sim::TraceLog log;
+        sim::Machine machine(mcfg, nullptr, &log);
+        workloads::BarrierSpec spec;
+        spec.numProcs = 8;
+        sync::CounterBarrier barrier(machine.fabric(), 8);
+        auto progs =
+            workloads::buildCounterBarrierPrograms(barrier, spec);
+        core::RunResult run =
+            core::runPerProcessorPrograms(machine, progs);
+        ASSERT_TRUE(run.completed) << sim::fabricKindName(fabric);
+        ASSERT_GT(run.spinCycles, 0u) << sim::fabricKindName(fabric);
+
+        core::BlameReport report = core::buildBlameReport(log, run);
+        EXPECT_EQ(report.attributedSpinCycles, run.spinCycles)
+            << sim::fabricKindName(fabric);
+        EXPECT_DOUBLE_EQ(report.spinCoverage(), 1.0)
+            << sim::fabricKindName(fabric);
+    }
 }

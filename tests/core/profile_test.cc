@@ -17,7 +17,6 @@
 #include "core/critical_path.hh"
 #include "core/profile.hh"
 #include "core/runtime.hh"
-#include "core/tracing.hh"
 #include "dep/dep_graph.hh"
 #include "workloads/fig21.hh"
 #include "workloads/nested.hh"
@@ -41,21 +40,22 @@ namespace {
  * propagation gap on var7 (writer committed at 110, waiter woke at
  * 130), then op4 — tiling [0, 230) exactly.
  */
-core::TraceRecorder
-makeHandBuiltTrace()
+void
+makeHandBuiltTrace(sim::TraceLog &rec)
 {
-    core::TraceRecorder rec;
+    using sim::TraceEvent;
     rec.nameSyncVar(7, "pc[7]");
 
-    rec.opSpan(0, 1, 1, ir::OpKind::compute, 0, 0, 100);
-    rec.opSpan(0, 1, 2, ir::OpKind::syncWrite, 7, 100, 110);
-    rec.syncVarOp(7, "write", 0, 110);
+    rec.push(TraceEvent::span(0, 1, 1, ir::OpKind::compute, 0, 0, 100));
+    rec.push(
+        TraceEvent::span(0, 1, 2, ir::OpKind::syncWrite, 7, 100, 110));
+    rec.push(TraceEvent::syncOp(sim::SyncOp::write, 7, 0, 110));
 
-    rec.opSpan(1, 2, 3, ir::OpKind::syncWaitGE, 7, 50, 130);
-    rec.waitEdge(7, 1, 55, 130);
-    rec.waitEdgeOp(7, 1, 3, 55, 130);
-    rec.opSpan(1, 2, 4, ir::OpKind::compute, 0, 130, 230);
-    return rec;
+    rec.push(
+        TraceEvent::span(1, 2, 3, ir::OpKind::syncWaitGE, 7, 50, 130));
+    rec.push(TraceEvent::wait(1, 7, 3, 55, 130));
+    rec.push(
+        TraceEvent::span(1, 2, 4, ir::OpKind::compute, 0, 130, 230));
 }
 
 sim::Tick
@@ -71,7 +71,7 @@ segmentTotal(const Profile &prof)
 
 TEST(ProfileTest, EmptyTraceYieldsEmptyProfile)
 {
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     Profile prof = core::buildCriticalPathProfile(rec, 0, 0);
     EXPECT_TRUE(prof.segments.empty());
     EXPECT_EQ(prof.achievedCycles, 0u);
@@ -81,7 +81,8 @@ TEST(ProfileTest, EmptyTraceYieldsEmptyProfile)
 
 TEST(ProfileTest, HandBuiltPathReconstructsExactly)
 {
-    core::TraceRecorder rec = makeHandBuiltTrace();
+    sim::TraceLog rec;
+    makeHandBuiltTrace(rec);
     Profile prof = core::buildCriticalPathProfile(rec, 230, 200);
 
     EXPECT_EQ(prof.achievedCycles, 230u);
@@ -142,7 +143,8 @@ TEST(ProfileTest, HandBuiltPathReconstructsExactly)
 
 TEST(ProfileTest, HandBuiltHistogramsSeeTheOneWait)
 {
-    core::TraceRecorder rec = makeHandBuiltTrace();
+    sim::TraceLog rec;
+    makeHandBuiltTrace(rec);
     Profile prof = core::buildCriticalPathProfile(rec, 230, 200);
 
     EXPECT_EQ(prof.waitAll.count(), 1u);
@@ -153,14 +155,15 @@ TEST(ProfileTest, HandBuiltHistogramsSeeTheOneWait)
     EXPECT_EQ(prof.waitByVar.at(7).count(), 1u);
     EXPECT_EQ(prof.waitByVar.at(7).percentile(0.5), 75u);
 
-    // The site edge joins back to the blocking op's kind.
+    // The wait joins back to the blocking op's kind.
     ASSERT_EQ(prof.waitByKind.count("sync_wait_ge"), 1u);
     EXPECT_EQ(prof.waitByKind.at("sync_wait_ge").count(), 1u);
 }
 
 TEST(ProfileTest, HandBuiltJsonAndTextAgree)
 {
-    core::TraceRecorder rec = makeHandBuiltTrace();
+    sim::TraceLog rec;
+    makeHandBuiltTrace(rec);
     Profile prof = core::buildCriticalPathProfile(rec, 230, 200);
 
     core::json::Value v = prof.toJson();
@@ -203,7 +206,7 @@ TEST(ProfileTest, RealRunsTileExactly)
         core::RunConfig cfg;
         cfg.machine.numProcs = 8;
         cfg.machine.fabric = sim::FabricKind::registers;
-        core::TraceRecorder recorder;
+        sim::TraceLog recorder;
         cfg.tracer = &recorder;
 
         auto r = core::runDoacross(c.loop, c.kind, cfg);

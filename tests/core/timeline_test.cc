@@ -7,33 +7,33 @@
 #include <vector>
 
 #include "core/timeline.hh"
-#include "core/tracing.hh"
 #include "sim/machine.hh"
 
 using namespace psync;
 
 namespace {
 
-/** Emit one boundary's worth of the event-core streams. */
+/** Record one sample of `stream[index]`. */
 void
-coreBatch(core::TraceRecorder &rec, sim::Tick at, double executed)
+sample(sim::TraceLog &rec, sim::SampleStream stream,
+       std::uint32_t index, sim::Tick at, double value)
 {
-    rec.sample(sim::SampleStream::eventsExecuted, 0, at, executed);
-    rec.sample(sim::SampleStream::pendingEvents, 0, at, 1);
+    rec.push(sim::TraceEvent::sample(stream, index, at, value));
 }
 
-/**
- * Run `progs[p]` per processor on a fresh machine, optionally
- * sampled, and return the completion tick.
- */
-sim::Tick
-runMachine(const std::vector<std::vector<sim::Program>> &progs,
-           sim::Tracer *tracer, sim::Tick interval)
+/** Emit one boundary's worth of the event-core streams. */
+void
+coreBatch(sim::TraceLog &rec, sim::Tick at, double executed)
 {
-    sim::MachineConfig cfg;
-    cfg.numProcs = static_cast<unsigned>(progs.size());
-    cfg.timelineInterval = interval;
-    sim::Machine m(cfg, nullptr, tracer);
+    sample(rec, sim::SampleStream::eventsExecuted, 0, at, executed);
+    sample(rec, sim::SampleStream::pendingEvents, 0, at, 1);
+}
+
+/** Run `progs[p]` on processor p of `m`, in order, to completion. */
+void
+runOn(sim::Machine &m,
+      const std::vector<std::vector<sim::Program>> &progs)
+{
     std::vector<std::size_t> next(progs.size(), 0);
     auto dispatch =
         [&](sim::ProcId who,
@@ -45,6 +45,21 @@ runMachine(const std::vector<std::vector<sim::Program>> &progs,
             cb(&progs[who][next[who]++]);
         };
     EXPECT_TRUE(m.run(dispatch));
+}
+
+/**
+ * Run `progs[p]` per processor on a fresh machine, sampled when a
+ * log is given, and return the completion tick.
+ */
+sim::Tick
+runMachine(const std::vector<std::vector<sim::Program>> &progs,
+           sim::TraceLog *tracer)
+{
+    sim::MachineConfig cfg;
+    cfg.numProcs = static_cast<unsigned>(progs.size());
+    cfg.timeline = true;
+    sim::Machine m(cfg, nullptr, tracer);
+    runOn(m, progs);
     return m.completionTick();
 }
 
@@ -62,7 +77,7 @@ computeProgram(std::uint64_t iter, sim::Tick cycles)
 
 TEST(TimelineTest, EmptyRecorderYieldsEmptyTimeline)
 {
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     core::Timeline tl = core::buildTimeline(rec);
     EXPECT_TRUE(tl.empty());
     EXPECT_EQ(tl.numSamples(), 0u);
@@ -76,13 +91,13 @@ TEST(TimelineTest, EmptyRecorderYieldsEmptyTimeline)
 
 TEST(TimelineTest, DifferencesCumulativeStreams)
 {
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     // Running totals 0 / 40 / 90 over boundaries 0 / 100 / 200.
     for (auto [at, busy, executed] :
          {std::tuple<sim::Tick, double, double>{0, 0, 0},
           {100, 40, 12},
           {200, 90, 30}}) {
-        rec.sample(sim::SampleStream::busBusyCycles, 0, at, busy);
+        sample(rec, sim::SampleStream::busBusyCycles, 0, at, busy);
         coreBatch(rec, at, executed);
     }
 
@@ -106,14 +121,14 @@ TEST(TimelineTest, DifferencesCumulativeStreams)
 
 TEST(TimelineTest, SparseWaiterStreamDefaultsToZero)
 {
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     rec.nameSyncVar(5, "pc[5]");
     coreBatch(rec, 0, 0);
     coreBatch(rec, 50, 10);
     coreBatch(rec, 100, 20);
     // Var 5 reported only at the middle boundary (sparse stream:
     // missing means zero waiters).
-    rec.sample(sim::SampleStream::syncVarWaiters, 5, 50, 3);
+    sample(rec, sim::SampleStream::syncVarWaiters, 5, 50, 3);
 
     core::Timeline tl = core::buildTimeline(rec);
     ASSERT_EQ(tl.varWaiters.size(), 1u);
@@ -156,7 +171,7 @@ TEST(TimelineTest, SparklineMapsZeroToSpaceAndPeakToFullBlock)
 
 TEST(TimelineTest, HotSpotDetectorFindsSustainedWindow)
 {
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     // 6 boundaries, 100 cycles apart. Module 0 absorbs ~80% of
     // traffic in intervals 2..4, then cools off.
     double m0 = 0, m1 = 0;
@@ -171,8 +186,8 @@ TEST(TimelineTest, HotSpotDetectorFindsSustainedWindow)
             m0 += 4;
             m1 += 6;
         }
-        rec.sample(sim::SampleStream::moduleAccesses, 0, at, m0);
-        rec.sample(sim::SampleStream::moduleAccesses, 1, at, m1);
+        sample(rec, sim::SampleStream::moduleAccesses, 0, at, m0);
+        sample(rec, sim::SampleStream::moduleAccesses, 1, at, m1);
         coreBatch(rec, at, (m0 + m1));
     }
 
@@ -199,7 +214,7 @@ TEST(TimelineTest, HotSpotDetectorFindsSustainedWindow)
 
 TEST(TimelineTest, HotSpotIgnoresShortBurstsAndQuietIntervals)
 {
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
     double m0 = 0, m1 = 0;
     for (int k = 0; k <= 5; ++k) {
         sim::Tick at = static_cast<sim::Tick>(k) * 100;
@@ -216,8 +231,8 @@ TEST(TimelineTest, HotSpotIgnoresShortBurstsAndQuietIntervals)
             m0 += 4;
             m1 += 6;
         }
-        rec.sample(sim::SampleStream::moduleAccesses, 0, at, m0);
-        rec.sample(sim::SampleStream::moduleAccesses, 1, at, m1);
+        sample(rec, sim::SampleStream::moduleAccesses, 0, at, m0);
+        sample(rec, sim::SampleStream::moduleAccesses, 1, at, m1);
         coreBatch(rec, at, m0 + m1);
     }
 
@@ -231,10 +246,10 @@ TEST(TimelineTest, HotSpotIgnoresShortBurstsAndQuietIntervals)
 
 TEST(TimelineTest, IntervalLongerThanRunSamplesEndpoints)
 {
-    core::TraceRecorder rec;
-    sim::Tick done = runMachine({computeProgram(1, 25)}, &rec,
-                                /*interval=*/100000);
-    EXPECT_FALSE(rec.samples().empty());
+    sim::TraceLog rec;
+    sim::Tick done = runMachine(
+        {computeProgram(1, sim::timelineFirstInterval - 6)}, &rec);
+    EXPECT_LT(done, sim::timelineFirstInterval) << "fixture drifted";
 
     core::Timeline tl = core::buildTimeline(rec);
     // One baseline batch at 0 and one final batch at completion.
@@ -250,9 +265,8 @@ TEST(TimelineTest, ZeroCycleRunSamplesOnce)
 {
     // All processors dispatch null immediately: the run completes
     // at tick 0, producing exactly one sample batch.
-    core::TraceRecorder rec;
-    sim::Tick done =
-        runMachine({{}, {}}, &rec, /*interval=*/16);
+    sim::TraceLog rec;
+    sim::Tick done = runMachine({{}, {}}, &rec);
     EXPECT_EQ(done, 0u);
 
     core::Timeline tl = core::buildTimeline(rec);
@@ -271,10 +285,11 @@ TEST(TimelineTest, AlignedBoundariesAreStrictlyIncreasing)
     // Run length is an exact multiple of the interval: the final
     // drain tick coincides with the last boundary and must not be
     // sampled twice.
-    core::TraceRecorder rec;
-    sim::Tick done = runMachine({computeProgram(1, 30)}, &rec,
-                                /*interval=*/10);
-    EXPECT_EQ(done % 10, 0u) << "fixture drifted";
+    sim::TraceLog rec;
+    sim::Tick done = runMachine(
+        {computeProgram(1, 2 * sim::timelineFirstInterval)}, &rec);
+    EXPECT_EQ(done % sim::timelineFirstInterval, 0u)
+        << "fixture drifted";
 
     core::Timeline tl = core::buildTimeline(rec);
     for (std::size_t k = 1; k < tl.boundaries.size(); ++k)
@@ -283,10 +298,12 @@ TEST(TimelineTest, AlignedBoundariesAreStrictlyIncreasing)
 
     // One eventsExecuted sample per boundary — no duplicates.
     std::size_t executed_samples = 0;
-    for (const auto &s : rec.samples()) {
-        if (s.stream == sim::SampleStream::eventsExecuted)
+    rec.forEach([&](const sim::TraceEvent &e) {
+        if (e.kind == sim::TraceKind::sample &&
+            e.codeAs<sim::SampleStream>() ==
+                sim::SampleStream::eventsExecuted)
             ++executed_samples;
-    }
+    });
     EXPECT_EQ(executed_samples, tl.boundaries.size());
 }
 
@@ -294,31 +311,32 @@ TEST(TimelineTest, SampledRunMatchesUnsampledCycles)
 {
     // Sampling chunks the event-queue run at every boundary; the
     // (when, seq) execution order — and thus the cycle count — must
-    // be identical to the unchunked run, including with a ragged
-    // interval that does not divide the run length.
+    // be identical to the unchunked run, including when the
+    // interval does not divide the run length.
     std::vector<std::vector<sim::Program>> progs;
     for (unsigned p = 0; p < 3; ++p)
         progs.push_back(computeProgram(p + 1, 17 * (p + 1)));
 
-    sim::Tick plain = runMachine(progs, nullptr, 0);
-    core::TraceRecorder rec;
-    sim::Tick sampled = runMachine(progs, &rec, 7);
+    sim::Tick plain = runMachine(progs, nullptr);
+    sim::TraceLog rec;
+    sim::Tick sampled = runMachine(progs, &rec);
     EXPECT_EQ(plain, sampled);
-    EXPECT_FALSE(rec.samples().empty());
+    EXPECT_FALSE(core::buildTimeline(rec).empty());
 }
 
 TEST(TimelineTest, SummaryJsonCarriesPeaksAndHotspots)
 {
-    core::TraceRecorder rec;
+    sim::TraceLog rec;
+    rec.nameBus(0, "data_bus");
     double m0 = 0;
     for (int k = 0; k <= 4; ++k) {
         sim::Tick at = static_cast<sim::Tick>(k) * 100;
         if (k > 0)
             m0 += 20;
-        rec.sample(sim::SampleStream::moduleAccesses, 0, at, m0);
-        rec.sample(sim::SampleStream::busBusyCycles, 0, at,
-                   static_cast<double>(at) / 2);
-        rec.sample(sim::SampleStream::busQueueDepth, 0, at, k);
+        sample(rec, sim::SampleStream::moduleAccesses, 0, at, m0);
+        sample(rec, sim::SampleStream::busBusyCycles, 0, at,
+               static_cast<double>(at) / 2);
+        sample(rec, sim::SampleStream::busQueueDepth, 0, at, k);
         coreBatch(rec, at, m0);
     }
 
@@ -341,4 +359,105 @@ TEST(TimelineTest, SummaryJsonCarriesPeaksAndHotspots)
     auto parsed = core::json::parse(tl.toJson().dump());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     EXPECT_TRUE(parsed.value.find("series")->isObject());
+}
+
+// A run far longer than the budget at the first interval: the
+// sampler doubles its interval at least three times and thins the
+// stored boundaries, so the timeline stays within the budget on a
+// uniform grid, and its cumulative series still add up to the
+// run's own counters.
+TEST(TimelineTest, BudgetDoublesIntervalAndKeepsTotals)
+{
+    constexpr unsigned procs = 4;
+    std::vector<std::vector<sim::Program>> progs(procs);
+    for (unsigned p = 0; p < procs; ++p) {
+        sim::Program prog;
+        prog.iter = p + 1;
+        for (unsigned k = 0; k < 4000; ++k) {
+            prog.ops.push_back(sim::Op::mkCompute(40));
+            prog.ops.push_back(
+                sim::Op::mkData(false, 8 * (p * 4000 + k), 0));
+        }
+        progs[p].push_back(std::move(prog));
+    }
+    sim::MachineConfig cfg;
+    cfg.numProcs = procs;
+    cfg.timeline = true;
+    sim::TraceLog rec;
+    sim::Machine m(cfg, nullptr, &rec);
+    runOn(m, progs);
+
+    core::Timeline tl = core::buildTimeline(rec);
+    ASSERT_GE(tl.interval, 8 * sim::timelineFirstInterval);
+    EXPECT_LE(tl.numSamples(), sim::timelineSampleBudget);
+    EXPECT_EQ(tl.boundaries.front(), 0u);
+    EXPECT_EQ(tl.boundaries.back(), m.completionTick());
+    // Uniform grid; only the final drain interval may be shorter.
+    for (std::size_t k = 1; k + 1 < tl.numSamples(); ++k) {
+        ASSERT_EQ(tl.boundaries[k] - tl.boundaries[k - 1],
+                  tl.interval)
+            << "boundary " << k;
+    }
+    EXPECT_LE(tl.boundaries.back() - tl.boundaries[tl.numSamples() - 2],
+              tl.interval);
+
+    double traffic = 0;
+    for (const auto &s : tl.moduleTraffic)
+        traffic += s.total();
+    EXPECT_GT(traffic, 0.0);
+    EXPECT_DOUBLE_EQ(traffic,
+                     static_cast<double>(m.memory().totalAccesses()));
+    EXPECT_DOUBLE_EQ(tl.eventsPerInterval.total(),
+                     static_cast<double>(m.eventq().eventsExecuted()));
+}
+
+// Every bus keeps its own series under its own name: the global
+// stage of a cluster hierarchy is not the flat sync bus, and each
+// cluster bus gets occupancy and queue series of its own.
+TEST(TimelineTest, HierarchicalBusesAreSampledUnderTheirNames)
+{
+    constexpr unsigned procs = 4;
+    sim::MachineConfig cfg;
+    cfg.numProcs = procs;
+    cfg.fabric = sim::FabricKind::hierarchical;
+    cfg.numClusters = 2;
+    cfg.timeline = true;
+    sim::TraceLog rec;
+    sim::Machine m(cfg, nullptr, &rec);
+    sim::SyncVarId vars = m.fabric().allocate(procs, 0);
+    std::vector<std::vector<sim::Program>> progs(procs);
+    for (unsigned p = 0; p < procs; ++p) {
+        sim::Program prog;
+        prog.iter = p + 1;
+        for (unsigned k = 1; k <= 50; ++k) {
+            prog.ops.push_back(sim::Op::mkCompute(3));
+            prog.ops.push_back(sim::Op::mkWrite(vars + p, k));
+        }
+        progs[p].push_back(std::move(prog));
+    }
+    runOn(m, progs);
+
+    core::Timeline tl = core::buildTimeline(rec);
+    std::vector<std::string> occupancy, queue;
+    for (const auto &s : tl.busOccupancy)
+        occupancy.push_back(s.name);
+    for (const auto &s : tl.busQueue)
+        queue.push_back(s.name);
+    EXPECT_EQ(occupancy,
+              (std::vector<std::string>{
+                  "data_bus occupancy", "global_bus occupancy",
+                  "cluster_bus0 occupancy",
+                  "cluster_bus1 occupancy"}));
+    EXPECT_EQ(queue, (std::vector<std::string>{
+                         "data_bus queue", "global_bus queue",
+                         "cluster_bus0 queue", "cluster_bus1 queue"}));
+    for (std::size_t b = 1; b < tl.busOccupancy.size(); ++b) {
+        EXPECT_GT(tl.busOccupancy[b].total(), 0.0)
+            << tl.busOccupancy[b].name;
+    }
+    core::json::Value peaks =
+        *tl.summaryJson().find("peak_bus_occupancy");
+    EXPECT_NE(peaks.find("global_bus"), nullptr);
+    EXPECT_NE(peaks.find("cluster_bus1"), nullptr);
+    EXPECT_EQ(peaks.find("sync_bus"), nullptr);
 }

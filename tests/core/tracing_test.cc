@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace recorder, Chrome trace-event export, and the passive-tracer
+ * Trace log, Chrome trace-event export, and the passive-tracer
  * invariant: a traced run and an untraced run of the same
  * configuration produce identical statistics.
  */
@@ -41,7 +41,7 @@ machineConfig()
  * relaxation_pipeline example), with an optional tracer attached.
  */
 core::RunResult
-runRelaxationPipeline(sim::Tracer *tracer)
+runRelaxationPipeline(sim::TraceLog *tracer)
 {
     workloads::RelaxationSpec spec;
     spec.n = 16;
@@ -62,13 +62,13 @@ runRelaxationPipeline(sim::Tracer *tracer)
 
 TEST(TracingTest, ChromeTraceIsWellFormedJson)
 {
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
     core::RunResult result = runRelaxationPipeline(&recorder);
     ASSERT_TRUE(result.completed);
-    ASSERT_GT(recorder.eventCount(), 0u);
+    ASSERT_GT(recorder.size(), 0u);
 
     std::ostringstream os;
-    recorder.writeChromeTrace(os);
+    core::writeChromeTrace(recorder, os);
     auto parsed = core::json::parse(os.str());
     ASSERT_TRUE(parsed.ok) << parsed.error;
 
@@ -95,10 +95,10 @@ TEST(TracingTest, ChromeTraceIsWellFormedJson)
 
 TEST(TracingTest, TraceHasOneTrackPerProcessor)
 {
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
     ASSERT_TRUE(runRelaxationPipeline(&recorder).completed);
 
-    auto doc = recorder.chromeTrace();
+    auto doc = core::chromeTrace(recorder);
     const core::json::Value *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
 
@@ -124,7 +124,7 @@ TEST(TracingTest, TraceHasOneTrackPerProcessor)
 
 TEST(TracingTest, PhaseIntervalsDoNotOverlapPerProcessor)
 {
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
     ASSERT_TRUE(runRelaxationPipeline(&recorder).completed);
 
     // The modeled cores are in-order with one operation
@@ -134,14 +134,16 @@ TEST(TracingTest, PhaseIntervalsDoNotOverlapPerProcessor)
              std::vector<std::pair<sim::Tick, sim::Tick>>> per_proc;
     bool saw_compute = false;
     bool saw_spin = false;
-    for (const auto &e : recorder.phases()) {
-        ASSERT_LT(e.start, e.end);
-        per_proc[e.who].emplace_back(e.start, e.end);
-        if (e.phase == sim::TracePhase::compute)
+    recorder.forEach([&](const sim::TraceEvent &e) {
+        if (e.kind != sim::TraceKind::phase)
+            return;
+        EXPECT_LT(e.t0, e.t1);
+        per_proc[e.proc].emplace_back(e.t0, e.t1);
+        if (e.codeAs<sim::TracePhase>() == sim::TracePhase::compute)
             saw_compute = true;
-        if (e.phase == sim::TracePhase::spin)
+        if (e.codeAs<sim::TracePhase>() == sim::TracePhase::spin)
             saw_spin = true;
-    }
+    });
     EXPECT_TRUE(saw_compute);
     EXPECT_TRUE(saw_spin);
     EXPECT_GE(per_proc.size(), kProcs);
@@ -162,7 +164,7 @@ TEST(TracingTest, PhaseIntervalsDoNotOverlapPerProcessor)
 TEST(TracingTest, NullTracerMatchesRecordedRunStatistics)
 {
     core::RunResult untraced = runRelaxationPipeline(nullptr);
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
     core::RunResult traced = runRelaxationPipeline(&recorder);
 
     // Tracing is passive: it must not perturb the simulation.
@@ -193,34 +195,35 @@ TEST(TracingTest, RepeatedRunsAreIdentical)
 
 TEST(TracingTest, ResourceAndBroadcastEventsAreRecorded)
 {
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
     ASSERT_TRUE(runRelaxationPipeline(&recorder).completed);
 
     // The register fabric broadcasts over the sync bus; the data
     // accesses occupy the data bus and memory modules.
     bool saw_sync_bus = false;
     bool saw_memory = false;
-    for (const auto &e : recorder.resources()) {
-        ASSERT_LE(e.start, e.end);
-        if (e.resource == "sync_bus")
-            saw_sync_bus = true;
-        if (e.resource == "memory.module")
-            saw_memory = true;
-    }
+    bool saw_broadcast = false;
+    recorder.forEach([&](const sim::TraceEvent &e) {
+        if (e.kind == sim::TraceKind::busy) {
+            EXPECT_LE(e.t0, e.t1);
+            if (e.codeAs<sim::Resource>() == sim::Resource::bus &&
+                recorder.busName(e.id) == "sync_bus")
+                saw_sync_bus = true;
+            if (e.codeAs<sim::Resource>() == sim::Resource::module)
+                saw_memory = true;
+        }
+        if (e.kind == sim::TraceKind::instant &&
+            e.codeAs<sim::Instant>() == sim::Instant::syncBroadcast)
+            saw_broadcast = true;
+    });
     EXPECT_TRUE(saw_sync_bus);
     EXPECT_TRUE(saw_memory);
-
-    bool saw_broadcast = false;
-    for (const auto &e : recorder.instants()) {
-        if (e.name == "sync_broadcast")
-            saw_broadcast = true;
-    }
     EXPECT_TRUE(saw_broadcast);
 }
 
 TEST(TracingTest, SyncVarOpsAreCountedAndLabeled)
 {
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
 
     dep::Loop loop = workloads::makeFig21Loop(32);
     core::RunConfig cfg;
@@ -231,39 +234,33 @@ TEST(TracingTest, SyncVarOpsAreCountedAndLabeled)
     ASSERT_TRUE(r.run.completed);
     ASSERT_TRUE(r.correct());
 
-    ASSERT_FALSE(recorder.syncVars().empty());
+    // Accesses are counted per kind and land on labeled PCs.
+    std::map<sim::SyncOp, std::uint64_t> ops;
     bool saw_pc_label = false;
-    std::uint64_t total_ops = 0;
-    for (const auto &entry : recorder.syncVars()) {
-        total_ops += entry.second.total;
-        if (entry.second.label.rfind("pc[", 0) == 0)
+    recorder.forEach([&](const sim::TraceEvent &e) {
+        if (e.kind != sim::TraceKind::syncOp)
+            return;
+        ++ops[e.codeAs<sim::SyncOp>()];
+        if (recorder.syncVarLabel(e.id).rfind("pc[", 0) == 0)
             saw_pc_label = true;
-    }
+    });
     EXPECT_TRUE(saw_pc_label);
-    EXPECT_GT(total_ops, 0u);
-
-    auto summary = recorder.syncVarSummary();
-    ASSERT_TRUE(summary.isArray());
-    ASSERT_FALSE(summary.asArray().empty());
-    // Sorted by descending total.
-    double prev = summary.asArray()[0].find("total")->asNumber();
-    for (const auto &var : summary.asArray()) {
-        double t = var.find("total")->asNumber();
-        EXPECT_LE(t, prev);
-        prev = t;
-        EXPECT_TRUE(var.has("var"));
-        EXPECT_TRUE(var.has("ops"));
-    }
+    EXPECT_GT(ops[sim::SyncOp::wait], 0u);
+    EXPECT_GT(ops[sim::SyncOp::write], 0u);
+    EXPECT_EQ(recorder.syncVarLabel(12345), "");
 }
 
 TEST(TracingTest, ClearDropsAllEvents)
 {
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
     ASSERT_TRUE(runRelaxationPipeline(&recorder).completed);
-    ASSERT_GT(recorder.eventCount(), 0u);
+    recorder.nameSyncVar(0, "pc[0]");
+    ASSERT_GT(recorder.size(), 0u);
+    ASSERT_EQ(recorder.busName(1), "sync_bus");
     recorder.clear();
-    EXPECT_EQ(recorder.eventCount(), 0u);
-    EXPECT_TRUE(recorder.syncVars().empty());
+    EXPECT_EQ(recorder.size(), 0u);
+    EXPECT_EQ(recorder.syncVarLabel(0), "");
+    EXPECT_EQ(recorder.busName(1), "bus1");
 }
 
 TEST(TracingTest, RunResultToJsonRoundTrips)
@@ -293,7 +290,7 @@ TEST(TracingTest, RunResultToJsonRoundTrips)
 
 TEST(TracingTest, MachineStatsGroupDumpsJson)
 {
-    core::TraceRecorder recorder;
+    sim::TraceLog recorder;
     workloads::RelaxationSpec spec;
     spec.n = 8;
     dep::Loop loop =
