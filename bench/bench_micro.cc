@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/common.hh"
 #include "core/runtime.hh"
 #include "dep/dep_graph.hh"
 #include "sync/process_oriented.hh"
@@ -104,46 +103,6 @@ BM_SimulatedEventsPerSecond(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatedEventsPerSecond);
 
-/**
- * With --json, also run the fixed simulation scenarios once each
- * and dump their full RunResult records — the stable, CI-diffable
- * complement of the host-timing numbers above.
- */
-void
-emitJsonRecords(bench::JsonReport &report)
-{
-    dep::Loop loop = workloads::makeFig21Loop(256);
-    {
-        auto cfg = bench::registerMachine();
-        auto r = core::runDoacross(
-            loop, sync::SchemeKind::processImproved, cfg);
-        bench::require(r, "process-improved");
-        report.addRun("fig2.1 (N=256)", "process-improved", r);
-    }
-    {
-        auto cfg = bench::memoryMachine();
-        auto r = core::runDoacross(
-            loop, sync::SchemeKind::referenceBased, cfg);
-        bench::require(r, "reference");
-        report.addRun("fig2.1 (N=256)", "reference", r);
-    }
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    bench::JsonReport report(bench::extractJsonPath(argc, argv),
-                             "bench_micro");
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    if (report.enabled()) {
-        emitJsonRecords(report);
-        report.write();
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <thread>
 
-#include "bench/common.hh"
 #include "bench/registry.hh"
 #include "core/critical_path.hh"
 #include "core/profile.hh"

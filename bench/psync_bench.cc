@@ -22,8 +22,11 @@
  *                                            attribution, module
  *                                            heatmap, slack)
  *
- * Exit codes: 0 success, 1 regression detected or comparison
- * failure, 2 usage/IO error.
+ * A sim sweep or --report run judges every registered claim whose
+ * scenarios it ran and prints one verdict line per claim.
+ *
+ * Exit codes: 0 success, 1 regression detected, claim failed or
+ * comparison failure, 2 usage/IO error.
  */
 
 #include <algorithm>
@@ -31,14 +34,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/common.hh"
 #include "bench/compare.hh"
 #include "bench/fuzz.hh"
 #include "bench/registry.hh"
@@ -49,6 +53,83 @@
 using namespace psync;
 
 namespace {
+
+/**
+ * Fixed-width table printing. Columns are declared once (name,
+ * width, alignment); every row then lines up under the header.
+ * Cells are pre-formatted strings — use the num() / fixed() /
+ * times() helpers for the common numeric formats.
+ */
+class Table
+{
+  public:
+    struct Col
+    {
+        const char *name;
+        int width;
+        /** 'l' left-aligns (labels); anything else right-aligns. */
+        char align = 'r';
+    };
+
+    Table(std::initializer_list<Col> cols) : cols_(cols) {}
+
+    /** Print the header row from the column names. */
+    void
+    header() const
+    {
+        for (const auto &col : cols_)
+            cell(col, col.name);
+        std::printf("\n");
+    }
+
+    /** Print one row; extra cells are ignored, missing ones blank. */
+    void
+    row(std::initializer_list<std::string> cells) const
+    {
+        auto it = cells.begin();
+        for (const auto &col : cols_) {
+            cell(col, it != cells.end() ? it->c_str() : "");
+            if (it != cells.end())
+                ++it;
+        }
+        std::printf("\n");
+    }
+
+    /** Decimal integer cell. */
+    static std::string
+    num(std::uint64_t v)
+    {
+        return std::to_string(v);
+    }
+
+    /** Fixed-point cell ("0.123"). */
+    static std::string
+    fixed(double v, int prec = 3)
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.*f", prec, v);
+        return buf;
+    }
+
+    /** Ratio cell ("1.66x"). */
+    static std::string
+    times(double v, int prec = 2)
+    {
+        return fixed(v, prec) + "x";
+    }
+
+  private:
+    void
+    cell(const Col &col, const char *text) const
+    {
+        if (col.align == 'l')
+            std::printf("%-*s ", col.width, text);
+        else
+            std::printf("%*s ", col.width, text);
+    }
+
+    std::vector<Col> cols_;
+};
 
 struct Options
 {
@@ -122,6 +203,11 @@ usage(std::FILE *to)
         "round-robin, held to the sequential-replay oracle);\n"
         "--fuzz-timeout-ms sets the native watchdog deadline per\n"
         "backend leg (default 2000).\n"
+        "\n"
+        "A sim sweep or --report run judges every paper claim\n"
+        "(EXPERIMENTS.md) whose scenarios it ran, prints one\n"
+        "verdict line per claim with the numbers it compared, and\n"
+        "exits 1 if one fails; --list names the claims.\n"
         "\n"
         "--native runs the selected scenarios on the real-thread\n"
         "backend (default --threads 2,4) and records host wall-time\n"
@@ -376,6 +462,9 @@ listScenarios()
         std::printf("%-40s %s\n", s.id.c_str(),
                     s.description.c_str());
     std::printf("(%zu scenarios)\n", bench::allScenarios().size());
+    for (const auto &c : bench::allClaims())
+        std::printf("claim %-5s %s\n", c.id.c_str(),
+                    c.statement.c_str());
 }
 
 std::vector<const bench::Scenario *>
@@ -492,26 +581,33 @@ runNative(const Options &opts,
         }
     }
 
-    bench::Table table{{"record", 48, 'l'},
+    Table table{{"record", 48, 'l'},
                        {"wall-ms", 8},
                        {"progs/s", 10},
                        {"sync-ops", 10},
                        {"parks", 8}};
     table.header();
     for (const auto *scenario : selected) {
+        // Per-processor program lists fix the thread count at the
+        // scenario's P: their first run is their only record.
+        std::vector<unsigned> ran;
         for (unsigned t : threads) {
             bench::NativeScenarioRecord record =
                 bench::runScenarioNative(*scenario, t, opts.profile);
+            if (std::find(ran.begin(), ran.end(), record.numThreads) !=
+                ran.end())
+                continue;
+            ran.push_back(record.numThreads);
             table.row(
                 {record.recordId(),
-                 bench::Table::fixed(
+                 Table::fixed(
                      static_cast<double>(record.result.run.wallNanos) /
                          1e6,
                      1),
-                 bench::Table::fixed(
+                 Table::fixed(
                      record.result.run.programsPerSec(), 0),
-                 bench::Table::num(record.result.run.syncOps),
-                 bench::Table::num(record.result.run.parks)});
+                 Table::num(record.result.run.syncOps),
+                 Table::num(record.result.run.parks)});
             bench::mergeRecord(doc, record.toJson());
             if (opts.profile) {
                 const native::NativeRunResult &r = record.result.run;
@@ -523,6 +619,8 @@ runNative(const Options &opts,
                             static_cast<unsigned long long>(
                                 r.faRetries));
             }
+            if (record.numThreads != t)
+                break;
         }
     }
 
@@ -629,6 +727,30 @@ runFuzzReplay(const Options &opts)
     return 1;
 }
 
+/**
+ * Judge every claim the selection covers on its simulated results
+ * (one per selected scenario, same order) and print one verdict
+ * line per claim. @return 1 if a claim fails, else 0.
+ */
+int
+judgeClaims(const std::vector<const bench::Scenario *> &selected,
+            const std::vector<const core::DoacrossResult *> &results)
+{
+    bench::ClaimRecords by_id;
+    for (std::size_t i = 0; i < selected.size(); ++i)
+        by_id[selected[i]->id] = results[i];
+    int rc = 0;
+    for (const bench::ClaimResult &r : bench::evaluateClaims(by_id)) {
+        std::printf("claim %s %s: %s [%s]\n", r.claim->id.c_str(),
+                    r.verdict.holds ? "holds" : "FAILS",
+                    r.claim->statement.c_str(),
+                    r.verdict.numbers.c_str());
+        if (!r.verdict.holds)
+            rc = 1;
+    }
+    return rc;
+}
+
 /** The Fig. 3.2 scenario --report defaults to. */
 const char *const kDefaultReportScenario = "fig32-jitter/statement";
 
@@ -650,12 +772,15 @@ runReports(const Options &opts)
     }
 
     core::json::Value reports = core::json::array();
+    std::vector<core::DoacrossResult> results;
+    results.reserve(selected.size());
     for (const auto *scenario : selected) {
         sim::TraceLog recorder;
         bench::ScenarioRecord record = bench::runScenario(
             *scenario, &recorder, benchPasses(opts));
         core::BlameReport blame = core::buildBlameReport(
             recorder, record.result.run, record.boundCycles);
+        results.push_back(std::move(record.result));
 
         std::cout << "== " << scenario->id << " ("
                   << scenario->workload << ", " << scenario->scheme
@@ -677,7 +802,10 @@ runReports(const Options &opts)
         if (!writeJsonFile(opts.reportJsonPath, doc))
             return 2;
     }
-    return 0;
+    std::vector<const core::DoacrossResult *> judged;
+    for (const auto &r : results)
+        judged.push_back(&r);
+    return judgeClaims(selected, judged);
 }
 
 } // namespace
@@ -749,30 +877,125 @@ main(int argc, char **argv)
     // run builds its own Machine (and thus its own event queue and
     // RNG streams), so workers share nothing mutable but the claim
     // counter; cycle counts are identical either way and the
-    // determinism gate in CI checks exactly that. Records land in
-    // per-scenario slots so printing and merging stay in selection
-    // order after the join.
+    // determinism gate in CI checks exactly that. Each scenario is
+    // printed and merged as soon as it and every scenario before it
+    // in the selection have finished, so output stays in selection
+    // order, and its profile, timeline and trace are dropped then:
+    // a traced sweep holds only the reports still waiting to print.
     const ir::PassConfig *passes = benchPasses(opts);
     std::vector<bench::ScenarioRecord> records(selected.size());
-    // Profiling and timeline sampling trace each run. The record
-    // keeps what the reports need (profile, timeline), so a run's
-    // log is dropped as soon as the run is reduced, unless
-    // --profile-trace will render its phase tracks afterwards.
     bool record_trace = opts.profile || opts.timeline;
     std::vector<std::unique_ptr<sim::TraceLog>> traces(
         opts.profileTracePath.empty() ? 0 : selected.size());
-    auto run_one = [&](std::size_t i) {
-        if (!record_trace) {
-            records[i] =
-                bench::runScenario(*selected[i], nullptr, passes);
-            return;
+    std::vector<bool> finished(selected.size(), false);
+    std::size_t next_to_print = 0;
+    std::mutex print_mutex;
+
+    core::json::Value fresh = bench::makeTrajectoryDoc();
+    core::json::Value timelines = core::json::array();
+    // 1 once a profile invariant or a claim fails.
+    int rc = 0;
+    bool write_failed = false;
+    Table table{{"scenario", 40, 'l'},
+                {"cycles", 12},
+                {"bound", 12},
+                {"slack", 7},
+                {"spin-frac", 9},
+                {"host-ms", 8},
+                {"Mev/s", 7}};
+    table.header();
+
+    auto print_one = [&](std::size_t i) {
+        const bench::Scenario *scenario = selected[i];
+        bench::ScenarioRecord &record = records[i];
+        table.row(
+            {scenario->id, Table::num(record.result.run.cycles),
+             Table::num(record.boundCycles),
+             Table::times(
+                 record.boundCycles
+                     ? static_cast<double>(record.result.run.cycles) /
+                           static_cast<double>(record.boundCycles)
+                     : 0.0),
+             Table::fixed(record.result.run.spinFraction()),
+             Table::fixed(static_cast<double>(record.hostNanos) / 1e6,
+                          1),
+             Table::fixed(record.eventsPerSec() / 1e6, 1)});
+        core::json::Value rec = record.toJson();
+        bench::mergeRecord(doc, rec);
+        bench::mergeRecord(fresh, std::move(rec));
+
+        if (record.profile) {
+            std::cout << "\n";
+            record.profile->writeText(std::cout, scenario->id);
+
+            // The reconstruction must land between the analytical
+            // floor and the run itself; anything else means the
+            // walk lost or double-counted cycles.
+            sim::Tick achieved = record.profile->achievedCycles;
+            if (achieved < record.boundCycles ||
+                achieved > record.result.run.cycles) {
+                std::fprintf(
+                    stderr,
+                    "profile invariant violated: %s achieved %llu "
+                    "outside [bound %llu, cycles %llu]\n",
+                    scenario->id.c_str(),
+                    static_cast<unsigned long long>(achieved),
+                    static_cast<unsigned long long>(
+                        record.boundCycles),
+                    static_cast<unsigned long long>(
+                        record.result.run.cycles));
+                rc = 1;
+            }
+
+            if (!traces.empty()) {
+                std::string path =
+                    traceFileFor(opts.profileTracePath, scenario->id,
+                                 selected.size() > 1);
+                core::json::Value trace = core::chromeTrace(*traces[i]);
+                core::json::Value events = *trace.find("traceEvents");
+                core::json::Value path_events =
+                    record.profile->perfettoEvents();
+                for (auto &ev : path_events.asArray())
+                    events.push(std::move(ev));
+                trace.set("traceEvents", std::move(events));
+                if (writeJsonFile(path, trace))
+                    std::printf("wrote %s\n", path.c_str());
+                else
+                    write_failed = true;
+            }
         }
-        auto log = std::make_unique<sim::TraceLog>();
-        records[i] = bench::runScenario(*selected[i], log.get(),
-                                        passes, opts.profile,
-                                        opts.timeline);
+        if (record.timeline) {
+            std::cout << "\n== " << scenario->id << " timeline ==\n";
+            record.timeline->writeText(std::cout);
+            if (!opts.timelineJsonPath.empty()) {
+                core::json::Value entry = core::json::object();
+                entry.set("scenario", scenario->id);
+                entry.set("timeline", record.timeline->toJson());
+                timelines.push(std::move(entry));
+            }
+        }
+        std::cout.flush();
+        record.profile.reset();
+        record.timeline.reset();
+        if (!traces.empty())
+            traces[i].reset();
+    };
+
+    auto run_one = [&](std::size_t i) {
+        std::unique_ptr<sim::TraceLog> log;
+        if (record_trace)
+            log = std::make_unique<sim::TraceLog>();
+        bench::ScenarioRecord record = bench::runScenario(
+            *selected[i], log.get(), passes, opts.profile,
+            opts.timeline);
+        std::lock_guard<std::mutex> lock(print_mutex);
+        records[i] = std::move(record);
         if (!traces.empty())
             traces[i] = std::move(log);
+        finished[i] = true;
+        while (next_to_print < selected.size() &&
+               finished[next_to_print])
+            print_one(next_to_print++);
     };
     unsigned workers = std::min<std::size_t>(opts.jobs,
                                              selected.size());
@@ -796,110 +1019,22 @@ main(int argc, char **argv)
         for (auto &worker : pool)
             worker.join();
     }
+    if (write_failed)
+        return 2;
 
-    core::json::Value fresh = bench::makeTrajectoryDoc();
-    bench::Table table{{"scenario", 40, 'l'},
-                       {"cycles", 12},
-                       {"bound", 12},
-                       {"slack", 7},
-                       {"spin-frac", 9},
-                       {"host-ms", 8},
-                       {"Mev/s", 7}};
-    table.header();
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-        const bench::Scenario *scenario = selected[i];
-        bench::ScenarioRecord &record = records[i];
-        table.row(
-            {scenario->id, bench::Table::num(record.result.run.cycles),
-             bench::Table::num(record.boundCycles),
-             bench::Table::times(
-                 record.boundCycles
-                     ? static_cast<double>(record.result.run.cycles) /
-                           static_cast<double>(record.boundCycles)
-                     : 0.0),
-             bench::Table::fixed(record.result.run.spinFraction()),
-             bench::Table::fixed(
-                 static_cast<double>(record.hostNanos) / 1e6, 1),
-             bench::Table::fixed(record.eventsPerSec() / 1e6, 1)});
-        core::json::Value rec = record.toJson();
-        bench::mergeRecord(doc, rec);
-        bench::mergeRecord(fresh, std::move(rec));
+    if (!opts.timelineJsonPath.empty()) {
+        core::json::Value tdoc = core::json::object();
+        tdoc.set("schema_version", bench::kTrajectorySchemaVersion);
+        tdoc.set("timelines", std::move(timelines));
+        if (!writeJsonFile(opts.timelineJsonPath, tdoc))
+            return 2;
+        std::printf("wrote %s\n", opts.timelineJsonPath.c_str());
     }
 
-    int profile_rc = 0;
-    if (opts.profile) {
-        for (std::size_t i = 0; i < selected.size(); ++i) {
-            const bench::ScenarioRecord &record = records[i];
-            if (!record.profile)
-                continue;
-            std::cout << "\n";
-            record.profile->writeText(std::cout, selected[i]->id);
-
-            // The reconstruction must land between the analytical
-            // floor and the run itself; anything else means the
-            // walk lost or double-counted cycles.
-            sim::Tick achieved = record.profile->achievedCycles;
-            if (achieved < record.boundCycles ||
-                achieved > record.result.run.cycles) {
-                std::fprintf(
-                    stderr,
-                    "profile invariant violated: %s achieved %llu "
-                    "outside [bound %llu, cycles %llu]\n",
-                    selected[i]->id.c_str(),
-                    static_cast<unsigned long long>(achieved),
-                    static_cast<unsigned long long>(
-                        record.boundCycles),
-                    static_cast<unsigned long long>(
-                        record.result.run.cycles));
-                profile_rc = 1;
-            }
-
-            if (!traces.empty()) {
-                std::string path = traceFileFor(
-                    opts.profileTracePath, selected[i]->id,
-                    selected.size() > 1);
-                core::json::Value trace = core::chromeTrace(*traces[i]);
-                core::json::Value events =
-                    *trace.find("traceEvents");
-                core::json::Value path_events =
-                    record.profile->perfettoEvents();
-                for (auto &ev : path_events.asArray())
-                    events.push(std::move(ev));
-                trace.set("traceEvents", std::move(events));
-                if (!writeJsonFile(path, trace))
-                    return 2;
-                std::printf("wrote %s\n", path.c_str());
-            }
-        }
-    }
-
-    if (opts.timeline) {
-        core::json::Value timelines = core::json::array();
-        for (std::size_t i = 0; i < selected.size(); ++i) {
-            const bench::ScenarioRecord &record = records[i];
-            if (!record.timeline)
-                continue;
-            std::cout << "\n== " << selected[i]->id
-                      << " timeline ==\n";
-            record.timeline->writeText(std::cout);
-            if (!opts.timelineJsonPath.empty()) {
-                core::json::Value entry = core::json::object();
-                entry.set("scenario", selected[i]->id);
-                entry.set("timeline", record.timeline->toJson());
-                timelines.push(std::move(entry));
-            }
-        }
-        if (!opts.timelineJsonPath.empty()) {
-            core::json::Value tdoc = core::json::object();
-            tdoc.set("schema_version",
-                     bench::kTrajectorySchemaVersion);
-            tdoc.set("timelines", std::move(timelines));
-            if (!writeJsonFile(opts.timelineJsonPath, tdoc))
-                return 2;
-            std::printf("wrote %s\n",
-                        opts.timelineJsonPath.c_str());
-        }
-    }
+    std::vector<const core::DoacrossResult *> judged;
+    for (const auto &record : records)
+        judged.push_back(&record.result);
+    rc = std::max(rc, judgeClaims(selected, judged));
 
     if (!opts.jsonPath.empty() &&
         !writeJsonFile(opts.jsonPath, doc))
@@ -930,7 +1065,7 @@ main(int argc, char **argv)
         bench::CompareResult result = bench::compareTrajectories(
             baseline, fresh, opts.compare);
         bench::printCompare(std::cout, result, opts.compare);
-        return result.ok() ? profile_rc : 1;
+        return result.ok() ? rc : 1;
     }
-    return profile_rc;
+    return rc;
 }

@@ -2,24 +2,28 @@
  * @file
  * Declarative experiment registry.
  *
- * Every Doacross experiment the `bench_*` binaries hard-code —
- * scheme x workload x machine configuration — is named here as a
- * Scenario with a stable id ("<group>/<variant>"). The `psync_bench`
- * driver runs any subset and appends schema-versioned records to a
- * trajectory file (BENCH_PSYNC.json), so cycle counts are
- * comparable across commits and regressions are machine-detectable
- * (bench/compare). Scenario ids are the regression-tracking
- * contract: renaming one orphans its history.
+ * Every run behind an EXPERIMENTS.md table is named here as a
+ * Scenario with a stable id ("<group>/<variant>"): a planned
+ * Doacross loop (scheme x workload x machine) or a hand-built
+ * section 5 program set (pipelined relaxation, barriers, FFT). Each
+ * paper claim is a Claim: a predicate over its scenarios' simulated
+ * records, declared next to those scenarios. `psync_bench` runs
+ * any subset, evaluates every claim its selection covers, and
+ * appends schema-versioned records to a trajectory file
+ * (BENCH_PSYNC.json), so cycle counts are comparable across commits
+ * and regressions are machine-detectable (bench/compare). Scenario
+ * ids are the regression-tracking contract: renaming one orphans
+ * its history.
  */
 
 #ifndef PSYNC_BENCH_REGISTRY_HH
 #define PSYNC_BENCH_REGISTRY_HH
 
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <memory>
 
 #include "core/json.hh"
 #include "core/profile.hh"
@@ -84,7 +88,46 @@ constexpr int kTrajectorySchemaVersion = 9;
 /** Oldest trajectory schema loadTrajectory still accepts. */
 constexpr int kMinTrajectorySchemaVersion = 1;
 
-/** One named experiment: a loop, a scheme, and a machine. */
+/** Default register-fabric machine (section 6 hardware). */
+core::RunConfig registerMachine(unsigned procs = 8,
+                                unsigned num_pcs = 16);
+
+/** Default memory-fabric machine (keys live with the data). */
+core::RunConfig memoryMachine(unsigned procs = 8);
+
+/**
+ * Combining-fabric machine: sync variables in interleaved modules
+ * behind a combining omega network (Ultracomputer/RP3 style). Same
+ * variable capacity model as the memory machine; the network in
+ * front is what changes.
+ */
+core::RunConfig combiningMachine(unsigned procs = 8,
+                                 unsigned num_pcs = 16);
+
+/**
+ * Two-level hierarchical cluster machine: per-cluster register
+ * images and local buses joined by one global stage.
+ */
+core::RunConfig hierarchicalMachine(unsigned procs = 8,
+                                    unsigned clusters = 4,
+                                    unsigned num_pcs = 16);
+
+/** The natural machine for a scheme: memory keys or registers. */
+core::RunConfig machineFor(sync::SchemeKind kind, unsigned procs = 8,
+                           unsigned num_pcs = 16);
+
+/**
+ * Programs a hand-built scenario supplies instead of a planned loop:
+ * an iteration pool, dispatched under the config's schedule policy,
+ * or (when `perProc` is non-empty) one program list per processor.
+ */
+struct ScenarioPrograms
+{
+    std::vector<sim::Program> pool;
+    std::vector<std::vector<sim::Program>> perProc;
+};
+
+/** One named experiment: its programs and the machine they run on. */
 struct Scenario
 {
     /** Stable id, "<group>/<variant>" (e.g. "fig21-n256/statement"). */
@@ -99,10 +142,23 @@ struct Scenario
     /** One line on what the scenario demonstrates. */
     std::string description;
 
+    /** Scheme a planned scenario lowers its loop with. */
     sync::SchemeKind kind = sync::SchemeKind::processImproved;
 
-    /** Builds the loop (deterministic; called per run). */
+    /**
+     * Builds the loop (deterministic; called per run). A planned
+     * scenario runs it under `kind`; a hand-built one, when it has
+     * a loop, is trace-checked against the loop's cross-iteration
+     * dependences.
+     */
     std::function<dep::Loop()> loop;
+
+    /**
+     * Hand-built programs: allocates its sync variables on the
+     * run's fabric and returns the programs to run there. Null for
+     * planned scenarios.
+     */
+    std::function<ScenarioPrograms(sim::SyncFabric &)> build;
 
     /** Fully-configured machine + scheme + schedule knobs. */
     core::RunConfig config;
@@ -143,14 +199,18 @@ struct ScenarioRecord
 {
     const Scenario *scenario = nullptr;
     core::DoacrossResult result;
-    /** Pure dependence-chain bound (one processor per iteration). */
+    /**
+     * Pure dependence-chain bound (one processor per iteration);
+     * 0 for a hand-built scenario without a loop.
+     */
     sim::Tick depBoundCycles = 0;
     /** Dependence-or-work/P bound on the scenario's machine. */
     sim::Tick boundCycles = 0;
 
     /**
      * Host wall-clock nanoseconds runScenario spent on this record
-     * (loop build + planning + simulation + trace check). Not
+     * (loop build + planning or building + simulation + trace
+     * check). Not
      * comparable across machines; trajectory comparisons only look
      * at simulated cycles.
      */
@@ -160,7 +220,8 @@ struct ScenarioRecord
      * Whether IR transform passes (redundant-wait elimination and
      * the peephole) were enabled for this run. The verifier runs
      * either way; recorded so trajectory readers can tell the two
-     * series apart.
+     * series apart. Always false for hand-built programs, which
+     * bypass the pass pipeline.
      */
     bool transformsEnabled = false;
 
@@ -198,9 +259,9 @@ struct ScenarioRecord
 };
 
 /**
- * Run one scenario (plan + run + trace-verify). Aborts the process
- * on a dependence violation or deadlock — a broken scenario must
- * never silently enter a trajectory file.
+ * Run one scenario (plan or build + run + trace-verify). Aborts the
+ * process on a dependence violation or deadlock — a broken scenario
+ * must never silently enter a trajectory file.
  * @param tracer optional trace log for blame reports.
  * @param passes when non-null, overrides the scenario's registered
  *        ir::PassConfig (psync_bench uses this to turn the
@@ -244,16 +305,65 @@ struct NativeScenarioRecord
 
 /**
  * Execute one scenario on the native backend with `threads` host
- * threads. Planning is identical to runScenario; execution happens
- * on real threads and is verified by replaying the access log
- * through the same trace checker. Aborts the process on a
- * dependence violation, value divergence, or deadlock. With
+ * threads (per-processor program lists fix the thread count at the
+ * scenario's processor count). Planning or building is identical to
+ * runScenario; execution happens on real threads and is verified by
+ * replaying the access log through the same trace checker. Aborts
+ * the process on a dependence violation, value divergence, or
+ * deadlock. With
  * `profile`, blocking waits are host-clock timed (spin-vs-park
  * split, park wakeup latency, fetch&add retries) into the record.
  */
 NativeScenarioRecord runScenarioNative(const Scenario &scenario,
                                        unsigned threads,
                                        bool profile = false);
+
+/** Simulated results by scenario id: what a claim reads. */
+using ClaimRecords =
+    std::map<std::string, const core::DoacrossResult *>;
+
+/** Outcome of checking one claim against a record set. */
+struct ClaimVerdict
+{
+    bool holds = true;
+    /** Every comparison the predicate made, with its numbers. */
+    std::string numbers;
+};
+
+/**
+ * One EXPERIMENTS.md claim as an executable predicate over the
+ * simulated records of its scenarios. The statement is the sentence
+ * EXPERIMENTS.md states; the check encodes exactly that sentence.
+ * Claims must hold with the IR transform passes on and off.
+ */
+struct Claim
+{
+    /** Experiment id ("E3", "E6b"). */
+    std::string id;
+    std::string statement;
+    /**
+     * Scenario ids the predicate reads, sorted; registration finds
+     * them with a dry run of the predicate.
+     */
+    std::vector<std::string> scenarios;
+    std::function<void(const ClaimRecords &, ClaimVerdict &)> check;
+};
+
+/** All registered claims, in registration order. */
+const std::vector<Claim> &allClaims();
+
+/** One claim evaluated on a record set. */
+struct ClaimResult
+{
+    const Claim *claim = nullptr;
+    ClaimVerdict verdict;
+};
+
+/**
+ * Evaluate every claim whose scenarios all appear in `records`;
+ * claims the record set does not cover are skipped.
+ */
+std::vector<ClaimResult> evaluateClaims(const ClaimRecords &records);
 
 } // namespace bench
 } // namespace psync

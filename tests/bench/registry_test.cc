@@ -20,7 +20,13 @@ TEST(RegistryTest, IdsAreUniqueAndGroupSlashVariant)
         EXPECT_NE(s.id.find('/'), std::string::npos) << s.id;
         EXPECT_FALSE(s.workload.empty()) << s.id;
         EXPECT_FALSE(s.scheme.empty()) << s.id;
-        EXPECT_TRUE(s.loop != nullptr) << s.id;
+        // Every scenario can produce its programs: a loop plus a
+        // scheme to plan it, or a build function (whose loop, if
+        // any, is what its run is trace-checked against).
+        EXPECT_TRUE(s.build != nullptr ||
+                    (s.loop != nullptr &&
+                     s.kind != sync::SchemeKind::none))
+            << s.id;
     }
 }
 
@@ -120,6 +126,8 @@ TEST(RegistryTest, MatchScenariosGlobSelectsGroups)
 {
     auto group = bench::matchScenariosGlob("fig21-n64/*");
     EXPECT_EQ(group.size(), 3u);
+    // perfbench's serve workloads draw their plans from this group.
+    EXPECT_EQ(bench::matchScenariosGlob("fig21-n256/*").size(), 6u);
     for (const auto *s : group)
         EXPECT_EQ(s->id.rfind("fig21-n64/", 0), 0u) << s->id;
 
