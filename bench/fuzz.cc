@@ -511,15 +511,16 @@ runFuzzCase(const dep::Loop &loop, const FuzzCaseConfig &ccfg,
             core::RunConfig cfg = runConfigFor(ccfg, kind, true);
             std::shared_ptr<const core::CachedPlan> plan =
                 service->plan(loop, kind, cfg);
-            if (plan->hasReference) {
-                if (plan->refReads != seq.reads)
+            // Built here, before any sampled verification needs it.
+            if (const core::ReferenceImage *ref = plan->reference()) {
+                if (ref->reads != seq.reads)
                     fail(tag + ": reference read values diverge "
                                "from sequential replay: " +
-                         firstDelta(plan->refReads, seq.reads));
-                if (!is_instance && plan->refMemory != seq.memory)
+                         firstDelta(ref->reads, seq.reads));
+                if (!is_instance && ref->memory != seq.memory)
                     fail(tag + ": reference memory image diverges "
                                "from sequential replay: " +
-                         firstDelta(plan->refMemory, seq.memory));
+                         firstDelta(ref->memory, seq.memory));
             }
             for (int r = 0; r < 3; ++r)
                 service->submitPlan(plan);

@@ -2,15 +2,44 @@
 
 #include <sstream>
 
-#include "core/value_trace.hh"
 #include "dep/loop_text.hh"
 #include "sim/machine.hh"
 
 namespace psync {
 namespace core {
 
-PlanCache::PlanCache(std::size_t capacity)
-    : capacity_(capacity ? capacity : 1)
+const ReferenceImage *
+CachedPlan::reference() const
+{
+    std::call_once(referenceOnce_, [this] {
+        switch (kind) {
+          case sync::SchemeKind::none:
+            // The deliberately unsynchronized baseline promises no
+            // image at all.
+            return;
+          case sync::SchemeKind::instanceBased: {
+            // Renamed storage has no backend-independent image;
+            // the cache owner's builder supplies one.
+            ReferenceImage image;
+            if (renamedBuilder_ && (*renamedBuilder_)(*this, image))
+                reference_ = std::move(image);
+            return;
+          }
+          default:
+            // In-place synchronized schemes must reproduce the
+            // sequential oracle bit for bit.
+            reference_ = sequentialImage(loop, wordBytes_);
+            return;
+        }
+    });
+    return reference_ ? &*reference_ : nullptr;
+}
+
+PlanCache::PlanCache(std::size_t capacity, ReferenceBuilder renamed)
+    : capacity_(capacity ? capacity : 1),
+      renamed_(renamed ? std::make_shared<const ReferenceBuilder>(
+                             std::move(renamed))
+                       : nullptr)
 {
 }
 
@@ -50,7 +79,7 @@ PlanCache::makeKey(const dep::Loop &loop, sync::SchemeKind kind,
 
 std::shared_ptr<const CachedPlan>
 PlanCache::get(const dep::Loop &loop, sync::SchemeKind kind,
-               const RunConfig &cfg, const PlanFinisher &finisher)
+               const RunConfig &cfg)
 {
     std::string key = makeKey(loop, kind, cfg);
     std::lock_guard<std::mutex> lk(mutex_);
@@ -68,6 +97,8 @@ PlanCache::get(const dep::Loop &loop, sync::SchemeKind kind,
     entry->loopText = dep::printLoop(loop);
     entry->loop = loop;
     entry->kind = kind;
+    entry->wordBytes_ = cfg.machine.memory.wordBytes;
+    entry->renamedBuilder_ = renamed_;
 
     // Planning-only machine, exactly as the native runner builds
     // one: the scheme allocates and initializes its sync variables
@@ -83,21 +114,6 @@ PlanCache::get(const dep::Loop &loop, sync::SchemeKind kind,
     entry->initWords.reserve(vars);
     for (unsigned v = 0; v < vars; ++v)
         entry->initWords.push_back(planning.fabric().peek(v));
-
-    // In-place synchronized schemes must reproduce the sequential
-    // oracle bit for bit; renamed storage (instance-based) and the
-    // deliberately unsynchronized baseline have no
-    // backend-independent image — a finisher may attach one.
-    if (kind != sync::SchemeKind::instanceBased &&
-        kind != sync::SchemeKind::none) {
-        SequentialImage seq =
-            sequentialImage(loop, cfg.machine.memory.wordBytes);
-        entry->refMemory = std::move(seq.memory);
-        entry->refReads = std::move(seq.reads);
-        entry->hasReference = true;
-    }
-    if (finisher)
-        finisher(*entry);
 
     lru_.push_front(entry);
     index_.emplace(std::move(key), lru_.begin());

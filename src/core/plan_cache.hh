@@ -4,25 +4,30 @@
  *
  * The runtime service's traffic is dominated by resubmissions of
  * the same loops: planning (dependence analysis, scheme planning,
- * lowering, the IR pass pipeline, verification) costs orders of
- * magnitude more than one native execution of the resulting
- * programs. The cache keys a fully planned-and-verified program set
- * on exactly the inputs planning consumes — the canonical loop text
- * plus every planning-relevant RunConfig field — so a hit is
- * guaranteed to be the byte-identical plan a fresh planDoacross
- * would produce, and execution-time knobs (schedule policy, chunk
- * size, tick limit, tracers) deliberately stay out of the key.
+ * lowering, the IR pass pipeline, verification) costs more than
+ * one native execution of the resulting programs: for the Fig. 2.1
+ * loop at N = 257-320, a plan miss takes 1.2-2x one served
+ * two-lane request (EXPERIMENTS.md, "Planning cost"). The cache
+ * keys a fully planned-and-verified program set on exactly the
+ * inputs planning consumes — the canonical loop text plus every
+ * planning-relevant RunConfig field — so a hit is guaranteed to be
+ * the byte-identical plan a fresh planDoacross would produce, and
+ * execution-time knobs (schedule policy, chunk size, tick limit,
+ * tracers) deliberately stay out of the key.
  *
  * A cached entry also carries what a long-lived executor needs to
  * rerun the plan without replanning:
  *  - the planning fabric's initialized sync-variable image (the
  *    seed for NativeSyncFabric epoch reuse), and
- *  - a reference memory/read image for sampled verification
- *    (the sequential oracle for in-place schemes; a finisher
- *    callback supplies it for renamed-storage schemes, keeping
- *    core free of a dependency on the native backend).
+ *  - on demand, a reference memory/read image for sampled
+ *    verification: CachedPlan::reference() builds it at most once,
+ *    on whichever thread asks first (the sequential oracle for
+ *    in-place schemes; for renamed-storage schemes a builder the
+ *    cache's owner supplies, keeping core free of a dependency on
+ *    the native backend). A plan nobody verifies never pays for it.
  *
- * Entries are immutable after insertion and handed out as
+ * Entries are immutable after insertion (the lazily built reference
+ * aside, which call_once publishes) and handed out as
  * shared_ptr<const CachedPlan>, so eviction never invalidates a
  * plan some gang is still executing. Eviction is LRU.
  */
@@ -34,20 +39,35 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/runtime.hh"
+#include "core/value_trace.hh"
 #include "dep/loop_ir.hh"
 #include "sim/program.hh"
 #include "sim/types.hh"
 
 namespace psync {
 namespace core {
+
+/** Expected functional memory image and read values of a plan. */
+using ReferenceImage = SequentialImage;
+
+struct CachedPlan;
+
+/**
+ * Builds the reference image of a renamed-storage (instance-based)
+ * plan, whose expected image depends on the renaming rather than on
+ * the sequential oracle. Returns false when it cannot build one;
+ * the plan then has no reference.
+ */
+using ReferenceBuilder =
+    std::function<bool(const CachedPlan &, ReferenceImage &)>;
 
 /** One planned, verified, immutable program set. */
 struct CachedPlan
@@ -72,29 +92,37 @@ struct CachedPlan
 
     /**
      * Expected functional memory image / read values for sampled
-     * verification. In-place schemes must reproduce the sequential
-     * oracle; renamed-storage (instance-based) plans get theirs
-     * from the finisher, and hasReference stays false if no one
-     * supplied one (verification then skips image comparison).
+     * verification, built on the first call and reused by every
+     * later one, from any thread. In-place schemes must reproduce
+     * the sequential oracle; renamed-storage plans get theirs from
+     * the cache's ReferenceBuilder. Null when the plan has none
+     * (the unsynchronized baseline, or no builder / a failed build
+     * for renamed storage): verification then skips image
+     * comparison.
      */
-    bool hasReference = false;
-    std::map<sim::Addr, std::uint64_t> refMemory;
-    std::map<std::uint64_t, std::uint64_t> refReads;
-};
+    const ReferenceImage *reference() const;
 
-/**
- * Called once per cache miss with the freshly planned entry, before
- * insertion: the hook that lets a caller attach backend-specific
- * reference data (e.g. run the plan natively once to capture the
- * renamed-storage image) without core linking that backend.
- */
-using PlanFinisher = std::function<void(CachedPlan &)>;
+  private:
+    friend class PlanCache;
+
+    /** Data word size the sequential oracle lays addresses out by. */
+    sim::Addr wordBytes_ = 8;
+    std::shared_ptr<const ReferenceBuilder> renamedBuilder_;
+    mutable std::once_flag referenceOnce_;
+    mutable std::optional<ReferenceImage> reference_;
+};
 
 /** Thread-safe LRU cache of planned Doacross programs. */
 class PlanCache
 {
   public:
-    explicit PlanCache(std::size_t capacity = 64);
+    /**
+     * `renamed` builds the references of renamed-storage plans; it
+     * is shared by every entry and may run after the cache (and its
+     * owner) are gone, so it must capture values only.
+     */
+    explicit PlanCache(std::size_t capacity = 64,
+                       ReferenceBuilder renamed = {});
 
     /**
      * The canonical key: printLoop(loop) round-trip text plus every
@@ -108,13 +136,14 @@ class PlanCache
     /**
      * Look up or plan-and-insert. On a miss this plans under the
      * cache lock (a concurrent second requester of the same key
-     * waits and then hits). An IR verifier failure in planDoacross
-     * is fatal, exactly as on the uncached path, so every entry
-     * that exists is verified.
+     * waits and then hits); no reference oracle runs there, since
+     * CachedPlan::reference() builds it outside, on first use. An
+     * IR verifier failure in planDoacross is fatal, exactly as on
+     * the uncached path, so every entry that exists is verified.
      */
     std::shared_ptr<const CachedPlan>
     get(const dep::Loop &loop, sync::SchemeKind kind,
-        const RunConfig &cfg, const PlanFinisher &finisher = {});
+        const RunConfig &cfg);
 
     /** Non-inserting probe (tests / introspection). */
     bool contains(const std::string &key) const;
@@ -136,6 +165,7 @@ class PlanCache
     using Entry = std::shared_ptr<const CachedPlan>;
 
     std::size_t capacity_;
+    std::shared_ptr<const ReferenceBuilder> renamed_;
     mutable std::mutex mutex_;
     /** Most-recently-used at the front. */
     std::list<Entry> lru_;

@@ -1,8 +1,8 @@
 #include "ir/passes.hh"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
-#include <unordered_map>
 
 namespace psync {
 namespace ir {
@@ -30,91 +30,190 @@ renderWord(SyncWord w)
     return os.str();
 }
 
+/**
+ * The verifier's per-variable reach over a whole plan: a flat table
+ * indexed by variable id (fabric ids are dense from 0). Every
+ * program is folded in first; only then can a wait be checked.
+ */
+class ReachTable
+{
+  public:
+    /** Fold one op's signal sources into the table. */
+    void
+    add(const Op &op)
+    {
+        switch (op.kind) {
+          case OpKind::syncWrite:
+          case OpKind::pcMark:
+          case OpKind::pcTransfer:
+            write(op.var, op.value);
+            break;
+          case OpKind::syncFetchInc:
+          case OpKind::keyedRead:
+          case OpKind::keyedWrite:
+            at(op.var).increments += 1;
+            break;
+          case OpKind::ctrBarrier:
+            at(op.var).increments += 1;
+            write(op.aux, op.value);
+            break;
+          default:
+            break;
+        }
+    }
+
+    /**
+     * Append one error per wait-like op of `program` whose
+     * threshold its variable cannot reach.
+     */
+    void
+    check(const Program &program, const InitValueFn &init_value,
+          std::vector<std::string> &errors) const
+    {
+        auto require = [&](const Op &op, SyncVarId var,
+                           SyncWord need) {
+            SyncWord reach = reachable(var, init_value);
+            if (reach >= need)
+                return;
+            std::ostringstream os;
+            os << "iter " << program.iter << " op " << op.id << " ("
+               << opKindName(op.kind) << "): waits var " << var
+               << " >= " << renderWord(need)
+               << " but max reachable value is "
+               << renderWord(reach);
+            errors.push_back(os.str());
+        };
+        for (const Op &op : program.ops) {
+            switch (op.kind) {
+              case OpKind::syncWaitGE:
+              case OpKind::keyedRead:
+              case OpKind::keyedWrite:
+                require(op, op.var, op.value);
+                break;
+              case OpKind::pcTransfer:
+                require(op, op.var, op.aux);
+                break;
+              case OpKind::ctrBarrier:
+                require(op, op.aux, op.value);
+                break;
+              default:
+                break;
+            }
+        }
+    }
+
+  private:
+    VarReach &
+    at(SyncVarId var)
+    {
+        if (var >= vars_.size())
+            vars_.resize(std::size_t{var} + 1);
+        return vars_[var];
+    }
+
+    void
+    write(SyncVarId var, SyncWord value)
+    {
+        VarReach &r = at(var);
+        r.maxWritten = std::max(r.maxWritten, value);
+        r.written = true;
+    }
+
+    /**
+     * Max value `var` can reach: max(initial value, any written
+     * value) plus every increment.
+     */
+    SyncWord
+    reachable(SyncVarId var, const InitValueFn &init_value) const
+    {
+        SyncWord base = init_value ? init_value(var) : 0;
+        if (var >= vars_.size())
+            return base;
+        const VarReach &r = vars_[var];
+        if (r.written)
+            base = std::max(base, r.maxWritten);
+        return base + r.increments;
+    }
+
+    std::vector<VarReach> vars_;
+};
+
+/**
+ * Lower bounds known for the variables one program has touched so
+ * far. A program touches few variables, so a flat table searched
+ * linearly beats hashing; it lives on the stack and spills to the
+ * heap only past kInline variables.
+ */
+class BoundTable
+{
+  public:
+    /** The bound known for `var`, or null if none is. */
+    SyncWord *
+    find(SyncVarId var)
+    {
+        for (std::size_t k = 0; k < size_; ++k) {
+            Entry &e = slot(k);
+            if (e.var == var)
+                return &e.bound;
+        }
+        return nullptr;
+    }
+
+    /** The bound known for `var`, starting from 0 if none was. */
+    SyncWord &
+    operator[](SyncVarId var)
+    {
+        if (SyncWord *bound = find(var))
+            return *bound;
+        if (size_ < kInline)
+            inline_[size_] = Entry{var, 0};
+        else
+            spill_.push_back(Entry{var, 0});
+        return slot(size_++).bound;
+    }
+
+  private:
+    struct Entry
+    {
+        SyncVarId var;
+        SyncWord bound;
+    };
+
+    static constexpr std::size_t kInline = 32;
+
+    Entry &
+    slot(std::size_t k)
+    {
+        return k < kInline ? inline_[k] : spill_[k - kInline];
+    }
+
+    std::array<Entry, kInline> inline_;
+    std::size_t size_ = 0;
+    std::vector<Entry> spill_;
+};
+
+std::uint64_t
+waitsIn(const Program &program)
+{
+    std::uint64_t n = 0;
+    for (const Op &op : program.ops)
+        n += op.kind == OpKind::syncWaitGE;
+    return n;
+}
+
 } // namespace
 
 std::vector<std::string>
 verifyPrograms(const std::vector<Program> &programs,
                const InitValueFn &init_value)
 {
-    std::unordered_map<SyncVarId, VarReach> reach;
-    for (const Program &program : programs) {
-        for (const Op &op : program.ops) {
-            switch (op.kind) {
-              case OpKind::syncWrite:
-              case OpKind::pcMark:
-              case OpKind::pcTransfer: {
-                VarReach &r = reach[op.var];
-                r.maxWritten = std::max(r.maxWritten, op.value);
-                r.written = true;
-                break;
-              }
-              case OpKind::syncFetchInc:
-                reach[op.var].increments += 1;
-                break;
-              case OpKind::keyedRead:
-              case OpKind::keyedWrite:
-                reach[op.var].increments += 1;
-                break;
-              case OpKind::ctrBarrier: {
-                reach[op.var].increments += 1;
-                VarReach &rel = reach[op.aux];
-                rel.maxWritten = std::max(rel.maxWritten, op.value);
-                rel.written = true;
-                break;
-              }
-              default:
-                break;
-            }
-        }
-    }
-
-    auto reachable = [&](SyncVarId var) -> SyncWord {
-        SyncWord base = init_value ? init_value(var) : 0;
-        auto it = reach.find(var);
-        if (it == reach.end())
-            return base;
-        if (it->second.written)
-            base = std::max(base, it->second.maxWritten);
-        return base + it->second.increments;
-    };
-
+    ReachTable reach;
+    for (const Program &program : programs)
+        for (const Op &op : program.ops)
+            reach.add(op);
     std::vector<std::string> errors;
-    auto complain = [&](const Program &program, const Op &op,
-                        SyncVarId var, SyncWord need) {
-        std::ostringstream os;
-        os << "iter " << program.iter << " op " << op.id << " ("
-           << opKindName(op.kind) << "): waits var " << var
-           << " >= " << renderWord(need)
-           << " but max reachable value is "
-           << renderWord(reachable(var));
-        errors.push_back(os.str());
-    };
-
-    for (const Program &program : programs) {
-        for (const Op &op : program.ops) {
-            switch (op.kind) {
-              case OpKind::syncWaitGE:
-                if (reachable(op.var) < op.value)
-                    complain(program, op, op.var, op.value);
-                break;
-              case OpKind::pcTransfer:
-                if (reachable(op.var) < op.aux)
-                    complain(program, op, op.var, op.aux);
-                break;
-              case OpKind::keyedRead:
-              case OpKind::keyedWrite:
-                if (reachable(op.var) < op.value)
-                    complain(program, op, op.var, op.value);
-                break;
-              case OpKind::ctrBarrier:
-                if (reachable(op.aux) < op.value)
-                    complain(program, op, op.aux, op.value);
-                break;
-              default:
-                break;
-            }
-        }
-    }
+    for (const Program &program : programs)
+        reach.check(program, init_value, errors);
     return errors;
 }
 
@@ -122,19 +221,18 @@ std::uint64_t
 eliminateRedundantWaits(Program &program)
 {
     // Known lower bound on each variable's value at the current
-    // point of this program, established by earlier ops.
-    std::unordered_map<SyncVarId, SyncWord> bound;
-    std::vector<Op> kept;
-    kept.reserve(program.ops.size());
-    std::uint64_t removed = 0;
-    for (const Op &op : program.ops) {
+    // point of this program, established by earlier ops. Kept ops
+    // are compacted in place.
+    BoundTable bound;
+    std::vector<Op> &ops = program.ops;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        const Op &op = ops[k];
         switch (op.kind) {
           case OpKind::syncWaitGE: {
-            auto it = bound.find(op.var);
-            if (it != bound.end() && it->second >= op.value) {
-                ++removed;
+            SyncWord *known = bound.find(op.var);
+            if (known != nullptr && *known >= op.value)
                 continue; // dominated: drop the wait
-            }
             SyncWord &b = bound[op.var];
             b = std::max(b, op.value);
             break;
@@ -150,12 +248,10 @@ eliminateRedundantWaits(Program &program)
             b = std::max(b, std::max(op.aux, op.value));
             break;
           }
-          case OpKind::syncFetchInc: {
-            auto it = bound.find(op.var);
-            if (it != bound.end())
-                it->second += 1; // own increment; var is monotone
+          case OpKind::syncFetchInc:
+            if (SyncWord *known = bound.find(op.var))
+                *known += 1; // own increment; var is monotone
             break;
-          }
           case OpKind::keyedRead:
           case OpKind::keyedWrite: {
             // Waits key >= value, then the module increments it.
@@ -166,9 +262,8 @@ eliminateRedundantWaits(Program &program)
           case OpKind::ctrBarrier: {
             SyncWord &rel = bound[op.aux];
             rel = std::max(rel, op.value);
-            auto it = bound.find(op.var);
-            if (it != bound.end())
-                it->second += 1;
+            if (SyncWord *known = bound.find(op.var))
+                *known += 1;
             break;
           }
           case OpKind::pcMark:
@@ -178,27 +273,31 @@ eliminateRedundantWaits(Program &program)
           default:
             break;
         }
-        kept.push_back(op);
+        if (kept != k)
+            ops[kept] = op;
+        ++kept;
     }
-    if (removed)
-        program.ops = std::move(kept);
+    const std::uint64_t removed = ops.size() - kept;
+    ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(kept),
+              ops.end());
     return removed;
 }
 
 std::uint64_t
 peephole(Program &program)
 {
-    std::vector<Op> out;
-    out.reserve(program.ops.size());
-    std::uint64_t merged = 0;
-    for (const Op &op : program.ops) {
-        if (!out.empty()) {
-            Op &prev = out.back();
+    // Each op merges into the last kept one or is compacted in
+    // place after it.
+    std::vector<Op> &ops = program.ops;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < ops.size(); ++k) {
+        const Op &op = ops[k];
+        if (kept != 0) {
+            Op &prev = ops[kept - 1];
             if (op.kind == OpKind::compute &&
                 prev.kind == OpKind::compute &&
                 op.iterTag == prev.iterTag) {
                 prev.cycles += op.cycles;
-                ++merged;
                 continue;
             }
             // Adjacent monotone releases to one variable: the later
@@ -209,14 +308,16 @@ peephole(Program &program)
                 prev.kind == OpKind::syncWrite &&
                 op.var == prev.var && op.value >= prev.value) {
                 prev = op;
-                ++merged;
                 continue;
             }
         }
-        out.push_back(op);
+        if (kept != k)
+            ops[kept] = op;
+        ++kept;
     }
-    if (merged)
-        program.ops = std::move(out);
+    const std::uint64_t merged = ops.size() - kept;
+    ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(kept),
+              ops.end());
     return merged;
 }
 
@@ -225,9 +326,7 @@ countWaits(const std::vector<Program> &programs)
 {
     std::uint64_t n = 0;
     for (const Program &program : programs)
-        for (const Op &op : program.ops)
-            if (op.kind == OpKind::syncWaitGE)
-                ++n;
+        n += waitsIn(program);
     return n;
 }
 
@@ -245,24 +344,34 @@ runPasses(std::vector<Program> &programs, const PassConfig &config,
           const InitValueFn &init_value)
 {
     PassStats stats;
-    stats.opsBefore = countOps(programs);
-    stats.waitsBefore = countWaits(programs);
-    if (config.enabled) {
-        if (config.eliminateRedundantWaits)
-            for (Program &program : programs)
-                stats.waitsEliminated +=
-                    eliminateRedundantWaits(program);
-        if (config.peephole)
-            for (Program &program : programs)
-                stats.opsMerged += peephole(program);
-        if (config.verify) {
-            stats.verifierErrors =
-                verifyPrograms(programs, init_value);
-            stats.verified = stats.verifierErrors.empty();
+    const bool eliminate =
+        config.enabled && config.eliminateRedundantWaits;
+    const bool merge = config.enabled && config.peephole;
+    const bool verify = config.enabled && config.verify;
+    ReachTable reach;
+    // One walk: each program goes through both transforms, the
+    // counts and the verifier's reach fold while its ops are in
+    // cache.
+    for (Program &program : programs) {
+        stats.opsBefore += program.ops.size();
+        stats.waitsBefore += waitsIn(program);
+        if (eliminate)
+            stats.waitsEliminated += eliminateRedundantWaits(program);
+        if (merge)
+            stats.opsMerged += peephole(program);
+        stats.opsAfter += program.ops.size();
+        for (const Op &op : program.ops) {
+            stats.waitsAfter += op.kind == OpKind::syncWaitGE;
+            if (verify)
+                reach.add(op);
         }
     }
-    stats.opsAfter = countOps(programs);
-    stats.waitsAfter = countWaits(programs);
+    // Every threshold is checked against the finished reach table.
+    if (verify) {
+        for (const Program &program : programs)
+            reach.check(program, init_value, stats.verifierErrors);
+        stats.verified = stats.verifierErrors.empty();
+    }
     return stats;
 }
 

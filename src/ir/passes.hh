@@ -21,6 +21,15 @@
  *     can satisfy is rejected at plan time instead of deadlocking
  *     the run.
  *
+ * runPasses walks the plan once: each program goes through
+ * elimination, then peephole (both compact its ops in place), then
+ * is folded into the op/wait counts and the verifier's
+ * per-variable reach while its ops are still in cache. Reach needs
+ * the whole plan, so a second loop checks every wait threshold
+ * against the finished table. The result (programs, PassStats,
+ * error order) equals running each stage over every program in
+ * turn.
+ *
  * Soundness of elimination rests on two global invariants every
  * scheme maintains: synchronization variables are monotone
  * non-decreasing, and waits use >= semantics. An earlier op in the
@@ -100,7 +109,8 @@ verifyPrograms(const std::vector<Program> &programs,
 /**
  * Delete sync_wait_ge ops whose threshold is already established
  * by earlier ops of the same program (see file comment for the
- * soundness argument). Returns the number of ops deleted.
+ * soundness argument). Kept ops are compacted in place, without
+ * allocating. Returns the number of ops deleted.
  */
 std::uint64_t eliminateRedundantWaits(Program &program);
 
@@ -108,7 +118,8 @@ std::uint64_t eliminateRedundantWaits(Program &program);
  * Merge adjacent compute ops (exact: compute is a pure delay) and
  * adjacent sync_write ops to the same variable when the later
  * value supersedes the earlier (monotone release coalescing).
- * Returns the number of ops merged away.
+ * Compacts in place, without allocating. Returns the number of ops
+ * merged away.
  */
 std::uint64_t peephole(Program &program);
 
@@ -119,10 +130,10 @@ std::uint64_t countWaits(const std::vector<Program> &programs);
 std::uint64_t countOps(const std::vector<Program> &programs);
 
 /**
- * Run the configured pipeline in place over a lowered program set.
- * Transforms run first, then the verifier checks the transformed
- * programs. Callers decide how to surface verifierErrors (the
- * planner treats any as fatal).
+ * Run the configured pipeline in place over a lowered program set,
+ * in one walk (see the file comment). The verifier checks the
+ * transformed programs. Callers decide how to surface
+ * verifierErrors (the planner treats any as fatal).
  */
 PassStats runPasses(std::vector<Program> &programs,
                     const PassConfig &config,

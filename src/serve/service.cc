@@ -34,6 +34,36 @@ executorConfig(const ServeConfig &cfg)
 
 } // namespace
 
+core::ReferenceBuilder
+renamedReferenceBuilder(const ServeConfig &cfg)
+{
+    return [spin_limit = cfg.native.spinLimit, wake = cfg.wakePolicy,
+            timeout_ms = cfg.requestTimeoutMs](
+               const core::CachedPlan &plan,
+               core::ReferenceImage &image) {
+        native::NativeConfig ncfg;
+        ncfg.numThreads = 1;
+        ncfg.spinLimit = spin_limit;
+        ncfg.timeoutMs = timeout_ms;
+        native::NativeSyncFabric fabric(plan.initWords, spin_limit,
+                                        wake);
+        native::NativeDataMemory data(plan.programs);
+        native::NativeExecutor executor(fabric, data, ncfg);
+        executor.beginRun(1, true);
+        const auto start = Clock::now();
+        executor.runLane(plan.programs, 0,
+                         start + std::chrono::milliseconds(timeout_ms));
+        if (!executor.finishRun(nanosSince(start, Clock::now()))
+                 .completed)
+            return false;
+        core::ValueTrace values;
+        executor.replayAccesses(values);
+        image.memory = values.memory();
+        image.reads = values.reads();
+        return true;
+    };
+}
+
 DoacrossService::Arena::Arena(
     const std::shared_ptr<const core::CachedPlan> &p,
     const ServeConfig &cfg)
@@ -48,7 +78,8 @@ DoacrossService::Arena::Arena(
 }
 
 DoacrossService::DoacrossService(const ServeConfig &cfg)
-    : cfg_(cfg), cache_(cfg.planCacheCapacity),
+    : cfg_(cfg),
+      cache_(cfg.planCacheCapacity, renamedReferenceBuilder(cfg)),
       queue_(cfg.queueCapacity)
 {
     cfg_.gangs = std::max(1u, cfg_.gangs);
@@ -76,32 +107,7 @@ std::shared_ptr<const core::CachedPlan>
 DoacrossService::plan(const dep::Loop &loop, sync::SchemeKind kind,
                       const core::RunConfig &rcfg)
 {
-    return cache_.get(
-        loop, kind, rcfg, [this](core::CachedPlan &entry) {
-            if (entry.hasReference ||
-                entry.kind == sync::SchemeKind::none)
-                return;
-            // Renamed-storage plans have no sequential oracle; one
-            // fresh-init native run (deterministic across backends,
-            // per the cross-validation suite) supplies the
-            // reference image the sampled verifier compares epochs
-            // against.
-            native::NativeConfig ncfg = executorConfig(cfg_);
-            ncfg.recordAccesses = true;
-            native::NativeSyncFabric fabric(
-                entry.initWords, ncfg.spinLimit, cfg_.wakePolicy);
-            native::NativeDataMemory data(entry.programs);
-            native::NativeExecutor executor(fabric, data, ncfg);
-            native::NativeRunResult run =
-                executor.runPool(entry.programs);
-            if (!run.completed)
-                return; // leave hasReference false; skip comparisons
-            core::ValueTrace values;
-            executor.replayAccesses(values);
-            entry.refMemory = values.memory();
-            entry.refReads = values.reads();
-            entry.hasReference = true;
-        });
+    return cache_.get(loop, kind, rcfg);
 }
 
 std::uint64_t
@@ -254,20 +260,21 @@ DoacrossService::verifyRun(const Arena &arena,
     for (auto &m : mismatches)
         completion.problems.push_back("value: " + std::move(m));
 
+    // A plan's first sampled verification builds its reference.
     bool image_ok = true;
-    if (plan.hasReference) {
+    if (const core::ReferenceImage *ref = plan.reference()) {
         core::ValueTrace values;
         executor.replayAccesses(values);
-        if (values.memory() != plan.refMemory) {
+        if (values.memory() != ref->memory) {
             image_ok = false;
             completion.problems.push_back(sim::csprintf(
                 "image: epoch %llu memory image differs from "
                 "fresh-init reference (%zu vs %zu written words)",
                 static_cast<unsigned long long>(
                     arena.fabric.epoch()),
-                values.memory().size(), plan.refMemory.size()));
+                values.memory().size(), ref->memory.size()));
         }
-        if (values.reads() != plan.refReads) {
+        if (values.reads() != ref->reads) {
             image_ok = false;
             completion.problems.push_back(
                 "image: read values differ from fresh-init "

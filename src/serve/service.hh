@@ -28,7 +28,8 @@
  *    trace-checker replay against the plan's dependence arcs, the
  *    executor's read-value audit, and a bit-exact comparison of the
  *    functional memory/read image against the cached plan's
- *    reference oracle;
+ *    reference oracle, which the plan's first sampled verification
+ *    builds (plans never verified never pay for one);
  *  - a per-request watchdog deadline turns a deadlocked or wedged
  *    plan into abortAll + a failed completion; the next request on
  *    that arena starts from beginEpoch(), which also clears the
@@ -116,6 +117,19 @@ struct ServiceStats
 };
 
 /**
+ * The reference builder a service gives its plan cache for
+ * renamed-storage plans, which have no sequential oracle: one
+ * fresh-init native run, executed inline on the asking thread as a
+ * single lane of the gang API (no thread is spawned). One
+ * self-scheduled lane dispatches the iterations in order, so no
+ * wait ever blocks, and a renamed-storage image does not depend on
+ * the schedule. It captures values only (spin limit, wake policy,
+ * request timeout), never the service, so a client may still build
+ * a plan's reference after stop().
+ */
+core::ReferenceBuilder renamedReferenceBuilder(const ServeConfig &cfg);
+
+/**
  * The long-lived service. Construction starts the gangs; stop()
  * (or destruction) closes the queue, drains in-flight work and
  * joins every thread.
@@ -144,8 +158,9 @@ class DoacrossService
 
     /**
      * Resolve a plan through the service's cache without
-     * enqueueing; attaches a native reference image to
-     * renamed-storage plans. Feed the result to submitPlan().
+     * enqueueing. Feed the result to submitPlan(). The plan's
+     * reference() builds its oracle on first use (a native run for
+     * renamed-storage plans) and stays usable after stop().
      */
     std::shared_ptr<const core::CachedPlan>
     plan(const dep::Loop &loop, sync::SchemeKind kind,

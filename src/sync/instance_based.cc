@@ -171,6 +171,23 @@ InstanceBasedScheme::plan(const dep::DepGraph &graph,
     // Renamed copies live in their own region above the arrays.
     copyRegionBase_ = sim::Addr(1) << 36;
 
+    // Per statement: markers and compute, a wait and a read per
+    // read reference, and every copy store and key signal of each
+    // write.
+    maxOpsPerIter_ = 0;
+    for (unsigned s = 0; s < loop.body.size(); ++s) {
+        maxOpsPerIter_ += 3;
+        for (unsigned r = 0; r < loop.body[s].refs.size(); ++r) {
+            if (slotOf_[s][r] < 0) {
+                maxOpsPerIter_ += 2;
+            } else {
+                const WriteSlot &slot =
+                    writeSlots_[static_cast<unsigned>(slotOf_[s][r])];
+                maxOpsPerIter_ += slot.copies + slot.keys;
+            }
+        }
+    }
+
     SchemePlan result;
     result.numSyncVars = num_keys;
     // Full/empty bits: one bit per key.
@@ -219,8 +236,7 @@ sim::Program
 InstanceBasedScheme::emit(std::uint64_t lpid) const
 {
     const dep::Loop &loop = graph_->loop();
-    sim::Program prog;
-    prog.iter = lpid;
+    sim::Program prog = newProgram(lpid);
     ir::ProgramBuilder b(prog);
     long i = 0, j = 0;
     loop.indicesOf(lpid, i, j);

@@ -54,6 +54,15 @@ ProcessOrientedScheme::plan(const dep::DepGraph &graph,
         }
     }
 
+    // The exact-boundary check and one get_PC, then per statement
+    // its sink waits, its body and its set/mark/transfer.
+    maxOpsPerIter_ = 2;
+    for (unsigned s = 0; s < loop.body.size(); ++s) {
+        maxOpsPerIter_ += sinkDeps_[s].size() +
+                          statementBodyOps(loop.body[s]) +
+                          (stepOf_[s] != 0 ? 1 : 0);
+    }
+
     SchemePlan result;
     result.numSyncVars = numPcs_;
     result.syncStorageBytes = static_cast<std::uint64_t>(numPcs_) * 8;
@@ -66,8 +75,7 @@ sim::Program
 ProcessOrientedScheme::emit(std::uint64_t lpid) const
 {
     const dep::Loop &loop = graph_->loop();
-    sim::Program prog;
-    prog.iter = lpid;
+    sim::Program prog = newProgram(lpid);
     ir::ProgramBuilder b(prog);
     long i = 0, j = 0;
     loop.indicesOf(lpid, i, j);

@@ -100,6 +100,14 @@ ReferenceBasedScheme::plan(const dep::DepGraph &graph,
               cfg.boundaryCheckCost
         : 0;
 
+    // The boundary check, then per statement its markers, compute
+    // and a wait/access/increment triple per reference (one keyed
+    // request when combined).
+    const unsigned ops_per_ref = cfg.cedarCombining ? 1 : 3;
+    maxOpsPerIter_ = 1;
+    for (const dep::Statement &stmt : loop.body)
+        maxOpsPerIter_ += 3 + ops_per_ref * stmt.refs.size();
+
     SchemePlan result;
     result.numSyncVars = num_keys;
     // Cedar-style keys are a word of order state per element; we
@@ -121,8 +129,7 @@ sim::Program
 ReferenceBasedScheme::emit(std::uint64_t lpid) const
 {
     const dep::Loop &loop = graph_->loop();
-    sim::Program prog;
-    prog.iter = lpid;
+    sim::Program prog = newProgram(lpid);
     ir::ProgramBuilder b(prog);
     long i = 0, j = 0;
     loop.indicesOf(lpid, i, j);

@@ -39,6 +39,9 @@ class NoneScheme : public Scheme
         (void)cfg;
         graph_ = &graph;
         layout_ = &layout;
+        maxOpsPerIter_ = 0;
+        for (const dep::Statement &stmt : graph.loop().body)
+            maxOpsPerIter_ += statementBodyOps(stmt);
         return SchemePlan{};
     }
 
@@ -46,8 +49,7 @@ class NoneScheme : public Scheme
     emit(std::uint64_t lpid) const override
     {
         const dep::Loop &loop = graph_->loop();
-        sim::Program prog;
-        prog.iter = lpid;
+        sim::Program prog = newProgram(lpid);
         ir::ProgramBuilder b(prog);
         long i = 0, j = 0;
         loop.indicesOf(lpid, i, j);

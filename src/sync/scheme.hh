@@ -155,6 +155,24 @@ class Scheme
 
     /** Emit the transformed program of iteration `lpid` (1-based). */
     virtual sim::Program emit(std::uint64_t lpid) const = 0;
+
+  protected:
+    /**
+     * Upper bound on the ops of one iteration's program, computed
+     * by plan() so that emit() reserves it once and the program's
+     * op vector never regrows.
+     */
+    std::size_t maxOpsPerIter_ = 0;
+
+    /** An empty program of iteration `lpid`, maxOpsPerIter_ reserved. */
+    sim::Program
+    newProgram(std::uint64_t lpid) const
+    {
+        sim::Program prog;
+        prog.iter = lpid;
+        prog.ops.reserve(maxOpsPerIter_);
+        return prog;
+    }
 };
 
 /** Factory over the taxonomy. */
@@ -172,6 +190,14 @@ std::vector<SchemeKind> allSyncSchemes();
 void emitStatementBody(const dep::Loop &loop, unsigned stmt_idx,
                        long i, long j, const dep::DataLayout &layout,
                        ir::ProgramBuilder &out);
+
+/** Ops emitStatementBody appends for `stmt`, at most. */
+inline std::size_t
+statementBodyOps(const dep::Statement &stmt)
+{
+    // stmtStart, one access per reference, compute, stmtEnd.
+    return stmt.refs.size() + 3;
+}
 
 } // namespace sync
 } // namespace psync

@@ -49,6 +49,15 @@ StatementOrientedScheme::plan(const dep::DepGraph &graph,
         }
     }
 
+    // The exact-boundary check, then per statement its Awaits, its
+    // body and its Advance (a wait and a write).
+    maxOpsPerIter_ = 1;
+    for (unsigned s = 0; s < loop.body.size(); ++s) {
+        maxOpsPerIter_ += sinkDeps_[s].size() +
+                          statementBodyOps(loop.body[s]) +
+                          (scIndexOf_[s] >= 0 ? 2 : 0);
+    }
+
     SchemePlan result;
     result.numSyncVars = numScs_;
     result.syncStorageBytes = static_cast<std::uint64_t>(numScs_) * 8;
@@ -61,8 +70,7 @@ sim::Program
 StatementOrientedScheme::emit(std::uint64_t lpid) const
 {
     const dep::Loop &loop = graph_->loop();
-    sim::Program prog;
-    prog.iter = lpid;
+    sim::Program prog = newProgram(lpid);
     ir::ProgramBuilder b(prog);
     long i = 0, j = 0;
     loop.indicesOf(lpid, i, j);

@@ -3,13 +3,27 @@
  * IR pass pipeline unit tests: redundant-wait elimination soundness
  * rules, peephole merging, the structural verifier (including the
  * negative case: a wait with no dominating signal source is
- * rejected at plan time), and runPasses bookkeeping.
+ * rejected at plan time), runPasses bookkeeping, and the one-walk
+ * pipeline's equivalence with running each pass over the whole plan
+ * in turn.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <tuple>
+
+#include "dep/dep_graph.hh"
+#include "dep/loop_text.hh"
 #include "ir/passes.hh"
 #include "ir/program.hh"
+#include "sim/machine.hh"
+#include "sync/scheme.hh"
+#include "workloads/fig21.hh"
+#include "workloads/nested.hh"
 
 using namespace psync;
 
@@ -37,6 +51,153 @@ countKind(const ir::Program &prog, ir::OpKind kind)
     for (const auto &op : prog.ops)
         n += op.kind == kind ? 1 : 0;
     return n;
+}
+
+/** Every field of an op, for exact comparison. */
+auto
+fieldsOf(const ir::Op &op)
+{
+    return std::tie(op.kind, op.cycles, op.addr, op.var, op.value,
+                    op.aux, op.stmt, op.ref, op.id, op.iterTag);
+}
+
+/** A scheme's raw lowering of a loop and its fabric's init values. */
+struct Lowered
+{
+    std::vector<ir::Program> programs;
+    std::vector<ir::SyncWord> init;
+};
+
+Lowered
+lower(const dep::Loop &loop, sync::SchemeKind kind)
+{
+    sim::MachineConfig mc;
+    mc.numProcs = 4;
+    mc.fabric = sim::FabricKind::registers;
+    mc.syncRegisters = 1u << 20;
+    sim::Machine machine(mc);
+    dep::DepGraph graph(loop);
+    dep::DataLayout layout(loop, mc.memory.wordBytes);
+    sync::SchemeConfig scfg;
+    scfg.numPcs = 16;
+    scfg.numScs = 1u << 20;
+    std::unique_ptr<sync::Scheme> scheme = sync::makeScheme(kind);
+    scheme->plan(graph, layout, machine.fabric(), scfg);
+
+    Lowered out;
+    for (std::uint64_t lpid = 1; lpid <= loop.iterations(); ++lpid) {
+        out.programs.push_back(scheme->emit(lpid));
+        // plan() bounds the ops of every iteration and emit()
+        // reserves that bound once, so no program regrew past it.
+        EXPECT_EQ(out.programs.back().ops.capacity(),
+                  out.programs.front().ops.capacity())
+            << loop.name << "/" << sync::schemeKindName(kind)
+            << " iter " << lpid;
+    }
+    for (unsigned v = 0; v < machine.fabric().allocated(); ++v)
+        out.init.push_back(machine.fabric().peek(v));
+    return out;
+}
+
+/**
+ * The pipeline stage by stage: elimination over every program, then
+ * peephole over every program, then the verifier over the plan.
+ */
+ir::PassStats
+stagedPasses(std::vector<ir::Program> &programs,
+             const ir::PassConfig &cfg, const ir::InitValueFn &init)
+{
+    ir::PassStats stats;
+    stats.opsBefore = ir::countOps(programs);
+    stats.waitsBefore = ir::countWaits(programs);
+    if (cfg.enabled && cfg.eliminateRedundantWaits)
+        for (ir::Program &program : programs)
+            stats.waitsEliminated +=
+                ir::eliminateRedundantWaits(program);
+    if (cfg.enabled && cfg.peephole)
+        for (ir::Program &program : programs)
+            stats.opsMerged += ir::peephole(program);
+    if (cfg.enabled && cfg.verify) {
+        stats.verifierErrors = ir::verifyPrograms(programs, init);
+        stats.verified = stats.verifierErrors.empty();
+    }
+    stats.opsAfter = ir::countOps(programs);
+    stats.waitsAfter = ir::countWaits(programs);
+    return stats;
+}
+
+/**
+ * runPasses against stagedPasses on one plan, under passes off,
+ * verify only and everything on: same programs op for op (ids
+ * included) and the same PassStats, errors in the same order.
+ */
+void
+expectOneWalkMatchesStages(const Lowered &lowered,
+                           const std::string &what)
+{
+    ir::InitValueFn init = [&lowered](ir::SyncVarId var) {
+        return var < lowered.init.size() ? lowered.init[var]
+                                         : ir::SyncWord{0};
+    };
+    ir::PassConfig off;
+    off.enabled = false;
+    ir::PassConfig verify_only;
+    ir::PassConfig all;
+    all.eliminateRedundantWaits = true;
+    all.peephole = true;
+    const std::pair<const char *, ir::PassConfig> configs[] = {
+        {"off", off}, {"verify", verify_only}, {"all", all}};
+
+    for (const auto &[name, cfg] : configs) {
+        SCOPED_TRACE(what + " passes=" + name);
+        std::vector<ir::Program> walked = lowered.programs;
+        std::vector<ir::Program> staged = lowered.programs;
+        ir::PassStats w = ir::runPasses(walked, cfg, init);
+        ir::PassStats s = stagedPasses(staged, cfg, init);
+
+        EXPECT_EQ(w.opsBefore, s.opsBefore);
+        EXPECT_EQ(w.opsAfter, s.opsAfter);
+        EXPECT_EQ(w.waitsBefore, s.waitsBefore);
+        EXPECT_EQ(w.waitsAfter, s.waitsAfter);
+        EXPECT_EQ(w.waitsEliminated, s.waitsEliminated);
+        EXPECT_EQ(w.opsMerged, s.opsMerged);
+        EXPECT_EQ(w.verified, s.verified);
+        EXPECT_EQ(w.verifierErrors, s.verifierErrors);
+
+        ASSERT_EQ(walked.size(), staged.size());
+        for (std::size_t p = 0; p < walked.size(); ++p) {
+            EXPECT_EQ(walked[p].iter, staged[p].iter);
+            ASSERT_EQ(walked[p].ops.size(), staged[p].ops.size())
+                << "program " << p;
+            for (std::size_t k = 0; k < walked[p].ops.size(); ++k)
+                EXPECT_TRUE(fieldsOf(walked[p].ops[k]) ==
+                            fieldsOf(staged[p].ops[k]))
+                    << "program " << p << " op " << k;
+        }
+    }
+}
+
+std::vector<dep::Loop>
+corpusLoops()
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             PSYNC_FUZZ_CORPUS_DIR)) {
+        if (entry.path().extension() == ".loop")
+            files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    std::vector<dep::Loop> loops;
+    for (const auto &file : files) {
+        std::ifstream in(file);
+        std::ostringstream text;
+        text << in.rdbuf();
+        dep::ParsedLoop parsed = dep::parseLoop(text.str());
+        EXPECT_TRUE(parsed.ok) << file << ": " << parsed.error;
+        if (parsed.ok)
+            loops.push_back(std::move(parsed.loop));
+    }
+    return loops;
 }
 
 } // namespace
@@ -319,4 +480,61 @@ TEST(ProgramBuilderTest, StampsSequentialIdsAndResumes)
         b.compute(3);
     }
     EXPECT_EQ(prog.ops[2].id, 3u);
+}
+
+TEST(RunPassesTest, OneWalkEqualsEachPassOverThePlanInTurn)
+{
+    std::vector<dep::Loop> loops = corpusLoops();
+    ASSERT_FALSE(loops.empty());
+    loops.push_back(workloads::makeFig21Loop(64));
+    loops.push_back(workloads::makeNestedLoop(12, 10));
+    loops.push_back(workloads::makeFig21JitterLoop(48, 8, 24, 0.3));
+
+    std::vector<sync::SchemeKind> kinds = sync::allSyncSchemes();
+    kinds.push_back(sync::SchemeKind::none);
+    for (const dep::Loop &loop : loops) {
+        bool guarded = std::any_of(
+            loop.body.begin(), loop.body.end(),
+            [](const dep::Statement &s) {
+                return s.guard.conditional();
+            });
+        for (sync::SchemeKind kind : kinds) {
+            // Renaming rejects branch-guarded bodies by design.
+            if (guarded && kind == sync::SchemeKind::instanceBased)
+                continue;
+            std::string what = loop.name + "/" +
+                               sync::schemeKindName(kind);
+            Lowered lowered = lower(loop, kind);
+            expectOneWalkMatchesStages(lowered, what);
+
+            // The same plan with each program's first wait raised
+            // out of reach: the verifier's errors must come out
+            // identical and in the same order.
+            for (ir::Program &program : lowered.programs) {
+                for (ir::Op &op : program.ops) {
+                    if (op.kind == ir::OpKind::syncWaitGE) {
+                        op.value += ir::SyncWord{1} << 40;
+                        break;
+                    }
+                }
+            }
+            expectOneWalkMatchesStages(lowered, what + "/unreachable");
+        }
+    }
+
+    // Lowered plans keep markers between computes, so add one where
+    // elimination exposes merges peephole can make only afterwards:
+    // the stage order shows in the result.
+    Lowered exposed;
+    exposed.programs.push_back(makeProgram());
+    ir::ProgramBuilder b(exposed.programs.back());
+    b.write(1, 5);
+    b.compute(1);
+    b.waitGE(1, 3); // dominated by the write
+    b.compute(2);
+    b.write(2, 1);
+    b.waitGE(1, 5); // dominated too
+    b.write(2, 2);
+    exposed.init = {0, 0, 0};
+    expectOneWalkMatchesStages(exposed, "elimination-exposes-merges");
 }

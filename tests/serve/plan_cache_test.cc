@@ -1,17 +1,25 @@
 /**
  * @file
- * PlanCache keying, hit/miss accounting, LRU eviction, and entry
- * immutability. The keying property under test: two (loop, scheme,
- * config) triples that can produce different plans always produce
- * different keys, and the canonical printLoop round-trip text — not
- * the loop object's identity — is what the key carries, so a loop
- * parsed back from its own text hits the cache.
+ * PlanCache keying, hit/miss accounting, LRU eviction, entry
+ * immutability, and the on-demand reference oracle. The keying
+ * property under test: two (loop, scheme, config) triples that can
+ * produce different plans always produce different keys, and the
+ * canonical printLoop round-trip text — not the loop object's
+ * identity — is what the key carries, so a loop parsed back from
+ * its own text hits the cache. The oracle property: a miss builds
+ * no reference; the first request builds it once, for every thread
+ * and every later call, even after its service is gone.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "core/plan_cache.hh"
 #include "dep/loop_text.hh"
+#include "serve/service.hh"
 #include "workloads/fig21.hh"
 #include "workloads/relaxation.hh"
 
@@ -29,6 +37,39 @@ baseConfig()
     cfg.scheme.numPcs = 16;
     cfg.scheme.numScs = 1u << 20;
     return cfg;
+}
+
+/** baseConfig on the memory fabric, as instance-based plans run. */
+core::RunConfig
+memoryConfig()
+{
+    core::RunConfig cfg = baseConfig();
+    cfg.machine.fabric = sim::FabricKind::memory;
+    return cfg;
+}
+
+/** A one-gang service that verifies every other request. */
+serve::ServeConfig
+smallService()
+{
+    serve::ServeConfig cfg;
+    cfg.gangs = 1;
+    cfg.gangSize = 2;
+    cfg.verifySampleEvery = 2;
+    cfg.requestTimeoutMs = 10000;
+    return cfg;
+}
+
+/** A renamed-storage builder that counts its calls. */
+core::ReferenceBuilder
+countingBuilder(std::atomic<int> &calls)
+{
+    return [&calls](const core::CachedPlan &,
+                    core::ReferenceImage &image) {
+        calls.fetch_add(1);
+        image.reads[7] = 42;
+        return true;
+    };
 }
 
 } // namespace
@@ -181,28 +222,6 @@ TEST(PlanCacheTest, LruEvictionKeepsRecentlyUsed)
     EXPECT_EQ(cache.misses(), misses + 1);
 }
 
-TEST(PlanCacheTest, FinisherRunsOncePerMiss)
-{
-    core::PlanCache cache(8);
-    dep::Loop loop = workloads::makeFig21Loop(12);
-    core::RunConfig cfg = baseConfig();
-
-    int calls = 0;
-    auto finisher = [&](core::CachedPlan &entry) {
-        ++calls;
-        entry.hasReference = true;
-        entry.refReads[7] = 42;
-    };
-    auto a = cache.get(loop, sync::SchemeKind::processImproved, cfg,
-                       finisher);
-    auto b = cache.get(loop, sync::SchemeKind::processImproved, cfg,
-                       finisher);
-    EXPECT_EQ(calls, 1);
-    EXPECT_TRUE(b->hasReference);
-    EXPECT_EQ(b->refReads.at(7), 42u);
-    EXPECT_EQ(a.get(), b.get());
-}
-
 TEST(PlanCacheTest, EntryCarriesInitImageAndVerifiedPlan)
 {
     core::PlanCache cache(8);
@@ -212,7 +231,153 @@ TEST(PlanCacheTest, EntryCarriesInitImageAndVerifiedPlan)
     EXPECT_FALSE(plan->programs.empty());
     EXPECT_FALSE(plan->initWords.empty());
     EXPECT_FALSE(plan->plan.depsVerified.empty());
-    // In-place schemes carry the sequential oracle as reference.
-    EXPECT_TRUE(plan->hasReference);
-    EXPECT_FALSE(plan->refMemory.empty());
+}
+
+TEST(PlanCacheTest, MissBuildsNoReference)
+{
+    std::atomic<int> calls{0};
+    core::PlanCache cache(8, countingBuilder(calls));
+    dep::Loop loop = workloads::makeFig21Loop(12);
+    core::RunConfig cfg = baseConfig();
+
+    cache.get(loop, sync::SchemeKind::instanceBased, cfg);
+    cache.get(loop, sync::SchemeKind::instanceBased, cfg);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(PlanCacheTest, FirstRequestBuildsTheReferenceOnceForAllThreads)
+{
+    std::atomic<int> calls{0};
+    core::PlanCache cache(8, countingBuilder(calls));
+    dep::Loop loop = workloads::makeFig21Loop(12);
+    auto plan = cache.get(loop, sync::SchemeKind::instanceBased,
+                          baseConfig());
+
+    // Four threads ask at once; exactly one builds, every one sees
+    // the same image.
+    constexpr int kThreads = 4;
+    std::atomic<bool> go{false};
+    std::vector<const core::ReferenceImage *> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            seen[t] = plan->reference();
+        });
+    }
+    go.store(true);
+    for (auto &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(calls.load(), 1);
+    ASSERT_NE(seen[0], nullptr);
+    for (const core::ReferenceImage *ref : seen)
+        EXPECT_EQ(ref, seen[0]);
+    EXPECT_EQ(seen[0]->reads.at(7), 42u);
+
+    // Later calls reuse it too.
+    EXPECT_EQ(plan->reference(), seen[0]);
+    EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(PlanCacheTest, InPlaceReferenceIsTheSequentialOracle)
+{
+    std::atomic<int> calls{0};
+    core::PlanCache cache(8, countingBuilder(calls));
+    dep::Loop loop = workloads::makeFig21Loop(12);
+    auto plan = cache.get(loop, sync::SchemeKind::processImproved,
+                          baseConfig());
+    const core::ReferenceImage *ref = plan->reference();
+    ASSERT_NE(ref, nullptr);
+    core::SequentialImage seq = core::sequentialImage(loop);
+    EXPECT_FALSE(ref->memory.empty());
+    EXPECT_EQ(ref->memory, seq.memory);
+    EXPECT_EQ(ref->reads, seq.reads);
+    EXPECT_EQ(plan->reference(), ref);
+    // The renamed-storage builder is for instance-based plans only.
+    EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(PlanCacheTest, PlansWithoutAnOracleHaveNoReference)
+{
+    dep::Loop loop = workloads::makeFig21Loop(12);
+    core::RunConfig cfg = baseConfig();
+
+    // No builder: a renamed-storage plan has nothing to compare to.
+    core::PlanCache bare(8);
+    EXPECT_EQ(bare.get(loop, sync::SchemeKind::instanceBased, cfg)
+                  ->reference(),
+              nullptr);
+    // The unsynchronized baseline promises no image at all.
+    EXPECT_EQ(bare.get(loop, sync::SchemeKind::none, cfg)->reference(),
+              nullptr);
+
+    // A builder that fails leaves the plan without one, too.
+    core::PlanCache failing(
+        8, [](const core::CachedPlan &, core::ReferenceImage &) {
+            return false;
+        });
+    EXPECT_EQ(failing.get(loop, sync::SchemeKind::instanceBased, cfg)
+                  ->reference(),
+              nullptr);
+}
+
+TEST(PlanCacheTest, PlanYieldsItsReferenceAfterItsServiceIsGone)
+{
+    dep::Loop loop = workloads::makeFig21Loop(12);
+    std::shared_ptr<const core::CachedPlan> plan;
+    {
+        auto service =
+            std::make_unique<serve::DoacrossService>(smallService());
+        plan = service->plan(loop, sync::SchemeKind::instanceBased,
+                             memoryConfig());
+        service->stop();
+    }
+    // The service's builder captured values only, so building the
+    // reference now touches nothing the service owned.
+    const core::ReferenceImage *ref = plan->reference();
+    ASSERT_NE(ref, nullptr);
+    EXPECT_EQ(ref->reads, core::sequentialImage(loop).reads);
+    EXPECT_FALSE(ref->memory.empty());
+}
+
+TEST(PlanCacheTest, TwoGangsVerifyingOneFreshPlanBuildItsReferenceOnce)
+{
+    serve::ServeConfig scfg = smallService();
+    scfg.gangs = 2;
+    scfg.verifySampleEvery = 1;
+
+    // The service's own builder, counted, and slowed so the second
+    // gang reaches the plan while the first is still building.
+    std::atomic<int> calls{0};
+    core::ReferenceBuilder real = serve::renamedReferenceBuilder(scfg);
+    core::PlanCache cache(
+        8, [&calls, real](const core::CachedPlan &plan,
+                          core::ReferenceImage &image) {
+            calls.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return real(plan, image);
+        });
+    dep::Loop loop = workloads::makeFig21Loop(12);
+    auto plan = cache.get(loop, sync::SchemeKind::instanceBased,
+                          memoryConfig());
+    EXPECT_EQ(calls.load(), 0);
+
+    serve::DoacrossService service(scfg);
+
+    service.submitPlan(plan);
+    service.submitPlan(plan);
+    service.waitIdle();
+    std::vector<serve::Completion> done = service.takeCompletions();
+    ASSERT_EQ(done.size(), 2u);
+    for (const serve::Completion &c : done) {
+        EXPECT_TRUE(c.completed);
+        EXPECT_TRUE(c.verified);
+        EXPECT_TRUE(c.verifyOk)
+            << (c.problems.empty() ? "" : c.problems.front());
+    }
+    EXPECT_EQ(calls.load(), 1);
+    service.stop();
 }
