@@ -109,6 +109,27 @@ NativeExecutor::maybeJitter(ThreadState &ts)
         pauseSpin(static_cast<unsigned>(r & 31u));
 }
 
+void
+NativeExecutor::access(const sim::Op &op, std::uint64_t iter,
+                       bool is_write, ThreadState &ts)
+{
+    auto &word = data_.word(op.addr);
+    // Lean rounds never touch the clock: no scheme reads it, so its
+    // relaxed RMWs order nothing a correct scheme may rely on.
+    const std::uint64_t start = recordAccesses_ ? ticket() : 0;
+    std::uint64_t value;
+    if (is_write) {
+        value = core::valueOfWrite(op.stmt, op.ref, iter);
+        word.store(value, std::memory_order_relaxed);
+    } else {
+        value = word.load(std::memory_order_relaxed);
+    }
+    if (recordAccesses_) {
+        ts.accessLog.push_back({start, ticket(), op.addr, iter, value,
+                                op.stmt, op.ref, is_write});
+    }
+}
+
 bool
 NativeExecutor::runProgram(const sim::Program &program,
                            ThreadState &ts, Deadline deadline)
@@ -156,25 +177,9 @@ NativeExecutor::runProgram(const sim::Program &program,
                 std::this_thread::yield();
             break;
           case sim::OpKind::dataRead:
-          case sim::OpKind::dataWrite: {
-            bool is_write = op.kind == sim::OpKind::dataWrite;
-            auto &word = data_.word(op.addr);
-            std::uint64_t start = ticket();
-            std::uint64_t value;
-            if (is_write) {
-                value = core::valueOfWrite(op.stmt, op.ref, iter);
-                word.store(value, std::memory_order_relaxed);
-            } else {
-                value = word.load(std::memory_order_relaxed);
-            }
-            std::uint64_t end = ticket();
-            if (recordAccesses_) {
-                ts.accessLog.push_back({start, end, op.addr, iter,
-                                        value, op.stmt, op.ref,
-                                        is_write});
-            }
+          case sim::OpKind::dataWrite:
+            access(op, iter, op.kind == sim::OpKind::dataWrite, ts);
             break;
-          }
           case sim::OpKind::syncWaitGE:
             ++ts.syncOps;
             if (!wait_ge(op.var, op.value))
@@ -242,24 +247,9 @@ NativeExecutor::runProgram(const sim::Program &program,
             // the acq_rel increment's release sequence orders their
             // accesses before any later-threshold accessor.
             ++ts.syncOps;
-            bool is_write = op.kind == sim::OpKind::keyedWrite;
             if (!wait_ge(op.var, op.value))
                 return false;
-            auto &word = data_.word(op.addr);
-            std::uint64_t start = ticket();
-            std::uint64_t value;
-            if (is_write) {
-                value = core::valueOfWrite(op.stmt, op.ref, iter);
-                word.store(value, std::memory_order_relaxed);
-            } else {
-                value = word.load(std::memory_order_relaxed);
-            }
-            std::uint64_t end = ticket();
-            if (recordAccesses_) {
-                ts.accessLog.push_back({start, end, op.addr, iter,
-                                        value, op.stmt, op.ref,
-                                        is_write});
-            }
+            access(op, iter, op.kind == sim::OpKind::keyedWrite, ts);
             fetch_add(op.var);
             break;
           }
@@ -273,8 +263,9 @@ NativeExecutor::beginRun(unsigned lanes, bool record_accesses)
 {
     laneCount_ = std::max(1u, lanes);
     recordAccesses_ = record_accesses;
-    states_.clear();
     states_.resize(laneCount_);
+    for (auto &ts : states_)
+        ts.reset();
     errors_.clear();
     log_.clear();
     nextClaim_.store(0, std::memory_order_relaxed);
@@ -447,19 +438,23 @@ NativeExecutor::collect(std::vector<ThreadState> &states,
         log_size += ts.accessLog.size();
     }
 
+    // End tickets are globally unique, so ordering by them is total
+    // and consistent with happens-before. A lane draws its tickets
+    // in program order, so each lane's log is already sorted: merge
+    // them at the lane boundaries instead of sorting.
     log_.clear();
     log_.reserve(log_size);
     for (auto &ts : states) {
+        const auto lane_begin = static_cast<std::ptrdiff_t>(log_.size());
         log_.insert(log_.end(), ts.accessLog.begin(),
                     ts.accessLog.end());
+        std::inplace_merge(
+            log_.begin(), log_.begin() + lane_begin, log_.end(),
+            [](const AccessRecord &a, const AccessRecord &b) {
+                return a.end < b.end;
+            });
         ts.accessLog.clear();
     }
-    // End tickets are globally unique, so this order is total and
-    // consistent with happens-before.
-    std::sort(log_.begin(), log_.end(),
-              [](const AccessRecord &a, const AccessRecord &b) {
-                  return a.end < b.end;
-              });
     r.accessesLogged = log_.size();
 
     r.errors = errors_;

@@ -10,16 +10,19 @@
  * the paper's self-scheduling dispatcher, or static cyclic
  * assignment with no shared state.
  *
- * Every tagged data access is logged with start/end *tickets* drawn
- * from one global relaxed fetch&add clock. A ticket order is
- * consistent with happens-before: if access A happens-before access
- * B through the fabric's release/acquire chains, A's end ticket was
- * drawn before B's start ticket (RMW coherence on the clock word),
- * so A.end < B.start. Replaying the log into core::TraceChecker
- * therefore verifies real-concurrency runs against the same
- * dependence arcs the simulator enforces: a scheme that fails to
- * order an arc can produce src.end > dst.start, which the checker
- * reports.
+ * A recording round logs every tagged data access with start/end
+ * *tickets* drawn from one global relaxed fetch&add clock. A ticket
+ * order is consistent with happens-before: if access A
+ * happens-before access B through the fabric's release/acquire
+ * chains, A's end ticket was drawn before B's start ticket (RMW
+ * coherence on the clock word), so A.end < B.start. Replaying the
+ * log into core::TraceChecker therefore verifies real-concurrency
+ * runs against the same dependence arcs the simulator enforces: a
+ * scheme that fails to order an arc can produce src.end > dst.start,
+ * which the checker reports. A lean round (recording off) draws no
+ * tickets at all: the clock is a relaxed word no scheme reads, so
+ * skipping it removes no ordering a correct scheme relies on, only
+ * two shared-line RMWs per access.
  *
  * Data words are relaxed atomics holding core::valueOfWrite values.
  * Relaxed keeps even deliberately broken schemes free of C++ data
@@ -68,7 +71,10 @@ struct NativeConfig
     std::uint64_t timingSeed = 0;
     /** Host-time budget before the run aborts as deadlocked. */
     std::uint64_t timeoutMs = 20000;
-    /** Record tagged data accesses for replay/verification. */
+    /**
+     * Record tagged data accesses for replay/verification. Off, a
+     * run neither logs nor draws access tickets.
+     */
     bool recordAccesses = true;
     /**
      * Host-clock latency instrumentation: time each blocking wait
@@ -204,12 +210,14 @@ class NativeExecutor
      *                                         // lanes returned
      *
      * beginRun resets all per-run state (claim counter, ticket
-     * clock, lane states, errors) and fixes the lane count the
-     * schedule policy partitions over; `record` overrides
-     * cfg.recordAccesses for this run, letting a service sample
-     * verification every Nth request without paying for logging on
-     * the rest. One executor can host any number of sequential
-     * begin/lanes/finish rounds. The begin and finish calls must be
+     * clock, errors, and each lane's counters in place, keeping its
+     * log's capacity) and fixes the lane count the schedule policy
+     * partitions over; `record` overrides cfg.recordAccesses for
+     * this run, letting a service sample verification every Nth
+     * request without paying on the rest: a round that does not
+     * record neither logs nor draws tickets. One executor can host
+     * any number of sequential begin/lanes/finish rounds, recording
+     * or not, in any order. The begin and finish calls must be
      * quiescent (no lane still running); lanes synchronize with
      * beginRun through the caller's dispatch handshake.
      */
@@ -227,8 +235,9 @@ class NativeExecutor
     NativeRunResult finishRun(std::uint64_t wall_nanos);
 
     /**
-     * The merged access log, sorted by end ticket (unique). Valid
-     * after a run*() call returns.
+     * The merged access log of the last round, sorted by end ticket
+     * (unique); empty after a lean round. Valid after a run*() or
+     * finishRun() call returns.
      */
     const std::vector<AccessRecord> &log() const { return log_; }
 
@@ -263,6 +272,16 @@ class NativeExecutor
         std::uint64_t faRetries = 0;
         core::LogHistogram waitNs;
         core::LogHistogram parkWakeNs;
+
+        /** Zero for a new round; the log keeps its capacity. */
+        void
+        reset()
+        {
+            std::vector<AccessRecord> log = std::move(accessLog);
+            log.clear();
+            *this = ThreadState{};
+            accessLog = std::move(log);
+        }
     };
 
     std::uint64_t
@@ -272,6 +291,9 @@ class NativeExecutor
     }
 
     void maybeJitter(ThreadState &ts);
+    /** Load or store op's data word; log it in recording rounds. */
+    void access(const sim::Op &op, std::uint64_t iter, bool is_write,
+                ThreadState &ts);
     bool runProgram(const sim::Program &program, ThreadState &ts,
                     Deadline deadline);
     bool claimRange(std::uint64_t total, std::uint64_t &begin,

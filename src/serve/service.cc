@@ -120,10 +120,19 @@ DoacrossService::submit(const dep::Loop &loop,
     return submitPlan(plan(loop, kind, rcfg));
 }
 
+void
+DoacrossService::releaseRetiredPlans()
+{
+    std::vector<std::shared_ptr<const core::CachedPlan>> plans;
+    std::lock_guard<std::mutex> lk(retiredPlansMutex_);
+    plans.swap(retiredPlans_);
+}
+
 std::uint64_t
 DoacrossService::submitPlan(
     std::shared_ptr<const core::CachedPlan> plan)
 {
+    releaseRetiredPlans();
     if (!plan || stopped_.load(std::memory_order_acquire))
         return 0;
     const std::uint64_t id =
@@ -142,26 +151,37 @@ DoacrossService::arenaFor(
     Gang &gang, const std::shared_ptr<const core::CachedPlan> &plan)
 {
     auto it = gang.arenas.find(plan->key);
-    if (it != gang.arenas.end())
-        return *it->second;
-    // Arenas are cheap to rebuild from a cached plan (no replan);
-    // cap gang-local retention so plans long evicted from the cache
-    // do not pin fabrics forever.
-    std::size_t cap =
-        std::max<std::size_t>(8, cfg_.planCacheCapacity);
-    if (gang.arenas.size() >= cap)
-        gang.arenas.clear();
-    auto arena = std::make_unique<Arena>(plan, cfg_);
-    Arena &ref = *arena;
-    gang.arenas.emplace(plan->key, std::move(arena));
-    return ref;
+    if (it == gang.arenas.end()) {
+        // Arenas are cheap to rebuild from a cached plan (no replan);
+        // cap gang-local retention so plans long evicted from the
+        // cache do not pin fabrics forever. The least recently used
+        // arena retires; serveRequest destroys it only after the
+        // request's completion is out, and hands its plan back to
+        // the submitting threads (retiredPlans_).
+        std::size_t cap =
+            std::max<std::size_t>(8, cfg_.planCacheCapacity);
+        if (gang.arenas.size() >= cap) {
+            auto lru = std::min_element(
+                gang.arenas.begin(), gang.arenas.end(),
+                [](const auto &a, const auto &b) {
+                    return a.second->lastUse < b.second->lastUse;
+                });
+            gang.retired = std::move(lru->second);
+            gang.arenas.erase(lru);
+        }
+        it = gang.arenas
+                 .emplace(plan->key, std::make_unique<Arena>(plan, cfg_))
+                 .first;
+    }
+    it->second->lastUse = gang.requestsSeen;
+    return *it->second;
 }
 
 void
 DoacrossService::serveRequest(Gang &gang, Request &req)
 {
-    Arena &arena = arenaFor(gang, req.plan);
     ++gang.requestsSeen;
+    Arena &arena = arenaFor(gang, req.plan);
     bool record =
         cfg_.verifySampleEvery != 0 &&
         gang.requestsSeen % cfg_.verifySampleEvery == 0;
@@ -198,7 +218,6 @@ DoacrossService::serveRequest(Gang &gang, Request &req)
 
     native::NativeRunResult result = arena.executor.finishRun(
         nanosSince(wall_start, Clock::now()));
-    ++arena.uses;
 
     Completion completion;
     completion.requestId = req.id;
@@ -237,6 +256,13 @@ DoacrossService::serveRequest(Gang &gang, Request &req)
         ++published_;
     }
     idleCv_.notify_all();
+    if (gang.retired) {
+        {
+            std::lock_guard<std::mutex> lk(retiredPlansMutex_);
+            retiredPlans_.push_back(std::move(gang.retired->plan));
+        }
+        gang.retired.reset();
+    }
 }
 
 void
@@ -357,6 +383,7 @@ DoacrossService::stop()
     for (auto &thread : threads_)
         thread.join();
     threads_.clear();
+    releaseRetiredPlans();
 }
 
 ServiceStats

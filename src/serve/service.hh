@@ -23,13 +23,18 @@
  *  - each completion is published as soon as its request is
  *    served, with its submit-to-publish latency recorded in a
  *    per-gang LogHistogram;
+ *  - a gang keeps at most max(8, planCacheCapacity) arenas; a new
+ *    plan past that retires the least recently used one, which is
+ *    destroyed only after the new request's completion is out, its
+ *    plan handed back for the next submitPlan() to release;
  *  - every Nth request per gang (verifySampleEvery) runs with
- *    access recording on and is fully verified after execution:
- *    trace-checker replay against the plan's dependence arcs, the
- *    executor's read-value audit, and a bit-exact comparison of the
- *    functional memory/read image against the cached plan's
- *    reference oracle, which the plan's first sampled verification
- *    builds (plans never verified never pay for one);
+ *    access recording on (the only requests that draw the native
+ *    executor's access tickets) and is fully verified after
+ *    execution: trace-checker replay against the plan's dependence
+ *    arcs, the executor's read-value audit, and a bit-exact
+ *    comparison of the functional memory/read image against the
+ *    cached plan's reference oracle, which the plan's first sampled
+ *    verification builds (plans never verified never pay for one);
  *  - a per-request watchdog deadline turns a deadlocked or wedged
  *    plan into abortAll + a failed completion; the next request on
  *    that arena starts from beginEpoch(), which also clears the
@@ -200,7 +205,8 @@ class DoacrossService
         native::NativeSyncFabric fabric;
         native::NativeDataMemory data;
         native::NativeExecutor executor;
-        std::uint64_t uses = 0;
+        /** The gang's requestsSeen when it last served (LRU). */
+        std::uint64_t lastUse = 0;
 
         Arena(const std::shared_ptr<const core::CachedPlan> &p,
               const ServeConfig &cfg);
@@ -225,6 +231,8 @@ class DoacrossService
         /** Leader-local state (no locking needed). */
         std::unordered_map<std::string, std::unique_ptr<Arena>>
             arenas;
+        /** Evicted arena, destroyed once its successor publishes. */
+        std::unique_ptr<Arena> retired;
         std::uint64_t requestsSeen = 0;
         core::LogHistogram latencyNs;
     };
@@ -233,6 +241,8 @@ class DoacrossService
     void memberLoop(Gang &gang, unsigned lane);
     void serveRequest(Gang &gang, Request &req);
     void verifyRun(const Arena &arena, Completion &completion);
+    /** Drop retiredPlans_ on the calling (submitting) thread. */
+    void releaseRetiredPlans();
     Arena &arenaFor(Gang &gang,
                     const std::shared_ptr<const core::CachedPlan> &plan);
 
@@ -245,6 +255,16 @@ class DoacrossService
 
     std::atomic<std::uint64_t> nextId_{1};
     std::atomic<bool> stopped_{false};
+
+    /**
+     * Plans of retired arenas, released by the next submitPlan() or
+     * by stop(). A plan is allocated by the thread that planned it;
+     * a gang leader freeing its many blocks contends with that
+     * thread's allocator, which cost serve-miss about an eighth of
+     * its throughput.
+     */
+    std::mutex retiredPlansMutex_;
+    std::vector<std::shared_ptr<const core::CachedPlan>> retiredPlans_;
 
     /** Published-completion store + idle tracking. */
     mutable std::mutex completionsMutex_;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
+#include <tuple>
 
 #include "core/value_rule.hh"
 #include "native/executor.hh"
@@ -113,24 +117,76 @@ TEST(NativeExecutorTest, EveryPolicyRunsEachProgramOnce)
 
 TEST(NativeExecutorTest, LogIsSortedByUniqueEndTickets)
 {
+    // Four lanes through the gang API, several rounds on one
+    // executor. finishRun merges the lane logs instead of sorting
+    // them, so the merged log must be what a sort would give: every
+    // access once, in strictly increasing end-ticket order, with
+    // every ticket of the round drawn exactly once. Static cyclic
+    // dispatch gives every lane a log, and the lanes start together
+    // so their tickets interleave.
+    constexpr unsigned kLanes = 4;
+    constexpr std::uint64_t kPrograms = 4096;
+    std::vector<sim::Program> programs;
+    std::set<std::tuple<std::uint64_t, std::uint32_t, sim::Addr>>
+        expected;
+    for (std::uint64_t i = 1; i <= kPrograms; ++i) {
+        sim::Program p;
+        p.iter = i;
+        p.ops = {sim::Op::mkData(true, 1000 + i * 8, 0, 0),
+                 sim::Op::mkData(false, 8, 1, 0),
+                 sim::Op::mkData(true, 64000 + i * 8, 2, 0)};
+        for (const auto &op : p.ops)
+            expected.emplace(i, op.stmt, op.addr);
+        programs.push_back(p);
+    }
     native::NativeSyncFabric fabric;
-    auto programs = independent(16);
     native::NativeDataMemory data(programs);
     native::NativeConfig cfg;
-    cfg.numThreads = 4;
+    cfg.numThreads = kLanes;
+    cfg.schedule = core::SchedulePolicy::staticCyclic;
     native::NativeExecutor exec(fabric, data, cfg);
-    ASSERT_TRUE(exec.runPool(programs).completed);
-    const auto &log = exec.log();
-    ASSERT_EQ(log.size(), 16u);
-    std::set<std::uint64_t> ends;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-        EXPECT_LT(log[i].start, log[i].end);
-        if (i) {
-            EXPECT_LT(log[i - 1].end, log[i].end);
+
+    for (int round = 0; round < 3; ++round) {
+        exec.beginRun(kLanes, true);
+        const native::Deadline deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        std::atomic<unsigned> started{0};
+        std::vector<std::thread> lanes;
+        for (unsigned t = 0; t < kLanes; ++t) {
+            lanes.emplace_back([&, t] {
+                started.fetch_add(1);
+                while (started.load() < kLanes)
+                    std::this_thread::yield();
+                exec.runLane(programs, t, deadline);
+            });
         }
-        ends.insert(log[i].end);
+        for (auto &lane : lanes)
+            lane.join();
+        auto result = exec.finishRun(0);
+        ASSERT_TRUE(result.completed) << "round " << round;
+        // Lane state starts over each round.
+        EXPECT_EQ(result.programsRun, kPrograms);
+
+        const auto &log = exec.log();
+        ASSERT_EQ(log.size(), expected.size()) << "round " << round;
+        std::set<std::tuple<std::uint64_t, std::uint32_t, sim::Addr>>
+            seen;
+        std::set<std::uint64_t> tickets;
+        for (std::size_t i = 0; i < log.size(); ++i) {
+            ASSERT_LT(log[i].start, log[i].end);
+            if (i) {
+                ASSERT_LT(log[i - 1].end, log[i].end)
+                    << "round " << round << " record " << i;
+            }
+            seen.emplace(log[i].iter, log[i].stmt, log[i].addr);
+            tickets.insert(log[i].start);
+            tickets.insert(log[i].end);
+        }
+        EXPECT_EQ(seen, expected) << "round " << round;
+        ASSERT_EQ(tickets.size(), 2 * log.size());
+        EXPECT_EQ(*tickets.begin(), 1u);
+        EXPECT_EQ(*tickets.rbegin(), 2 * log.size());
     }
-    EXPECT_EQ(ends.size(), log.size());
 }
 
 TEST(NativeExecutorTest, PerProcessorBarrierCompletes)

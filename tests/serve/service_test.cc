@@ -281,3 +281,32 @@ TEST(ServiceTest, MultiGangTrafficSpreadsAndCompletes)
     EXPECT_EQ(stats.verifyFailures, 0u);
     service.stop();
 }
+
+TEST(ServiceTest, ArenaCapRetiresOnlyTheLeastRecentlyUsedArena)
+{
+    // planCacheCapacity 2 caps the gang at max(8, 2) = 8 arenas. The
+    // ninth distinct plan must retire the first plan's arena alone;
+    // the other seven arenas keep their plans alive, long after the
+    // cache has dropped them.
+    serve::ServeConfig cfg = smallService();
+    cfg.planCacheCapacity = 2;
+    serve::DoacrossService service(cfg);
+    core::RunConfig rcfg =
+        configFor(sync::SchemeKind::processImproved);
+    std::vector<std::weak_ptr<const core::CachedPlan>> plans;
+    for (int i = 0; i < 9; ++i) {
+        auto plan =
+            service.plan(workloads::makeFig21Loop(8 + i),
+                         sync::SchemeKind::processImproved, rcfg);
+        plans.push_back(plan);
+        ASSERT_NE(service.submitPlan(std::move(plan)), 0u);
+    }
+    service.waitIdle();
+    // Joins the gang and releases the retired arena's plan.
+    service.stop();
+    for (const auto &c : service.takeCompletions())
+        EXPECT_TRUE(c.completed);
+    EXPECT_TRUE(plans[0].expired());
+    for (std::size_t i = 1; i < plans.size(); ++i)
+        EXPECT_FALSE(plans[i].expired()) << "plan " << i;
+}
