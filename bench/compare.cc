@@ -1,9 +1,13 @@
 #include "bench/compare.hh"
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "bench/registry.hh"
 
@@ -17,6 +21,70 @@ makeTrajectoryDoc()
     doc.set("schema_version", kTrajectorySchemaVersion);
     doc.set("records", core::json::array());
     return doc;
+}
+
+bool
+readJsonFile(const std::string &path, core::json::Value &out)
+{
+    std::ifstream is(path);
+    if (!is) {
+        std::fprintf(stderr, "cannot read %s\n", path.c_str());
+        return false;
+    }
+    std::ostringstream text;
+    text << is.rdbuf();
+    auto parsed = core::json::parse(text.str());
+    if (!parsed.ok) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     parsed.error.c_str());
+        return false;
+    }
+    out = std::move(parsed.value);
+    return true;
+}
+
+bool
+writeJsonFile(const std::string &path, const core::json::Value &doc)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    doc.dump(os, 2);
+    os << "\n";
+    return true;
+}
+
+bool
+openTrajectory(const std::string &path, core::json::Value &doc)
+{
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) {
+        doc = makeTrajectoryDoc();
+        return true;
+    }
+    core::json::Value existing;
+    if (!readJsonFile(path, existing))
+        return false;
+    Trajectory loaded = loadTrajectory(existing);
+    if (!loaded.ok) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     loaded.error.c_str());
+        return false;
+    }
+    // The loader read the first header member, so it is current;
+    // drop any an older writer stacked after it.
+    bool seen = false;
+    auto &members = existing.asObject();
+    for (auto it = members.begin(); it != members.end();) {
+        if (it->first == "schema_version" && std::exchange(seen, true))
+            it = members.erase(it);
+        else
+            ++it;
+    }
+    doc = std::move(existing);
+    return true;
 }
 
 void
@@ -54,9 +122,10 @@ loadTrajectory(const core::json::Value &doc)
         return t;
     }
     int v = static_cast<int>(version->asNumber());
-    if (v < kMinTrajectorySchemaVersion ||
-        v > kTrajectorySchemaVersion) {
-        t.error = "unsupported schema_version " + std::to_string(v);
+    if (v != kTrajectorySchemaVersion) {
+        t.error = "unsupported schema_version " + std::to_string(v) +
+                  " (this build reads only v" +
+                  std::to_string(kTrajectorySchemaVersion) + ")";
         return t;
     }
     const core::json::Value *records = doc.find("records");
@@ -65,9 +134,9 @@ loadTrajectory(const core::json::Value &doc)
         return t;
     }
     for (const auto &record : records->asArray()) {
-        // v3+: records carry a "kind". Only sim records have
-        // simulated cycles to compare; skip native (wall-time)
-        // records. Pre-v3 records have no kind and are all sim.
+        // Only sim records have simulated cycles to compare; skip
+        // the native, fuzz and serve (wall-time) records. A record
+        // without a kind is a sim record.
         const core::json::Value *kind = record.find("kind");
         if (kind && kind->isString() && kind->asString() != "sim")
             continue;

@@ -3,14 +3,18 @@
  * Trajectory files and the regression detector.
  *
  * A trajectory file (BENCH_PSYNC.json) is a schema-versioned JSON
- * document `{"schema_version": 1, "records": [...]}` with at most
- * one record per scenario id — rewriting it on each run and letting
- * version control keep the history makes per-PR cycle trajectories
- * diffable. Comparing two trajectory files classifies every
- * scenario as regression / improvement / unchanged / added /
- * removed; any regression beyond the threshold makes the comparison
- * fail (non-zero driver exit), which is what the CI smoke job
- * checks against the checked-in bench/baseline.json.
+ * document `{"schema_version": 9, "records": [...]}` (the version
+ * is kTrajectorySchemaVersion, the only one the loader accepts)
+ * with at most one record per scenario id — rewriting it on each
+ * run and letting version control keep the history makes
+ * per-change cycle trajectories diffable. Every tool that merges
+ * records into a file opens it through openTrajectory(), so a file
+ * that does not load is reported, never replaced. Comparing two
+ * trajectory files classifies every scenario as regression /
+ * improvement / unchanged / added / removed; any regression beyond
+ * the threshold makes the comparison fail (non-zero exit status),
+ * which is what the CI smoke job checks against the checked-in
+ * bench/baseline.json.
  */
 
 #ifndef PSYNC_BENCH_COMPARE_HH
@@ -30,6 +34,30 @@ namespace bench {
 core::json::Value makeTrajectoryDoc();
 
 /**
+ * Read and parse one JSON file. On failure prints why to stderr
+ * and returns false.
+ */
+bool readJsonFile(const std::string &path, core::json::Value &out);
+
+/**
+ * Pretty-print `doc` to `path`. On failure prints why to stderr
+ * and returns false.
+ */
+bool writeJsonFile(const std::string &path,
+                   const core::json::Value &doc);
+
+/**
+ * Open the trajectory file at `path` for a merge. A missing file
+ * opens as makeTrajectoryDoc(). An existing one must read, parse
+ * and pass loadTrajectory(); its header is then cut to one
+ * "schema_version" member in place, so merges never stack headers.
+ * When the file exists but does not load, prints the reader's or
+ * loader's error to stderr and returns false: the caller must
+ * leave the file as it is and exit 2.
+ */
+bool openTrajectory(const std::string &path, core::json::Value &doc);
+
+/**
  * Insert `record` into trajectory `doc`, replacing any existing
  * record with the same "scenario" id (appends otherwise).
  */
@@ -46,8 +74,8 @@ struct Trajectory
 
 /**
  * Validate a trajectory document and extract its cycle counts.
- * Rejects missing/foreign schema versions and records without a
- * scenario id or cycle count.
+ * Rejects any schema version but kTrajectorySchemaVersion and
+ * records without a scenario id or cycle count.
  */
 Trajectory loadTrajectory(const core::json::Value &doc);
 

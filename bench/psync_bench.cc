@@ -25,20 +25,23 @@
  * A sim sweep or --report run judges every registered claim whose
  * scenarios it ran and prints one verdict line per claim.
  *
+ * --json merges the run's records into the file when it exists;
+ * a file that exists but does not load at the current schema is
+ * left as it is.
+ *
  * Exit codes: 0 success, 1 regression detected, claim failed or
- * comparison failure, 2 usage/IO error.
+ * comparison failure, 2 usage/IO error (a --json file that does
+ * not load included).
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -421,39 +424,6 @@ parseArgs(int argc, char **argv, Options &opts)
     return true;
 }
 
-bool
-readJsonFile(const std::string &path, core::json::Value &out)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto parsed = core::json::parse(text.str());
-    if (!parsed.ok) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     parsed.error.c_str());
-        return false;
-    }
-    out = std::move(parsed.value);
-    return true;
-}
-
-bool
-writeJsonFile(const std::string &path, const core::json::Value &doc)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    doc.dump(os, 2);
-    os << "\n";
-    return true;
-}
-
 void
 listScenarios()
 {
@@ -568,18 +538,9 @@ runNative(const Options &opts,
         threads = {2, 4};
 
     core::json::Value doc = bench::makeTrajectoryDoc();
-    if (!opts.jsonPath.empty()) {
-        std::ifstream exists(opts.jsonPath);
-        if (exists) {
-            core::json::Value existing;
-            if (readJsonFile(opts.jsonPath, existing) &&
-                bench::loadTrajectory(existing).ok) {
-                doc = std::move(existing);
-                doc.set("schema_version",
-                        bench::kTrajectorySchemaVersion);
-            }
-        }
-    }
+    if (!opts.jsonPath.empty() &&
+        !bench::openTrajectory(opts.jsonPath, doc))
+        return 2;
 
     Table table{{"record", 48, 'l'},
                        {"wall-ms", 8},
@@ -625,7 +586,7 @@ runNative(const Options &opts,
     }
 
     if (!opts.jsonPath.empty() &&
-        !writeJsonFile(opts.jsonPath, doc))
+        !bench::writeJsonFile(opts.jsonPath, doc))
         return 2;
     return 0;
 }
@@ -648,6 +609,11 @@ runFuzz(const Options &opts)
     fopts.serveMode = opts.fuzzServe;
     fopts.fabricMode = opts.fuzzFabric;
     fopts.nativeTimeoutMs = opts.fuzzNativeTimeoutMs;
+
+    core::json::Value trajectory;
+    if (!opts.jsonPath.empty() &&
+        !bench::openTrajectory(opts.jsonPath, trajectory))
+        return 2;
 
     bench::FuzzCampaignResult result =
         bench::runFuzzCampaign(fopts);
@@ -679,24 +645,13 @@ runFuzz(const Options &opts)
         core::json::Value doc = core::json::object();
         doc.set("schema_version", bench::kTrajectorySchemaVersion);
         doc.set("campaign", result.toJson());
-        if (!writeJsonFile(opts.fuzzJsonPath, doc))
+        if (!bench::writeJsonFile(opts.fuzzJsonPath, doc))
             return 2;
     }
 
     if (!opts.jsonPath.empty()) {
-        core::json::Value doc = bench::makeTrajectoryDoc();
-        std::ifstream exists(opts.jsonPath);
-        if (exists) {
-            core::json::Value existing;
-            if (readJsonFile(opts.jsonPath, existing) &&
-                bench::loadTrajectory(existing).ok) {
-                doc = std::move(existing);
-                doc.set("schema_version",
-                        bench::kTrajectorySchemaVersion);
-            }
-        }
-        bench::mergeRecord(doc, result.toJson());
-        if (!writeJsonFile(opts.jsonPath, doc))
+        bench::mergeRecord(trajectory, result.toJson());
+        if (!bench::writeJsonFile(opts.jsonPath, trajectory))
             return 2;
     }
     return result.ok() ? 0 : 1;
@@ -707,7 +662,7 @@ int
 runFuzzReplay(const Options &opts)
 {
     core::json::Value bundle;
-    if (!readJsonFile(opts.fuzzReplayPath, bundle))
+    if (!bench::readJsonFile(opts.fuzzReplayPath, bundle))
         return 2;
     std::vector<std::string> failures;
     if (!bench::replayFuzzBundle(bundle, failures)) {
@@ -799,7 +754,7 @@ runReports(const Options &opts)
         core::json::Value doc = core::json::object();
         doc.set("schema_version", bench::kTrajectorySchemaVersion);
         doc.set("reports", std::move(reports));
-        if (!writeJsonFile(opts.reportJsonPath, doc))
+        if (!bench::writeJsonFile(opts.reportJsonPath, doc))
             return 2;
     }
     std::vector<const core::DoacrossResult *> judged;
@@ -826,8 +781,8 @@ main(int argc, char **argv)
 
     if (!opts.compareOld.empty()) {
         core::json::Value old_doc, new_doc;
-        if (!readJsonFile(opts.compareOld, old_doc) ||
-            !readJsonFile(opts.compareNew, new_doc))
+        if (!bench::readJsonFile(opts.compareOld, old_doc) ||
+            !bench::readJsonFile(opts.compareNew, new_doc))
             return 2;
         bench::CompareResult result = bench::compareTrajectories(
             old_doc, new_doc, opts.compare);
@@ -857,20 +812,9 @@ main(int argc, char **argv)
     // Start from the existing trajectory file when appending, so a
     // partial rerun keeps the other scenarios' records.
     core::json::Value doc = bench::makeTrajectoryDoc();
-    if (!opts.jsonPath.empty()) {
-        std::ifstream exists(opts.jsonPath);
-        if (exists) {
-            core::json::Value existing;
-            if (readJsonFile(opts.jsonPath, existing) &&
-                bench::loadTrajectory(existing).ok) {
-                doc = std::move(existing);
-                // Kept records may predate the current layout;
-                // restamp the header since we rewrite the file.
-                doc.set("schema_version",
-                        bench::kTrajectorySchemaVersion);
-            }
-        }
-    }
+    if (!opts.jsonPath.empty() &&
+        !bench::openTrajectory(opts.jsonPath, doc))
+        return 2;
 
     // Run the selected scenarios: in order on this thread, or
     // claimed index-at-a-time by a worker pool under --jobs. Every
@@ -958,7 +902,7 @@ main(int argc, char **argv)
                 for (auto &ev : path_events.asArray())
                     events.push(std::move(ev));
                 trace.set("traceEvents", std::move(events));
-                if (writeJsonFile(path, trace))
+                if (bench::writeJsonFile(path, trace))
                     std::printf("wrote %s\n", path.c_str());
                 else
                     write_failed = true;
@@ -1026,7 +970,7 @@ main(int argc, char **argv)
         core::json::Value tdoc = core::json::object();
         tdoc.set("schema_version", bench::kTrajectorySchemaVersion);
         tdoc.set("timelines", std::move(timelines));
-        if (!writeJsonFile(opts.timelineJsonPath, tdoc))
+        if (!bench::writeJsonFile(opts.timelineJsonPath, tdoc))
             return 2;
         std::printf("wrote %s\n", opts.timelineJsonPath.c_str());
     }
@@ -1037,7 +981,7 @@ main(int argc, char **argv)
     rc = std::max(rc, judgeClaims(selected, judged));
 
     if (!opts.jsonPath.empty() &&
-        !writeJsonFile(opts.jsonPath, doc))
+        !bench::writeJsonFile(opts.jsonPath, doc))
         return 2;
 
     if (opts.forbidHeapFallback) {
@@ -1060,7 +1004,7 @@ main(int argc, char **argv)
 
     if (!opts.baselinePath.empty()) {
         core::json::Value baseline;
-        if (!readJsonFile(opts.baselinePath, baseline))
+        if (!bench::readJsonFile(opts.baselinePath, baseline))
             return 2;
         bench::CompareResult result = bench::compareTrajectories(
             baseline, fresh, opts.compare);

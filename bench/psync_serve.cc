@@ -1,25 +1,22 @@
 /**
  * @file
  * psync_serve — drive the persistent Doacross runtime service with
- * sustained mixed traffic and record schema-v8 kind:"serve"
- * trajectory records.
+ * sustained mixed traffic and record kind:"serve" trajectory
+ * records.
  *
- * The default campaign races both fabric wake policies (sharded
- * mutex+condvar vs flat combining) across three traffic mixes
- * (uniform, hotkey, bursty) drawn from the bench registry, with
- * sampled full verification. Exit status is non-zero when any
+ * The default campaign runs one cell per traffic mix (uniform,
+ * hotkey, bursty), each drawing its plans from the bench registry,
+ * with sampled full verification. Exit status is non-zero when any
  * request failed or any verification sample diverged, so CI can
- * gate on it directly.
+ * gate on it directly; it is 2 when the --json file exists but
+ * does not load (the file is then left as it was).
  */
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
 #include <string>
 
 #include "bench/compare.hh"
-#include "bench/registry.hh"
 #include "bench/serve_bench.hh"
 
 namespace {
@@ -43,15 +40,14 @@ usage()
         "                   [--verify-every N] [--seed S]\n"
         "                   [--timeout-ms MS] [--burst N]\n"
         "                   [--mix uniform|hotkey|bursty]\n"
-        "                   [--policy sharded|flat-combining]\n"
         "                   [--json FILE] [--smoke]\n"
         "\n"
-        "Runs a mix x wake-policy campaign grid against the\n"
-        "persistent runtime service. --mix/--policy (repeatable)\n"
-        "restrict the grid. --json merges the cell records and the\n"
-        "campaign summary into a trajectory file (schema v8).\n"
-        "--smoke shrinks the campaign for CI (few requests, tight\n"
-        "verification sampling).\n");
+        "Runs one campaign cell per traffic mix against the\n"
+        "persistent runtime service. --mix (repeatable) restricts\n"
+        "the mixes. --json merges the cell records and the campaign\n"
+        "summary into a trajectory file. --smoke shrinks the\n"
+        "campaign for CI (few requests, tight verification\n"
+        "sampling).\n");
 }
 
 bool
@@ -108,20 +104,6 @@ parseArgs(int argc, char **argv, Options &opts)
             if (!(v = need(i, "--mix")))
                 return false;
             opts.campaign.mixes.emplace_back(v);
-        } else if (arg == "--policy") {
-            if (!(v = need(i, "--policy")))
-                return false;
-            if (std::strcmp(v, "sharded") == 0) {
-                opts.campaign.policies.push_back(
-                    native::WakePolicy::sharded);
-            } else if (std::strcmp(v, "flat-combining") == 0 ||
-                       std::strcmp(v, "fc") == 0) {
-                opts.campaign.policies.push_back(
-                    native::WakePolicy::flatCombining);
-            } else {
-                std::fprintf(stderr, "unknown policy '%s'\n", v);
-                return false;
-            }
         } else if (arg == "--json") {
             if (!(v = need(i, "--json")))
                 return false;
@@ -139,45 +121,13 @@ parseArgs(int argc, char **argv, Options &opts)
     }
     if (opts.smoke) {
         // CI shape: small but still crossing every code path —
-        // both policies, all mixes, tight verification sampling.
+        // all mixes, tight verification sampling.
         opts.campaign.requests = 60;
         opts.campaign.verifySampleEvery = 4;
         opts.campaign.burstSize = 16;
         if (opts.campaign.scenarioGlob == "fig21-n256/*")
             opts.campaign.scenarioGlob = "fig21-n64/*";
     }
-    return true;
-}
-
-bool
-readJsonFile(const std::string &path, core::json::Value &out)
-{
-    std::ifstream is(path);
-    if (!is)
-        return false;
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto parsed = core::json::parse(text.str());
-    if (!parsed.ok) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     parsed.error.c_str());
-        return false;
-    }
-    out = std::move(parsed.value);
-    return true;
-}
-
-bool
-writeJsonFile(const std::string &path,
-              const core::json::Value &doc)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    doc.dump(os, 2);
-    os << "\n";
     return true;
 }
 
@@ -191,6 +141,12 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
+    // Open the trajectory first: a file that does not load fails
+    // the run before the campaign spends its time.
+    core::json::Value doc;
+    if (!opts.jsonPath.empty() &&
+        !bench::openTrajectory(opts.jsonPath, doc))
+        return 2;
 
     bench::ServeCampaignResult result =
         bench::runServeCampaign(opts.campaign);
@@ -205,18 +161,10 @@ main(int argc, char **argv)
             result.totalVerifyFailures));
 
     if (!opts.jsonPath.empty()) {
-        core::json::Value doc = bench::makeTrajectoryDoc();
-        core::json::Value existing;
-        if (readJsonFile(opts.jsonPath, existing) &&
-            bench::loadTrajectory(existing).ok) {
-            doc = std::move(existing);
-            doc.set("schema_version",
-                    bench::kTrajectorySchemaVersion);
-        }
         for (const auto &cell : result.cells)
             bench::mergeRecord(doc, cell.toJson());
         bench::mergeRecord(doc, result.toJson());
-        if (!writeJsonFile(opts.jsonPath, doc))
+        if (!bench::writeJsonFile(opts.jsonPath, doc))
             return 2;
     }
 

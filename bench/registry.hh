@@ -63,14 +63,16 @@ namespace bench {
  * by `psync_bench --fuzz` — sim and native records are unchanged
  * from v6; v8 introduces kind:"serve" records written by
  * `psync_serve`, the persistent runtime-service campaigns: each
- * carries the traffic mix, wake policy, gang shape, requests
- * served, programs_per_sec, plan-cache hit rate,
- * submit-to-publish latency percentiles (p50/p95/p99 ns), epochs
- * begun, verification samples/failures, and per-mix winner
- * marking for the sharded-vs-flat-combining fabric race — sim,
- * native and fuzz records are unchanged from v7; v9 adds the
- * fabric-topology fields that ride along with the composed sync
- * fabrics: sim records on the combining fabric carry a top-level
+ * carries the traffic mix, gang shape, requests served,
+ * programs_per_sec, plan-cache hit rate, submit-to-publish latency
+ * percentiles (p50/p95/p99 ns), epochs begun and verification
+ * samples/failures (the records' "wake_policy" and "winner" fields
+ * and the campaign record's "winners" were dropped when the native
+ * fabric kept one wake policy, without a version bump: nothing
+ * loads serve-record fields) — sim, native and fuzz records are
+ * unchanged from v7; v9 adds the fabric-topology fields that ride
+ * along with the composed sync fabrics: sim records on the
+ * combining fabric carry a top-level
  * "combine_rate" plus the per-stage network arrays inside
  * "result" (net_packets, net_combined, net_stage_conflicts,
  * net_stage_combines, net_stage_utilization, ...), and records on
@@ -80,13 +82,11 @@ namespace bench {
  * flat fabrics, so memory/register records differ from v8 only in
  * the version stamp. v9 also introduces the scale-1024 scenario
  * group and, on fuzz records, a conditional "fabric_rotation"
- * marker for --fuzz-fabric campaigns. Loaders accept all versions
- * and ignore non-"sim" records when comparing cycles.
+ * marker for --fuzz-fabric campaigns. The loader accepts only
+ * the current version and ignores non-"sim" records when comparing
+ * cycles.
  */
 constexpr int kTrajectorySchemaVersion = 9;
-
-/** Oldest trajectory schema loadTrajectory still accepts. */
-constexpr int kMinTrajectorySchemaVersion = 1;
 
 /** Default register-fabric machine (section 6 hardware). */
 core::RunConfig registerMachine(unsigned procs = 8,

@@ -6,6 +6,7 @@
 
 #include "bench/registry.hh"
 #include "core/value_rule.hh"
+#include "serve/service.hh"
 
 namespace psync {
 namespace bench {
@@ -70,14 +71,13 @@ drawSource(const std::string &mix, std::uint64_t seed,
 }
 
 ServeCellResult
-runServeCell(const std::string &mix, native::WakePolicy policy,
+runServeCell(const std::string &mix,
              const std::vector<PlanSource> &sources,
              const ServeCampaignOptions &opts)
 {
     serve::ServeConfig scfg;
     scfg.gangs = opts.gangs;
     scfg.gangSize = opts.gangSize;
-    scfg.wakePolicy = policy;
     scfg.verifySampleEvery = opts.verifySampleEvery;
     scfg.requestTimeoutMs = opts.requestTimeoutMs;
 
@@ -101,7 +101,6 @@ runServeCell(const std::string &mix, native::WakePolicy policy,
 
     ServeCellResult cell;
     cell.mix = mix;
-    cell.policy = policy;
     cell.gangs = scfg.gangs;
     cell.gangSize = scfg.gangSize;
     cell.requests = stats.submitted;
@@ -128,9 +127,8 @@ runServeCell(const std::string &mix, native::WakePolicy policy,
 std::string
 ServeCellResult::recordId() const
 {
-    return "serve/" + mix + "#" +
-           std::string(native::wakePolicyName(policy)) + "-g" +
-           std::to_string(gangs) + "x" + std::to_string(gangSize);
+    return "serve/" + mix + "#g" + std::to_string(gangs) + "x" +
+           std::to_string(gangSize);
 }
 
 core::json::Value
@@ -140,7 +138,6 @@ ServeCellResult::toJson() const
     rec.set("scenario", recordId());
     rec.set("kind", "serve");
     rec.set("mix", mix);
-    rec.set("wake_policy", native::wakePolicyName(policy));
     rec.set("gangs", gangs);
     rec.set("gang_size", gangSize);
     rec.set("requests", requests);
@@ -157,7 +154,6 @@ ServeCellResult::toJson() const
     rec.set("verify_samples", verifySamples);
     rec.set("verify_failures", verifyFailures);
     rec.set("host_ns", hostNanos);
-    rec.set("winner", winner);
     return rec;
 }
 
@@ -182,13 +178,6 @@ ServeCampaignResult::toJson() const
     for (const auto &s : sources)
         src.push(s);
     rec.set("sources", std::move(src));
-    core::json::Value winners = core::json::object();
-    for (const auto &cell : cells) {
-        if (cell.winner)
-            winners.set(cell.mix,
-                        native::wakePolicyName(cell.policy));
-    }
-    rec.set("winners", std::move(winners));
     return rec;
 }
 
@@ -201,44 +190,23 @@ runServeCampaign(const ServeCampaignOptions &opts)
     std::vector<std::string> mixes = opts.mixes;
     if (mixes.empty())
         mixes = {"uniform", "hotkey", "bursty"};
-    std::vector<native::WakePolicy> policies = opts.policies;
-    if (policies.empty())
-        policies = {native::WakePolicy::sharded,
-                    native::WakePolicy::flatCombining};
 
     ServeCampaignResult result;
     for (const auto &src : sources)
         result.sources.push_back(src.scenarioId);
 
     for (const auto &mix : mixes) {
-        std::size_t first = result.cells.size();
-        for (auto policy : policies) {
-            result.cells.push_back(
-                runServeCell(mix, policy, sources, opts));
-            const ServeCellResult &cell = result.cells.back();
-            std::printf(
-                "serve %-8s %-14s %8llu req %10llu prog "
-                "%12.0f prog/s  cache %5.1f%%  p99 %8.2f ms%s\n",
-                mix.c_str(), native::wakePolicyName(policy),
-                static_cast<unsigned long long>(cell.requests),
-                static_cast<unsigned long long>(cell.programsRun),
-                cell.programsPerSec(),
-                cell.planCacheHitRate * 100.0,
-                static_cast<double>(cell.latencyP99Ns) / 1e6,
-                cell.failed || cell.verifyFailures ? "  FAILED"
-                                                   : "");
-        }
-        // The race: fastest policy of this mix wins.
-        std::size_t best = first;
-        for (std::size_t i = first; i < result.cells.size(); ++i) {
-            if (result.cells[i].programsPerSec() >
-                result.cells[best].programsPerSec())
-                best = i;
-        }
-        result.cells[best].winner = true;
-    }
-
-    for (const auto &cell : result.cells) {
+        result.cells.push_back(runServeCell(mix, sources, opts));
+        const ServeCellResult &cell = result.cells.back();
+        std::printf(
+            "serve %-8s %8llu req %10llu prog %12.0f prog/s  "
+            "cache %5.1f%%  p99 %8.2f ms%s\n",
+            mix.c_str(),
+            static_cast<unsigned long long>(cell.requests),
+            static_cast<unsigned long long>(cell.programsRun),
+            cell.programsPerSec(), cell.planCacheHitRate * 100.0,
+            static_cast<double>(cell.latencyP99Ns) / 1e6,
+            cell.failed || cell.verifyFailures ? "  FAILED" : "");
         result.totalRequests += cell.requests;
         result.totalPrograms += cell.programsRun;
         result.totalFailed += cell.failed;

@@ -4,15 +4,12 @@
  * serve::DoacrossService, recorded as trajectory schema v8
  * kind:"serve" records.
  *
- * A campaign is a grid of cells: traffic mix x fabric wake policy.
- * Each cell boots a fresh service (persistent gangs, plan cache,
- * epoch-reused fabrics), drives `requests` submissions drawn from
- * the bench registry's scenarios, waits for the service to drain,
- * and snapshots throughput (programs_per_sec), plan-cache hit
- * rate, and submit-to-publish latency percentiles. The two wake
- * policies — the 64-shard mutex+condvar design and the
- * flat-combining contender — run the identical traffic, and the
- * faster one per mix is marked as the winner in the records.
+ * A campaign runs one cell per traffic mix. Each cell boots a
+ * fresh service (persistent gangs, plan cache, epoch-reused
+ * fabrics), drives `requests` submissions drawn from the bench
+ * registry's scenarios, waits for the service to drain, and
+ * snapshots throughput (programs_per_sec), plan-cache hit rate,
+ * and submit-to-publish latency percentiles.
  *
  * Traffic mixes:
  *  - uniform: requests draw uniformly over the matched scenarios'
@@ -40,16 +37,15 @@
 #include <vector>
 
 #include "core/json.hh"
-#include "serve/service.hh"
 
 namespace psync {
 namespace bench {
 
-/** Campaign shape (one grid of mix x policy cells). */
+/** Campaign shape (one cell per traffic mix). */
 struct ServeCampaignOptions
 {
     /** Requests per cell. */
-    std::uint64_t requests = 800;
+    std::uint64_t requests = 1600;
     unsigned gangs = 2;
     unsigned gangSize = 4;
     std::uint64_t seed = 1;
@@ -62,15 +58,12 @@ struct ServeCampaignOptions
     std::uint64_t burstSize = 128;
     /** Mixes to run; empty = all three. */
     std::vector<std::string> mixes;
-    /** Wake policies to race; empty = both. */
-    std::vector<native::WakePolicy> policies;
 };
 
-/** Result of one campaign cell (mix x policy). */
+/** Result of one campaign cell (one traffic mix). */
 struct ServeCellResult
 {
     std::string mix;
-    native::WakePolicy policy = native::WakePolicy::sharded;
     unsigned gangs = 0;
     unsigned gangSize = 0;
     std::uint64_t requests = 0;
@@ -87,8 +80,6 @@ struct ServeCellResult
     std::uint64_t latencyP99Ns = 0;
     /** Whole-cell host wall time, submission through drain. */
     std::uint64_t hostNanos = 0;
-    /** Fastest policy of this mix (set after the race). */
-    bool winner = false;
 
     double
     programsPerSec() const
@@ -99,7 +90,7 @@ struct ServeCellResult
                static_cast<double>(hostNanos);
     }
 
-    /** Record id: "serve/<mix>#<policy>-g<gangs>x<gangSize>". */
+    /** Record id: "serve/<mix>#g<gangs>x<gangSize>". */
     std::string recordId() const;
     /** One schema-v8 kind:"serve" trajectory record. */
     core::json::Value toJson() const;
@@ -123,12 +114,12 @@ struct ServeCampaignResult
                !cells.empty();
     }
 
-    /** Campaign summary record ("serve/campaign#..."). */
+    /** Campaign summary record ("serve/campaign#g<G>x<S>"). */
     core::json::Value toJson() const;
 };
 
 /**
- * Run the campaign grid. Aborts the process when the scenario glob
+ * Run one cell per mix. Aborts the process when the scenario glob
  * matches nothing. Deterministic plan-draw sequence per (seed,
  * requests); host timings are whatever the machine gives.
  */

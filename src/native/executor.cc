@@ -313,30 +313,40 @@ NativeExecutor::claimRange(std::uint64_t total, std::uint64_t &begin,
     }
 }
 
+template <class Body>
 bool
-NativeExecutor::runLane(const std::vector<sim::Program> &programs,
-                        unsigned lane, Deadline deadline)
+NativeExecutor::runLaneBody(unsigned lane, Body body)
 {
-    const std::uint64_t total = programs.size();
     ThreadState &ts = states_[lane];
     ts.id = lane;
     ts.jitterState =
         cfg_.timingSeed ? core::mix64(cfg_.timingSeed + lane) : 0;
-    bool ok = true;
-    if (cfg_.schedule == core::SchedulePolicy::staticCyclic) {
-        for (std::uint64_t i = lane; ok && i < total;
-             i += laneCount_)
-            ok = runProgram(programs[i], ts, deadline);
-    } else {
-        std::uint64_t begin = 0, end = 0;
-        while (ok && claimRange(total, begin, end)) {
-            for (std::uint64_t i = begin; ok && i < end; ++i)
-                ok = runProgram(programs[i], ts, deadline);
-        }
-    }
+    const bool ok = body(ts);
     if (!ok)
         anyFailed_.store(true, std::memory_order_release);
     return ok;
+}
+
+bool
+NativeExecutor::runLane(const std::vector<sim::Program> &programs,
+                        unsigned lane, Deadline deadline)
+{
+    return runLaneBody(lane, [&](ThreadState &ts) {
+        const std::uint64_t total = programs.size();
+        bool ok = true;
+        if (cfg_.schedule == core::SchedulePolicy::staticCyclic) {
+            for (std::uint64_t i = lane; ok && i < total;
+                 i += laneCount_)
+                ok = runProgram(programs[i], ts, deadline);
+        } else {
+            std::uint64_t begin = 0, end = 0;
+            while (ok && claimRange(total, begin, end)) {
+                for (std::uint64_t i = begin; ok && i < end; ++i)
+                    ok = runProgram(programs[i], ts, deadline);
+            }
+        }
+        return ok;
+    });
 }
 
 NativeRunResult
@@ -346,74 +356,53 @@ NativeExecutor::finishRun(std::uint64_t wall_nanos)
                    !anyFailed_.load(std::memory_order_acquire));
 }
 
+template <class LaneMain>
+NativeRunResult
+NativeExecutor::spawnRound(unsigned lanes, LaneMain lane_main)
+{
+    using Clock = std::chrono::steady_clock;
+    const Deadline deadline =
+        Clock::now() + std::chrono::milliseconds(cfg_.timeoutMs);
+
+    beginRun(lanes, cfg_.recordAccesses);
+
+    const auto wall_start = Clock::now();
+    std::vector<std::thread> pool;
+    pool.reserve(lanes);
+    for (unsigned t = 0; t < lanes; ++t)
+        pool.emplace_back([&, t] { lane_main(t, deadline); });
+    for (auto &thread : pool)
+        thread.join();
+    return finishRun(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - wall_start)
+            .count()));
+}
+
 NativeRunResult
 NativeExecutor::runPool(const std::vector<sim::Program> &programs)
 {
-    const unsigned num_threads = std::max(1u, cfg_.numThreads);
-    const Deadline deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(cfg_.timeoutMs);
-
-    beginRun(num_threads, cfg_.recordAccesses);
-
-    auto wall_start = std::chrono::steady_clock::now();
-    std::vector<std::thread> pool;
-    pool.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t)
-        pool.emplace_back(
-            [&, t] { runLane(programs, t, deadline); });
-    for (auto &thread : pool)
-        thread.join();
-    auto wall_nanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-
-    return finishRun(wall_nanos);
+    return spawnRound(std::max(1u, cfg_.numThreads),
+                      [&](unsigned lane, Deadline deadline) {
+                          runLane(programs, lane, deadline);
+                      });
 }
 
 NativeRunResult
 NativeExecutor::runPerProcessor(
     const std::vector<std::vector<sim::Program>> &per_proc)
 {
-    const unsigned num_threads =
-        static_cast<unsigned>(per_proc.size());
-    const Deadline deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(cfg_.timeoutMs);
-
-    beginRun(num_threads, cfg_.recordAccesses);
-
-    auto worker = [&](unsigned tid) {
-        ThreadState &ts = states_[tid];
-        ts.id = tid;
-        ts.jitterState =
-            cfg_.timingSeed
-                ? core::mix64(cfg_.timingSeed + tid)
-                : 0;
-        bool ok = true;
-        for (const auto &program : per_proc[tid]) {
-            ok = runProgram(program, ts, deadline);
-            if (!ok)
-                break;
-        }
-        if (!ok)
-            anyFailed_.store(true, std::memory_order_release);
-    };
-
-    auto wall_start = std::chrono::steady_clock::now();
-    std::vector<std::thread> pool;
-    pool.reserve(num_threads);
-    for (unsigned t = 0; t < num_threads; ++t)
-        pool.emplace_back(worker, t);
-    for (auto &thread : pool)
-        thread.join();
-    auto wall_nanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count());
-
-    return finishRun(wall_nanos);
+    return spawnRound(
+        static_cast<unsigned>(per_proc.size()),
+        [&](unsigned lane, Deadline deadline) {
+            runLaneBody(lane, [&](ThreadState &ts) {
+                for (const auto &program : per_proc[lane]) {
+                    if (!runProgram(program, ts, deadline))
+                        return false;
+                }
+                return true;
+            });
+        });
 }
 
 NativeRunResult

@@ -78,9 +78,10 @@ struct NativeConfig
     bool recordAccesses = true;
     /**
      * Host-clock latency instrumentation: time each blocking wait
-     * (spin-vs-park split, park wakeup latency) into per-thread
-     * log2 histograms and count fetch&add CAS retries. Off by
-     * default — the untimed hot path never reads the clock.
+     * and its final park slice (the park-to-wake latency) into
+     * per-thread log2 histograms, and count fetch&add CAS retries.
+     * Spin and park counts are kept either way. Off by default —
+     * the untimed hot path never reads the clock.
      */
     bool profile = false;
 };
@@ -298,6 +299,19 @@ class NativeExecutor
                     Deadline deadline);
     bool claimRange(std::uint64_t total, std::uint64_t &begin,
                     std::uint64_t &end);
+    /**
+     * The one lane setup of every entry point: reset lane `lane`'s
+     * id and jitter stream, run `body(ts)` (false on failure or
+     * abort), and flag the round failed when it fails.
+     */
+    template <class Body> bool runLaneBody(unsigned lane, Body body);
+    /**
+     * The run*() entry points' round: fix the deadline, begin a
+     * round of `lanes` lanes, run `lane_main(lane, deadline)` on one
+     * spawned thread per lane, join, and finish the round.
+     */
+    template <class LaneMain>
+    NativeRunResult spawnRound(unsigned lanes, LaneMain lane_main);
     NativeRunResult
     collect(std::vector<ThreadState> &states,
             std::uint64_t wall_nanos, bool all_ran);

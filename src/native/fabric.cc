@@ -1,6 +1,5 @@
 #include "native/fabric.hh"
 
-#include <algorithm>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -30,28 +29,14 @@ constexpr auto kParkSlice = std::chrono::microseconds(500);
 
 } // namespace
 
-const char *
-wakePolicyName(WakePolicy policy)
-{
-    switch (policy) {
-      case WakePolicy::sharded:
-        return "sharded";
-      case WakePolicy::flatCombining:
-        return "flat-combining";
-    }
-    return "?";
-}
-
-NativeSyncFabric::NativeSyncFabric(unsigned spin_limit,
-                                   WakePolicy policy)
-    : spinLimit_(spin_limit), policy_(policy)
+NativeSyncFabric::NativeSyncFabric(unsigned spin_limit)
+    : spinLimit_(spin_limit)
 {
 }
 
 NativeSyncFabric::NativeSyncFabric(const sim::SyncFabric &planned,
-                                   unsigned spin_limit,
-                                   WakePolicy policy)
-    : spinLimit_(spin_limit), policy_(policy)
+                                   unsigned spin_limit)
+    : spinLimit_(spin_limit)
 {
     unsigned count = planned.allocated();
     for (unsigned v = 0; v < count; ++v)
@@ -59,9 +44,8 @@ NativeSyncFabric::NativeSyncFabric(const sim::SyncFabric &planned,
 }
 
 NativeSyncFabric::NativeSyncFabric(
-    const std::vector<sim::SyncWord> &init_words, unsigned spin_limit,
-    WakePolicy policy)
-    : spinLimit_(spin_limit), policy_(policy)
+    const std::vector<sim::SyncWord> &init_words, unsigned spin_limit)
+    : spinLimit_(spin_limit)
 {
     for (sim::SyncWord w : init_words)
         words_.emplace_back(w);
@@ -186,15 +170,6 @@ NativeSyncFabric::fetchAddCounted(sim::SyncVarId var,
 void
 NativeSyncFabric::wake(sim::SyncVarId var)
 {
-    if (policy_ == WakePolicy::flatCombining)
-        wakeFlatCombining();
-    else
-        wakeSharded(var);
-}
-
-void
-NativeSyncFabric::wakeSharded(sim::SyncVarId var)
-{
     Shard &shard = shardOf(var);
     // seq_cst pairs with the parker's seq_cst increment: either we
     // see the waiter count and notify, or the parker's subsequent
@@ -208,61 +183,6 @@ NativeSyncFabric::wakeSharded(sim::SyncVarId var)
         std::lock_guard<std::mutex> lk(shard.m);
     }
     shard.cv.notify_all();
-    totalWakeups_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-NativeSyncFabric::wakeFlatCombining()
-{
-    // seq_cst pairs with the parker's seq_cst registration count,
-    // exactly like the sharded waiter-count handshake.
-    if (fcRegistered_.load(std::memory_order_seq_cst) == 0)
-        return;
-    // Publish the combining request *before* trying the lock: a
-    // holder that is about to release must observe it and drain on
-    // our behalf.
-    fcDirty_.store(true, std::memory_order_seq_cst);
-    if (fcMutex_.try_lock()) {
-        fcDrainLocked();
-        fcMutex_.unlock();
-    }
-    // try_lock failed: the current holder drains while fcDirty_ is
-    // set before unlocking, so our wake is delivered without this
-    // writer ever blocking. The bounded park slice covers the
-    // razor-thin window where the holder cleared dirty just before
-    // our store yet its final value scan predates our write.
-}
-
-void
-NativeSyncFabric::fcDrainLocked()
-{
-    while (fcDirty_.exchange(false, std::memory_order_seq_cst)) {
-        bool abort_all = aborted();
-        for (auto it = fcWaiters_.begin(); it != fcWaiters_.end();) {
-            FcNode *node = *it;
-            bool fire =
-                abort_all ||
-                loadValue(node->var, std::memory_order_seq_cst) >=
-                    node->threshold;
-            if (!fire) {
-                ++it;
-                continue;
-            }
-            if (!abort_all)
-                node->satisfied.store(true,
-                                      std::memory_order_release);
-            {
-                // Same empty-bracket discipline as the sharded
-                // wake: a parker between its satisfied check and
-                // cv.wait() holds the node mutex.
-                std::lock_guard<std::mutex> g(node->m);
-            }
-            node->cv.notify_one();
-            it = fcWaiters_.erase(it);
-            fcRegistered_.fetch_sub(1, std::memory_order_seq_cst);
-            totalWakeups_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
 }
 
 WaitOutcome
@@ -285,10 +205,8 @@ NativeSyncFabric::waitGE(sim::SyncVarId var, sim::SyncWord threshold,
     for (unsigned i = 0; i < spinLimit_; ++i) {
         if (loadValue(var, std::memory_order_acquire) >= threshold) {
             out.satisfied = true;
-            if (timed && out.spins) {
+            if (timed && out.spins)
                 out.waitNanos = nanos_since(t0);
-                out.spinNanos = out.waitNanos;
-            }
             return out;
         }
         if (aborted())
@@ -299,33 +217,6 @@ NativeSyncFabric::waitGE(sim::SyncVarId var, sim::SyncWord threshold,
         if ((i & 15u) == 15u)
             std::this_thread::yield();
     }
-    if (timed)
-        out.spinNanos = nanos_since(t0);
-
-    if (policy_ == WakePolicy::flatCombining)
-        out = waitParkFlatCombining(var, threshold, deadline, timed,
-                                    out);
-    else
-        out = waitParkSharded(var, threshold, deadline, timed, out);
-    if (timed)
-        out.waitNanos = nanos_since(t0);
-    return out;
-}
-
-WaitOutcome
-NativeSyncFabric::waitParkSharded(sim::SyncVarId var,
-                                  sim::SyncWord threshold,
-                                  Deadline deadline, bool timed,
-                                  WaitOutcome out)
-{
-    using Clock = std::chrono::steady_clock;
-    using std::chrono::nanoseconds;
-    auto nanos_since = [](Clock::time_point from) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<nanoseconds>(Clock::now() -
-                                                    from)
-                .count());
-    };
 
     Shard &shard = shardOf(var);
     std::unique_lock<std::mutex> lk(shard.m);
@@ -348,7 +239,6 @@ NativeSyncFabric::waitParkSharded(sim::SyncVarId var,
             break;
         }
         ++out.parks;
-        totalParks_.fetch_add(1, std::memory_order_relaxed);
         if (timed) {
             slice_start = Clock::now();
             slept = true;
@@ -356,92 +246,8 @@ NativeSyncFabric::waitParkSharded(sim::SyncVarId var,
         shard.cv.wait_for(lk, kParkSlice);
     }
     shard.waiters.fetch_sub(1, std::memory_order_seq_cst);
-    return out;
-}
-
-WaitOutcome
-NativeSyncFabric::waitParkFlatCombining(sim::SyncVarId var,
-                                        sim::SyncWord threshold,
-                                        Deadline deadline, bool timed,
-                                        WaitOutcome out)
-{
-    using Clock = std::chrono::steady_clock;
-    using std::chrono::nanoseconds;
-    auto nanos_since = [](Clock::time_point from) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<nanoseconds>(Clock::now() -
-                                                    from)
-                .count());
-    };
-
-    FcNode node;
-    node.var = var;
-    node.threshold = threshold;
-
-    // Register under the combiner lock. Re-checking the value while
-    // holding it closes the publication race: any writer that
-    // committed before we appear on the list is visible here, and
-    // any later writer either drains us or hands its dirty flag to
-    // the holder that will.
-    {
-        std::lock_guard<std::mutex> lk(fcMutex_);
-        if (loadValue(var, std::memory_order_seq_cst) >= threshold) {
-            out.satisfied = true;
-            return out;
-        }
-        if (aborted())
-            return out;
-        fcWaiters_.push_back(&node);
-        fcRegistered_.fetch_add(1, std::memory_order_seq_cst);
-        // While we hold the lock anyway, honor pending requests —
-        // the combining role falls to whoever has the lock.
-        fcDrainLocked();
-    }
-
-    Clock::time_point slice_start;
-    bool slept = false;
-    {
-        std::unique_lock<std::mutex> nlk(node.m);
-        for (;;) {
-            if (node.satisfied.load(std::memory_order_acquire) ||
-                loadValue(var, std::memory_order_seq_cst) >=
-                    threshold) {
-                out.satisfied = true;
-                if (timed && slept)
-                    out.parkWakeNanos = nanos_since(slice_start);
-                break;
-            }
-            if (aborted())
-                break;
-            if (Clock::now() >= deadline) {
-                nlk.unlock();
-                abortAll();
-                nlk.lock();
-                break;
-            }
-            ++out.parks;
-            totalParks_.fetch_add(1, std::memory_order_relaxed);
-            if (timed) {
-                slice_start = Clock::now();
-                slept = true;
-            }
-            node.cv.wait_for(nlk, kParkSlice);
-        }
-    }
-
-    // Deregister. The node is stack-local: it must leave the list
-    // before this frame unwinds, and combiners only touch nodes
-    // while holding fcMutex_, so after the erase (or after finding
-    // a combiner already erased us) nobody can reach it.
-    {
-        std::lock_guard<std::mutex> lk(fcMutex_);
-        auto it =
-            std::find(fcWaiters_.begin(), fcWaiters_.end(), &node);
-        if (it != fcWaiters_.end()) {
-            fcWaiters_.erase(it);
-            fcRegistered_.fetch_sub(1, std::memory_order_seq_cst);
-        }
-    }
+    if (timed)
+        out.waitNanos = nanos_since(t0);
     return out;
 }
 
@@ -454,11 +260,6 @@ NativeSyncFabric::abortAll()
             std::lock_guard<std::mutex> lk(shards_[s].m);
         }
         shards_[s].cv.notify_all();
-    }
-    if (policy_ == WakePolicy::flatCombining) {
-        fcDirty_.store(true, std::memory_order_seq_cst);
-        std::lock_guard<std::mutex> lk(fcMutex_);
-        fcDrainLocked();
     }
 }
 

@@ -24,27 +24,15 @@
  * sequence.
  *
  * Waiting is spin-then-park. After a bounded spin of acquire loads
- * (with a CPU relax hint) the waiter parks under one of two
- * interchangeable wake policies:
- *
- *  - WakePolicy::sharded (default): 64 mutex+condvar shards keyed
- *    by variable id. Writers wake a shard only when its waiter
- *    count says someone may be parked; the count handshake uses
- *    seq_cst so a parker that checked the old value cannot miss
- *    the notify (Dekker-style store/load pairs).
- *
- *  - WakePolicy::flatCombining: waiters publish (var, threshold)
- *    nodes on one combiner-locked list and park on a private
- *    condvar each. Writers never block on the wake path: they set
- *    a dirty flag and try-lock the combiner; whoever holds the
- *    lock drains all pending wakes before releasing it (HSynch-
- *    style delegation). One writer's lock acquisition thus batches
- *    the wakeups every concurrent writer requested.
- *
- * Both policies time-bound each parked sleep, so even a lost
- * notify race costs microseconds, not a hang. waitGE takes a
- * deadline past which the whole fabric aborts — a deadlocked
- * scheme turns into completed=false instead of a stuck process.
+ * (with a CPU relax hint) the waiter parks on one of 64
+ * mutex+condvar shards keyed by variable id. Writers wake a shard
+ * only when its waiter count says someone may be parked; the count
+ * handshake uses seq_cst so a parker that checked the old value
+ * cannot miss the notify (Dekker-style store/load pairs). Each
+ * parked sleep is time-bounded, so even a lost notify race costs
+ * microseconds, not a hang. waitGE takes a deadline past which the
+ * whole fabric aborts — a deadlocked scheme turns into
+ * completed=false instead of a stuck process.
  *
  * Epoch-based reuse (the runtime service's init-cost amortization,
  * paper section 4): enableEpochReuse() snapshots the current
@@ -79,18 +67,6 @@ namespace native {
 /** Host-time point used for wait deadlines. */
 using Deadline = std::chrono::steady_clock::time_point;
 
-/** How writers wake parked waitGE callers. */
-enum class WakePolicy
-{
-    /** 64 mutex+condvar shards keyed by variable id. */
-    sharded,
-    /** One combiner-locked waiter list; writers delegate wakes. */
-    flatCombining,
-};
-
-/** Printable wake-policy name ("sharded" / "flat-combining"). */
-const char *wakePolicyName(WakePolicy policy);
-
 /** Spin/park counters of one waitGE call. */
 struct WaitOutcome
 {
@@ -108,8 +84,6 @@ struct WaitOutcome
      */
     /** Total blocked time, first poll through satisfaction. */
     std::uint64_t waitNanos = 0;
-    /** Portion spent in the bounded spin phase. */
-    std::uint64_t spinNanos = 0;
     /**
      * Duration of the final park slice — the sleep that ended with
      * the threshold satisfied. Upper-bounds the notify-to-running
@@ -123,8 +97,7 @@ struct WaitOutcome
 class NativeSyncFabric
 {
   public:
-    explicit NativeSyncFabric(unsigned spin_limit = 64,
-                              WakePolicy policy = WakePolicy::sharded);
+    explicit NativeSyncFabric(unsigned spin_limit = 64);
 
     /**
      * Mirror a planned simulator fabric: allocate the same number
@@ -133,16 +106,14 @@ class NativeSyncFabric
      * unchanged.
      */
     NativeSyncFabric(const sim::SyncFabric &planned,
-                     unsigned spin_limit = 64,
-                     WakePolicy policy = WakePolicy::sharded);
+                     unsigned spin_limit = 64);
 
     /**
      * Build from a saved init image (a cached plan's snapshot of
      * the planning fabric), ready for enableEpochReuse().
      */
     NativeSyncFabric(const std::vector<sim::SyncWord> &init_words,
-                     unsigned spin_limit = 64,
-                     WakePolicy policy = WakePolicy::sharded);
+                     unsigned spin_limit = 64);
 
     NativeSyncFabric(const NativeSyncFabric &) = delete;
     NativeSyncFabric &operator=(const NativeSyncFabric &) = delete;
@@ -155,8 +126,6 @@ class NativeSyncFabric
     {
         return static_cast<unsigned>(words_.size());
     }
-
-    WakePolicy wakePolicy() const { return policy_; }
 
     /** Acquire-load the current value. */
     sim::SyncWord
@@ -186,7 +155,7 @@ class NativeSyncFabric
      * packed PC words use). Returns outcome.satisfied == false when
      * the fabric aborted or `deadline` passed (which itself aborts
      * the fabric, releasing every other waiter too). With `timed`
-     * the outcome carries host-clock wait/spin/park-wake durations;
+     * the outcome carries host-clock wait and park-wake durations;
      * untimed calls never read the clock on the spin path.
      */
     WaitOutcome waitGE(sim::SyncVarId var, sim::SyncWord threshold,
@@ -234,18 +203,6 @@ class NativeSyncFabric
         return epoch_.load(std::memory_order_relaxed) - 1;
     }
 
-    std::uint64_t
-    totalParks() const
-    {
-        return totalParks_.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    totalWakeups() const
-    {
-        return totalWakeups_.load(std::memory_order_relaxed);
-    }
-
   private:
     struct Shard
     {
@@ -257,16 +214,6 @@ class NativeSyncFabric
          * the variable; writer stores then reads the count.
          */
         std::atomic<unsigned> waiters{0};
-    };
-
-    /** One parked flat-combining waiter (stack-allocated). */
-    struct FcNode
-    {
-        sim::SyncVarId var = 0;
-        sim::SyncWord threshold = 0;
-        std::atomic<bool> satisfied{false};
-        std::mutex m;
-        std::condition_variable cv;
     };
 
     static constexpr unsigned kNumShards = 64;
@@ -314,23 +261,9 @@ class NativeSyncFabric
         tags_[var].store(epoch, std::memory_order_release);
     }
 
+    /** Notify var's shard if its waiter count says someone may be
+     * parked. */
     void wake(sim::SyncVarId var);
-    void wakeSharded(sim::SyncVarId var);
-    void wakeFlatCombining();
-
-    /** Drain pending FC wakes; call with fcMutex_ held. Every
-     * holder of fcMutex_ drains before unlocking, so a writer whose
-     * try_lock failed still gets its wake delivered. */
-    void fcDrainLocked();
-
-    WaitOutcome waitParkSharded(sim::SyncVarId var,
-                                sim::SyncWord threshold,
-                                Deadline deadline, bool timed,
-                                WaitOutcome out);
-    WaitOutcome waitParkFlatCombining(sim::SyncVarId var,
-                                      sim::SyncWord threshold,
-                                      Deadline deadline, bool timed,
-                                      WaitOutcome out);
 
     /**
      * deque keeps element addresses stable across setup-time
@@ -343,19 +276,10 @@ class NativeSyncFabric
     std::vector<sim::SyncWord> init_;
     mutable Shard shards_[kNumShards];
     unsigned spinLimit_;
-    WakePolicy policy_;
     bool epochEnabled_ = false;
     /** Current epoch number; tags start stale at 0, epochs at 1. */
     std::atomic<std::uint64_t> epoch_{1};
     std::atomic<bool> aborted_{false};
-    std::atomic<std::uint64_t> totalParks_{0};
-    std::atomic<std::uint64_t> totalWakeups_{0};
-
-    /** Flat-combining state (policy_ == flatCombining). */
-    std::mutex fcMutex_;
-    std::vector<FcNode *> fcWaiters_;
-    std::atomic<bool> fcDirty_{false};
-    std::atomic<unsigned> fcRegistered_{0};
 };
 
 } // namespace native

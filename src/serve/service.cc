@@ -37,7 +37,7 @@ executorConfig(const ServeConfig &cfg)
 core::ReferenceBuilder
 renamedReferenceBuilder(const ServeConfig &cfg)
 {
-    return [spin_limit = cfg.native.spinLimit, wake = cfg.wakePolicy,
+    return [spin_limit = cfg.native.spinLimit,
             timeout_ms = cfg.requestTimeoutMs](
                const core::CachedPlan &plan,
                core::ReferenceImage &image) {
@@ -45,8 +45,7 @@ renamedReferenceBuilder(const ServeConfig &cfg)
         ncfg.numThreads = 1;
         ncfg.spinLimit = spin_limit;
         ncfg.timeoutMs = timeout_ms;
-        native::NativeSyncFabric fabric(plan.initWords, spin_limit,
-                                        wake);
+        native::NativeSyncFabric fabric(plan.initWords, spin_limit);
         native::NativeDataMemory data(plan.programs);
         native::NativeExecutor executor(fabric, data, ncfg);
         executor.beginRun(1, true);
@@ -68,7 +67,7 @@ DoacrossService::Arena::Arena(
     const std::shared_ptr<const core::CachedPlan> &p,
     const ServeConfig &cfg)
     : plan(p),
-      fabric(p->initWords, cfg.native.spinLimit, cfg.wakePolicy),
+      fabric(p->initWords, cfg.native.spinLimit),
       data(p->programs),
       executor(fabric, data, executorConfig(cfg))
 {
@@ -266,12 +265,11 @@ DoacrossService::serveRequest(Gang &gang, Request &req)
 }
 
 void
-DoacrossService::verifyRun(const Arena &arena,
-                           Completion &completion)
+DoacrossService::verifyRun(Arena &arena, Completion &completion)
 {
-    // Non-const access for the executor's value audit; gang-local,
-    // so this is still single-threaded per arena.
-    auto &executor = const_cast<Arena &>(arena).executor;
+    // Gang-local, so the executor's value audit is single-threaded
+    // per arena.
+    auto &executor = arena.executor;
     const auto &plan = *arena.plan;
 
     core::TraceChecker checker;

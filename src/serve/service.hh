@@ -71,8 +71,6 @@ struct ServeConfig
     unsigned gangSize = 4;
     /** Execution knobs (schedule, chunk, spin, jitter, profile). */
     native::NativeConfig native;
-    /** Wait/wake policy of every arena fabric. */
-    native::WakePolicy wakePolicy = native::WakePolicy::sharded;
     /** Submission queue slots (rounded up to a power of two). */
     std::size_t queueCapacity = 1024;
     std::size_t planCacheCapacity = 64;
@@ -128,9 +126,9 @@ struct ServiceStats
  * single lane of the gang API (no thread is spawned). One
  * self-scheduled lane dispatches the iterations in order, so no
  * wait ever blocks, and a renamed-storage image does not depend on
- * the schedule. It captures values only (spin limit, wake policy,
- * request timeout), never the service, so a client may still build
- * a plan's reference after stop().
+ * the schedule. It captures values only (spin limit, request
+ * timeout), never the service, so a client may still build a plan's
+ * reference after stop().
  */
 core::ReferenceBuilder renamedReferenceBuilder(const ServeConfig &cfg);
 
@@ -240,7 +238,7 @@ class DoacrossService
     void leaderLoop(Gang &gang);
     void memberLoop(Gang &gang, unsigned lane);
     void serveRequest(Gang &gang, Request &req);
-    void verifyRun(const Arena &arena, Completion &completion);
+    void verifyRun(Arena &arena, Completion &completion);
     /** Drop retiredPlans_ on the calling (submitting) thread. */
     void releaseRetiredPlans();
     Arena &arenaFor(Gang &gang,

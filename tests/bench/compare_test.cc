@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "bench/compare.hh"
@@ -43,6 +45,37 @@ deltaFor(const bench::CompareResult &result, const std::string &id)
     return missing;
 }
 
+std::string
+tempPath(const std::string &name)
+{
+    return ::testing::TempDir() + "psync_compare_test_" + name;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream text;
+    text << is.rdbuf();
+    return text.str();
+}
+
+void
+writeBytes(const std::string &path, const std::string &text)
+{
+    std::ofstream os(path, std::ios::binary);
+    os << text;
+}
+
+unsigned
+headerCount(const core::json::Value &doc)
+{
+    unsigned count = 0;
+    for (const auto &member : doc.asObject())
+        count += member.first == "schema_version";
+    return count;
+}
+
 } // namespace
 
 TEST(CompareTest, MergeReplacesSameScenarioId)
@@ -80,43 +113,81 @@ TEST(CompareTest, LoadRejectsMalformedDocuments)
         bench::loadTrajectory(bench::makeTrajectoryDoc()).ok);
 }
 
-TEST(CompareTest, LoadAcceptsOlderSchemaVersions)
+TEST(CompareTest, LoadRejectsThePreviousSchemaVersion)
 {
-    // v1 trajectory files (no host-timing fields) predate the
-    // current layout and must keep loading — the checked-in
-    // baseline history spans both.
-    core::json::Value doc = trajectory({{"a/x", 100}});
-    doc.set("schema_version", bench::kMinTrajectorySchemaVersion);
+    // The loader reads the current schema only: a file one version
+    // behind is regenerated, never half-read.
+    core::json::Value doc = core::json::object();
+    doc.set("schema_version", bench::kTrajectorySchemaVersion - 1);
+    doc.set("records", core::json::array());
+    bench::mergeRecord(doc, record("a/x", 100));
     bench::Trajectory t = bench::loadTrajectory(doc);
-    ASSERT_TRUE(t.ok) << t.error;
-    ASSERT_EQ(t.cycles.size(), 1u);
-    EXPECT_EQ(t.cycles[0].second, 100u);
+    EXPECT_FALSE(t.ok);
+    EXPECT_NE(t.error.find("unsupported schema_version"),
+              std::string::npos)
+        << t.error;
 }
 
-TEST(CompareTest, LoadAcceptsEverySchemaVersionInHistory)
+TEST(CompareTest, OpenTrajectoryKeepsOneHeaderAcrossMerges)
 {
-    // Each schema bump so far only added record kinds/fields; a file
-    // stamped with any version from v1 through the current one must
-    // load with its sim cycles intact.
-    for (int v = bench::kMinTrajectorySchemaVersion;
-         v <= bench::kTrajectorySchemaVersion; ++v) {
-        core::json::Value doc = trajectory({{"a/x", 100}});
-        doc.set("schema_version", v);
-        bench::Trajectory t = bench::loadTrajectory(doc);
-        ASSERT_TRUE(t.ok) << "schema v" << v << ": " << t.error;
-        ASSERT_EQ(t.cycles.size(), 1u) << "schema v" << v;
-        EXPECT_EQ(t.cycles[0].second, 100u) << "schema v" << v;
+    const std::string path = tempPath("merge.json");
+    std::remove(path.c_str());
+    for (int cycle = 0; cycle < 3; ++cycle) {
+        core::json::Value doc;
+        ASSERT_TRUE(bench::openTrajectory(path, doc));
+        bench::mergeRecord(
+            doc, record("a/" + std::to_string(cycle), 100 + cycle));
+        ASSERT_TRUE(bench::writeJsonFile(path, doc));
     }
+
+    core::json::Value reread;
+    ASSERT_TRUE(bench::readJsonFile(path, reread));
+    EXPECT_EQ(headerCount(reread), 1u);
+    EXPECT_EQ(reread.find("schema_version")->asNumber(),
+              bench::kTrajectorySchemaVersion);
+    bench::Trajectory t = bench::loadTrajectory(reread);
+    ASSERT_TRUE(t.ok) << t.error;
+    ASSERT_EQ(t.cycles.size(), 3u);
+    for (int cycle = 0; cycle < 3; ++cycle) {
+        EXPECT_EQ(t.cycles[cycle].first, "a/" + std::to_string(cycle));
+        EXPECT_EQ(t.cycles[cycle].second, 100u + cycle);
+    }
+
+    // A header stacked by an older writer collapses to one member.
+    reread.set("schema_version", bench::kTrajectorySchemaVersion);
+    ASSERT_TRUE(bench::writeJsonFile(path, reread));
+    core::json::Value reopened;
+    ASSERT_TRUE(bench::openTrajectory(path, reopened));
+    EXPECT_EQ(headerCount(reopened), 1u);
+    EXPECT_EQ(bench::loadTrajectory(reopened).cycles.size(), 3u);
+    std::remove(path.c_str());
+}
+
+TEST(CompareTest, OpenTrajectoryRefusesUnloadableFileAndLeavesIt)
+{
+    const std::string path = tempPath("unloadable.json");
+    const std::string foreign =
+        "{\"schema_version\": 2, \"records\": ["
+        "{\"scenario\": \"a/x\", \"cycles\": 1}, "
+        "{\"scenario\": \"a/y\", \"cycles\": 2}]}\n";
+    const std::string unparsable = "{\"schema_version\": 9, \"rec";
+    for (const std::string &text : {foreign, unparsable}) {
+        writeBytes(path, text);
+        core::json::Value doc;
+        EXPECT_FALSE(bench::openTrajectory(path, doc)) << text;
+        EXPECT_EQ(fileBytes(path), text);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(CompareTest, ServeRecordsAreIgnoredByCycleComparison)
 {
-    // v8 serve records carry wall-time throughput, not simulated
+    // Serve records carry wall-time throughput, not simulated
     // cycles — the loader must skip them (like native records), so
     // mixed files still compare on the sim subset alone.
     core::json::Value doc = trajectory({{"a/x", 100}});
     core::json::Value serve = core::json::object();
-    serve.set("scenario", "serve/uniform#sharded-g2x4");
+    serve.set("scenario", "serve/uniform#g2x4");
     serve.set("kind", "serve");
     serve.set("programs_per_sec", 123456.0);
     bench::mergeRecord(doc, std::move(serve));

@@ -5,7 +5,7 @@
  * The load-bearing property: a fabric that serves N submissions of
  * one cached plan through beginEpoch() (no per-word reinit) must
  * produce N memory/read images bit-identical to N fresh-init runs
- * of the same plan — across every scheme and both wake policies.
+ * of the same plan — across every scheme.
  * Plus the recovery path a long-lived fabric needs: a watchdog
  * timeout aborts the fabric, and the next beginEpoch() clears the
  * abort so a clean plan runs to completion on the same arena.
@@ -63,8 +63,7 @@ imageOf(native::NativeExecutor &exec, native::NativeDataMemory &data)
  * words must be pairwise identical.
  */
 void
-epochRoundsMatchFresh(sync::SchemeKind kind,
-                      native::WakePolicy policy, int rounds)
+epochRoundsMatchFresh(sync::SchemeKind kind, int rounds)
 {
     const char *name = sync::schemeKindName(kind);
     dep::Loop loop = workloads::makeFig21Loop(20);
@@ -79,8 +78,7 @@ epochRoundsMatchFresh(sync::SchemeKind kind,
 
     // The long-lived arena: one fabric, one data memory, one
     // executor; each round pays one epoch bump, never a reinit.
-    native::NativeSyncFabric fabric(plan->initWords, ncfg.spinLimit,
-                                    policy);
+    native::NativeSyncFabric fabric(plan->initWords, ncfg.spinLimit);
     fabric.enableEpochReuse();
     native::NativeDataMemory data(plan->programs);
     native::NativeExecutor exec(fabric, data, ncfg);
@@ -97,8 +95,8 @@ epochRoundsMatchFresh(sync::SchemeKind kind,
 
         // The throwaway path: fresh fabric, fresh data, fresh
         // executor — what every round would cost without epochs.
-        native::NativeSyncFabric fresh_fabric(
-            plan->initWords, ncfg.spinLimit, policy);
+        native::NativeSyncFabric fresh_fabric(plan->initWords,
+                                              ncfg.spinLimit);
         native::NativeDataMemory fresh_data(plan->programs);
         native::NativeExecutor fresh_exec(fresh_fabric, fresh_data,
                                           ncfg);
@@ -149,14 +147,7 @@ TEST(EpochReuseTest, LoadSeesInitImageAfterBeginEpoch)
 TEST(EpochReuseTest, AllSchemesShardedRoundsMatchFresh)
 {
     for (sync::SchemeKind kind : sync::allSyncSchemes())
-        epochRoundsMatchFresh(kind, native::WakePolicy::sharded, 3);
-}
-
-TEST(EpochReuseTest, AllSchemesFlatCombiningRoundsMatchFresh)
-{
-    for (sync::SchemeKind kind : sync::allSyncSchemes())
-        epochRoundsMatchFresh(kind,
-                              native::WakePolicy::flatCombining, 3);
+        epochRoundsMatchFresh(kind, 3);
 }
 
 TEST(EpochReuseTest, TimeoutAbortsThenEpochClearsForCleanRerun)
@@ -205,32 +196,4 @@ TEST(EpochReuseTest, TimeoutAbortsThenEpochClearsForCleanRerun)
         EXPECT_TRUE(run.completed);
         EXPECT_TRUE(run.errors.empty());
     }
-}
-
-TEST(EpochReuseTest, AbortAllReleasesFlatCombiningWaiter)
-{
-    native::NativeSyncFabric fabric(
-        0, native::WakePolicy::flatCombining);
-    sim::SyncVarId v = fabric.allocate(1, 0);
-    fabric.enableEpochReuse();
-
-    sim::Program stuck;
-    stuck.iter = 1;
-    stuck.ops = {sim::Op::mkWaitGE(v, 99)};
-    native::NativeConfig ncfg;
-    ncfg.numThreads = 2;
-    ncfg.timeoutMs = 200;
-    native::NativeDataMemory data({stuck});
-    native::NativeExecutor exec(fabric, data, ncfg);
-    auto run = exec.runPool({stuck});
-    EXPECT_FALSE(run.completed);
-    EXPECT_TRUE(fabric.aborted());
-
-    fabric.beginEpoch();
-    EXPECT_EQ(fabric.load(v), 0u);
-    fabric.store(v, 3);
-    EXPECT_TRUE(fabric
-                    .waitGE(v, 3,
-                            std::chrono::steady_clock::now() + 1s)
-                    .satisfied);
 }

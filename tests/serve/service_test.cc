@@ -3,7 +3,8 @@
  * DoacrossService end-to-end: persistent gangs serving cached plans
  * with epoch-reused fabrics, sampled verification, watchdog
  * recovery (a deadlocked request fails alone — the next request on
- * the same arena runs clean), and both wake policies.
+ * the same arena runs clean), and a four-lane gang that verifies
+ * every request.
  */
 
 #include <gtest/gtest.h>
@@ -37,12 +38,11 @@ configFor(sync::SchemeKind kind)
 }
 
 serve::ServeConfig
-smallService(native::WakePolicy policy = native::WakePolicy::sharded)
+smallService()
 {
     serve::ServeConfig cfg;
     cfg.gangs = 1;
     cfg.gangSize = 2;
-    cfg.wakePolicy = policy;
     cfg.verifySampleEvery = 2;
     cfg.requestTimeoutMs = 10000;
     return cfg;
@@ -136,10 +136,9 @@ TEST(ServiceTest, MixedPlansAndSchemesAllVerify)
     service.stop();
 }
 
-TEST(ServiceTest, FlatCombiningPolicyServesAndVerifies)
+TEST(ServiceTest, FourLaneGangServesAndVerifiesEveryRequest)
 {
-    serve::ServeConfig cfg =
-        smallService(native::WakePolicy::flatCombining);
+    serve::ServeConfig cfg = smallService();
     cfg.gangSize = 4;
     cfg.verifySampleEvery = 1;
     serve::DoacrossService service(cfg);
