@@ -129,7 +129,7 @@ runConfigFor(const FuzzCaseConfig &ccfg, sync::SchemeKind kind,
     cfg.chunkSize = ccfg.chunkSize;
     // The matrix reports verifier rejections as divergences instead
     // of letting planDoacross abort the whole campaign; acceptance
-    // is checked explicitly via ir::verifyPrograms below.
+    // is checked explicitly via ir::verifyPool below.
     cfg.passes.verify = false;
     cfg.passes.eliminateRedundantWaits = passes_on;
     cfg.passes.peephole = passes_on;
@@ -286,8 +286,8 @@ runFuzzCase(const dep::Loop &loop, const FuzzCaseConfig &ccfg,
                     loop, kind, cfg, planning.fabric());
                 sim::SyncFabric &fabric = planning.fabric();
                 std::vector<std::string> errors =
-                    ir::verifyPrograms(
-                        planned.programs,
+                    ir::verifyPool(
+                        planned.pool,
                         [&fabric](sim::SyncVarId var) {
                             return fabric.peek(var);
                         });

@@ -141,7 +141,7 @@ struct FuzzCaseOutcome
  * Run the full differential matrix on one loop under one case
  * configuration. Never aborts the process: verifier rejections are
  * reported as failures (the matrix runs with the in-planner
- * verifier off and checks ir::verifyPrograms explicitly).
+ * verifier off and checks ir::verifyPool explicitly).
  */
 FuzzCaseOutcome runFuzzCase(const dep::Loop &loop,
                             const FuzzCaseConfig &config,

@@ -1716,18 +1716,19 @@ runScenarioNative(const Scenario &scenario, unsigned threads,
         const bool per_proc = !programs.perProc.empty();
         native::NativeSyncFabric fabric(planning.fabric(),
                                         ncfg.spinLimit);
-        native::NativeDataMemory data =
-            per_proc ? native::NativeDataMemory(programs.perProc)
-                     : native::NativeDataMemory(programs.pool);
+        const ir::IterationPool pool =
+            per_proc ? ir::IterationPool::borrow(programs.perProc)
+                     : ir::IterationPool::borrow(programs.pool);
+        native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeExecutor executor(fabric, data, ncfg);
         native::NativeDoacrossResult &r = record.result;
         r.plan.numSyncVars = planning.fabric().allocated();
         if (per_proc) {
             record.numThreads =
                 static_cast<unsigned>(programs.perProc.size());
-            r.run = executor.runPerProcessor(programs.perProc);
+            r.run = executor.runPerProcessor(pool);
         } else {
-            r.run = executor.runPool(programs.pool);
+            r.run = executor.runPool(pool);
         }
         if (scenario.loop) {
             dep::Loop loop = scenario.loop();

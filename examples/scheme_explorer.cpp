@@ -155,16 +155,15 @@ main(int argc, char **argv)
                           << " (" << planned.passStats.opsAfter
                           << " ops, " << planned.passStats.waitsAfter
                           << " waits):\n";
-                std::size_t shown = 0;
-                for (const auto &prog : planned.programs) {
-                    if (shown++ == 2) {
-                        std::cout << "  ... "
-                                  << planned.programs.size() - 2
+                const ir::IterationPool &pool = planned.pool;
+                for (std::size_t i = 0; i < pool.size(); ++i) {
+                    if (i == 2) {
+                        std::cout << "  ... " << pool.size() - 2
                                   << " more programs\n";
                         break;
                     }
                     std::cout << ir::disassemble(
-                        prog, /*with_ids=*/true);
+                        pool.program(i), /*with_ids=*/true);
                 }
             }
             std::cout << "\n";

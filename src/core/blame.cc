@@ -13,14 +13,15 @@ BlameReport::VarBlame::name() const
 {
     if (!label.empty())
         return label;
-    return "v" + std::to_string(var);
+    return std::string("v").append(std::to_string(var));
 }
 
 std::string
 BlameReport::SiteBlame::name() const
 {
     std::string base =
-        label.empty() ? "v" + std::to_string(var) : label;
+        label.empty() ? std::string("v").append(std::to_string(var))
+                      : label;
     return base + "@op" + std::to_string(opId);
 }
 

@@ -47,11 +47,18 @@ std::string
 PlanCache::makeKey(const dep::Loop &loop, sync::SchemeKind kind,
                    const RunConfig &cfg)
 {
+    return keyOf(dep::printLoop(loop), kind, cfg);
+}
+
+std::string
+PlanCache::keyOf(const std::string &loop_text, sync::SchemeKind kind,
+                 const RunConfig &cfg)
+{
     std::ostringstream key;
     // The canonical loop text is the primary key component: two
     // textual spellings that parse to the same loop share a plan,
     // and printLoop round-trips, so the text *is* the loop.
-    key << dep::printLoop(loop);
+    key << loop_text;
     key << "\n@scheme=" << sync::schemeKindName(kind);
     // Machine fields planning reads: variable allocation spans the
     // fabric (kind, capacity, base address), data addresses come
@@ -81,7 +88,8 @@ std::shared_ptr<const CachedPlan>
 PlanCache::get(const dep::Loop &loop, sync::SchemeKind kind,
                const RunConfig &cfg)
 {
-    std::string key = makeKey(loop, kind, cfg);
+    std::string loop_text = dep::printLoop(loop);
+    std::string key = keyOf(loop_text, kind, cfg);
     std::lock_guard<std::mutex> lk(mutex_);
 
     auto it = index_.find(key);
@@ -94,7 +102,7 @@ PlanCache::get(const dep::Loop &loop, sync::SchemeKind kind,
 
     auto entry = std::make_shared<CachedPlan>();
     entry->key = key;
-    entry->loopText = dep::printLoop(loop);
+    entry->loopText = std::move(loop_text);
     entry->loop = loop;
     entry->kind = kind;
     entry->wordBytes_ = cfg.machine.memory.wordBytes;
@@ -108,7 +116,8 @@ PlanCache::get(const dep::Loop &loop, sync::SchemeKind kind,
     PlannedDoacross planned =
         planDoacross(loop, kind, cfg, planning.fabric());
     entry->plan = std::move(planned.plan);
-    entry->programs = std::move(planned.programs);
+    entry->pool = std::move(planned.pool);
+    entry->image = std::move(planned.image);
     entry->passStats = std::move(planned.passStats);
     unsigned vars = planning.fabric().allocated();
     entry->initWords.reserve(vars);

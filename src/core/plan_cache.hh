@@ -4,12 +4,13 @@
  *
  * The runtime service's traffic is dominated by resubmissions of
  * the same loops: planning (dependence analysis, scheme planning,
- * lowering, the IR pass pipeline, verification) costs more than
- * one native execution of the resulting programs: for the Fig. 2.1
- * loop at N = 257-320, a plan miss takes 1.2-2x one served
- * two-lane request (EXPERIMENTS.md, "Planning cost"). The cache
- * keys a fully planned-and-verified program set on exactly the
- * inputs planning consumes — the canonical loop text plus every
+ * lowering, the IR pass pipeline, verification) is paid once per
+ * loop and configuration. Since a plan stopped materializing one
+ * program per iteration, a miss on the Fig. 2.1 loop at
+ * N = 257-320 costs well under one served two-lane request
+ * (EXPERIMENTS.md, "Iteration classes"). The cache keys a fully
+ * planned-and-verified iteration pool on exactly the inputs
+ * planning consumes — the canonical loop text plus every
  * planning-relevant RunConfig field — so a hit is guaranteed to be
  * the byte-identical plan a fresh planDoacross would produce, and
  * execution-time knobs (schedule policy, chunk size, tick limit,
@@ -69,7 +70,7 @@ struct CachedPlan;
 using ReferenceBuilder =
     std::function<bool(const CachedPlan &, ReferenceImage &)>;
 
-/** One planned, verified, immutable program set. */
+/** One planned, verified, immutable iteration pool. */
 struct CachedPlan
 {
     /** Full cache key this entry was planned under. */
@@ -79,7 +80,17 @@ struct CachedPlan
     dep::Loop loop;
     sync::SchemeKind kind = sync::SchemeKind::none;
     sync::SchemePlan plan;
-    std::vector<sim::Program> programs;
+    /**
+     * The lowered iterations: a few class bodies plus one class
+     * index per iteration, so an entry's size barely grows with N.
+     */
+    ir::IterationPool pool;
+    /**
+     * Where the pool's data words live; an arena allocates
+     * image.words() words and zeroes them per request.
+     */
+    ir::DataImage image;
+    /** The pass pipeline's effect, counted over every iteration. */
     ir::PassStats passStats;
 
     /**
@@ -163,6 +174,11 @@ class PlanCache
 
   private:
     using Entry = std::shared_ptr<const CachedPlan>;
+
+    /** makeKey() given the loop's canonical text. */
+    static std::string keyOf(const std::string &loop_text,
+                             sync::SchemeKind kind,
+                             const RunConfig &cfg);
 
     std::size_t capacity_;
     std::shared_ptr<const ReferenceBuilder> renamed_;

@@ -58,14 +58,23 @@ planDoacross(const dep::Loop &loop, sync::SchemeKind kind,
         scheme_cfg.tracer = cfg.tracer;
     planned.plan = scheme->plan(graph, layout, fabric, scheme_cfg);
 
-    const std::uint64_t total = loop.iterations();
-    planned.programs.reserve(total);
-    for (std::uint64_t lpid = 1; lpid <= total; ++lpid)
-        planned.programs.push_back(scheme->emit(lpid));
+    planned.pool = ir::lowerPool(
+        *scheme, loop.iterations(),
+        static_cast<std::uint64_t>(loop.innerTrip()), cfg.passes,
+        [&fabric](sim::SyncVarId var) { return fabric.peek(var); },
+        planned.passStats);
 
-    planned.passStats = ir::runPasses(
-        planned.programs, cfg.passes,
-        [&fabric](sim::SyncVarId var) { return fabric.peek(var); });
+    // DataLayout puts array element k at k * wordBytes.
+    const sim::Addr word_bytes = cfg.machine.memory.wordBytes;
+    if (word_bytes == 0 || (word_bytes & (word_bytes - 1)) != 0)
+        sim::fatal("data word size %llu is not a power of two",
+                   static_cast<unsigned long long>(word_bytes));
+    unsigned shift = 0;
+    while ((sim::Addr{1} << shift) < word_bytes)
+        ++shift;
+    planned.image.addRegion(0, layout.totalElements(), shift);
+    scheme->addRenamedRegions(planned.image);
+
     if (cfg.passes.enabled && cfg.passes.verify &&
         !planned.passStats.verified) {
         sim::fatal("IR verifier rejected the %s plan for %s: %s%s",
@@ -100,7 +109,7 @@ runDoacross(const dep::Loop &loop, sync::SchemeKind kind,
     result.passStats = planned.passStats;
     result.initCycles = initCost(result.plan, cfg.machine);
 
-    result.run = runProgramPool(machine, planned.programs,
+    result.run = runProgramPool(machine, planned.pool,
                                 cfg.schedule, cfg.tickLimit,
                                 cfg.chunkSize);
     if (cfg.checkTrace) {
@@ -133,7 +142,16 @@ runProgramPool(sim::Machine &machine,
                SchedulePolicy policy, sim::Tick tick_limit,
                std::uint64_t chunk_size)
 {
-    const std::uint64_t total = programs.size();
+    return runProgramPool(machine, ir::IterationPool::borrow(programs),
+                          policy, tick_limit, chunk_size);
+}
+
+RunResult
+runProgramPool(sim::Machine &machine, const ir::IterationPool &pool,
+               SchedulePolicy policy, sim::Tick tick_limit,
+               std::uint64_t chunk_size)
+{
+    const std::uint64_t total = pool.size();
     bool completed = false;
 
     if (policy == SchedulePolicy::selfScheduling ||
@@ -167,20 +185,21 @@ runProgramPool(sim::Machine &machine,
 
         sim::EventQueue &eq = machine.eventq();
         auto dispatch =
-            [&mem, &eq, &programs, total, claim_size,
+            [&mem, &eq, &pool, total, claim_size,
              local](sim::ProcId who,
-                    std::function<void(const sim::Program *)> cb) {
+                    std::function<void(const ir::Iteration *)> cb) {
             (void)eq;
             auto &range = (*local)[who];
             if (range.first < range.second) {
-                cb(&programs[range.first++]);
+                const ir::Iteration it = pool.at(range.first++);
+                cb(&it);
                 return;
             }
             mem.rmw(who, dispatchCounterAddr,
                     [claim_size](sim::SyncWord old_value) {
                         return old_value + claim_size(old_value);
                     },
-                    [&eq, &programs, total, claim_size, local, who,
+                    [&eq, &pool, total, claim_size, local, who,
                      cb = std::move(cb)](sim::SyncWord old_value) {
                         (void)eq;
                         if (old_value >= total) {
@@ -199,7 +218,8 @@ runProgramPool(sim::Machine &machine,
                                       static_cast<unsigned long long>(
                                           end));
                         (*local)[who] = {old_value + 1, end};
-                        cb(&programs[old_value]);
+                        const ir::Iteration it = pool.at(old_value);
+                        cb(&it);
                     });
         };
         completed = machine.run(dispatch, tick_limit);
@@ -210,9 +230,9 @@ runProgramPool(sim::Machine &machine,
         for (unsigned q = 0; q < p; ++q)
             next[q] = q;
         auto dispatch =
-            [&next, &eq, &programs, total,
+            [&next, &eq, &pool, total,
              p](sim::ProcId who,
-                std::function<void(const sim::Program *)> cb) {
+                std::function<void(const ir::Iteration *)> cb) {
             (void)eq;
             std::uint64_t idx = next[who];
             if (idx >= total) {
@@ -223,7 +243,8 @@ runProgramPool(sim::Machine &machine,
                           who,
                           static_cast<unsigned long long>(idx + 1));
             next[who] += p;
-            cb(&programs[idx]);
+            const ir::Iteration it = pool.at(idx);
+            cb(&it);
         };
         completed = machine.run(dispatch, tick_limit);
     }
@@ -251,21 +272,31 @@ runPerProcessorPrograms(
     const std::vector<std::vector<sim::Program>> &per_proc,
     sim::Tick tick_limit)
 {
-    if (per_proc.size() != machine.numProcs())
-        sim::fatal("program lists (%zu) != processors (%u)",
-                   per_proc.size(), machine.numProcs());
+    return runPerProcessorPrograms(
+        machine, ir::IterationPool::borrow(per_proc), tick_limit);
+}
 
-    std::vector<size_t> next(per_proc.size(), 0);
-    auto dispatch = [&per_proc, &next](
+RunResult
+runPerProcessorPrograms(sim::Machine &machine,
+                        const ir::IterationPool &pool,
+                        sim::Tick tick_limit)
+{
+    const std::vector<std::size_t> &lanes = pool.lanes();
+    if (lanes.size() != machine.numProcs() + 1u)
+        sim::fatal("program lists (%zu) != processors (%u)",
+                   lanes.empty() ? std::size_t{0} : lanes.size() - 1,
+                   machine.numProcs());
+
+    std::vector<std::size_t> next(lanes.begin(), lanes.end() - 1);
+    auto dispatch = [&pool, &lanes, &next](
                         sim::ProcId who,
-                        std::function<void(const sim::Program *)> cb) {
-        size_t idx = next[who];
-        if (idx >= per_proc[who].size()) {
+                        std::function<void(const ir::Iteration *)> cb) {
+        if (next[who] >= lanes[who + 1]) {
             cb(nullptr);
             return;
         }
-        ++next[who];
-        cb(&per_proc[who][idx]);
+        const ir::Iteration it = pool.at(next[who]++);
+        cb(&it);
     };
     bool completed = machine.run(dispatch, tick_limit);
     return collectResult(machine, completed);

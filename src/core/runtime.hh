@@ -1,7 +1,8 @@
 /**
  * @file
- * Doacross runtime: plans a scheme for a loop on a machine, emits
- * the transformed iteration programs, schedules them on processors
+ * Doacross runtime: plans a scheme for a loop on a machine, lowers
+ * the transformed iterations into an iteration pool (one body per
+ * iteration class, ir/pool.hh), schedules them on processors
  * (processor self-scheduling by default, as the paper assumes for
  * all its examples), runs the simulation, and verifies the
  * execution trace against the dependences the scheme claims.
@@ -17,6 +18,7 @@
 #include "core/trace_check.hh"
 #include "dep/dep_graph.hh"
 #include "ir/passes.hh"
+#include "ir/pool.hh"
 #include "sim/machine.hh"
 #include "sync/scheme.hh"
 
@@ -68,9 +70,9 @@ struct RunConfig
      */
     bool eliminateCoveredDeps = true;
     /**
-     * IR pass pipeline run over the lowered programs inside
+     * IR pass pipeline run over the lowered iterations inside
      * planDoacross (see ir/passes.hh). Defaults keep the verifier
-     * on and every transform off, so lowered programs reach the
+     * on and every transform off, so lowered iterations reach the
      * executors byte-identical to the schemes' raw emission.
      */
     ir::PassConfig passes;
@@ -110,7 +112,7 @@ struct DoacrossResult
      * processors for the module-service part.
      */
     sim::Tick initCycles = 0;
-    /** Effect of the IR pass pipeline on the lowered programs. */
+    /** Effect of the IR pass pipeline, over every iteration. */
     ir::PassStats passStats;
 
     sim::Tick totalWithInit() const { return run.cycles + initCycles; }
@@ -125,24 +127,27 @@ DoacrossResult runDoacross(const dep::Loop &loop,
 /**
  * A planned loop before execution: the scheme's plan (with its
  * synchronization variables allocated and initialized on the given
- * fabric) and the emitted per-iteration programs. Shared by the
- * simulator runtime and the native execution backend, so both run
- * exactly the same transformed programs.
+ * fabric), its iterations lowered into a pool, and the data image
+ * its accesses touch. Shared by the simulator runtime and the
+ * native execution backend, so both run exactly the same
+ * transformed iterations.
  */
 struct PlannedDoacross
 {
     sync::SchemePlan plan;
-    std::vector<sim::Program> programs;
-    /** Effect of the IR pass pipeline on the lowered programs. */
+    ir::IterationPool pool;
+    /** The layout's arrays from address 0, then renamed copies. */
+    ir::DataImage image;
+    /** Effect of the IR pass pipeline, over every iteration. */
     ir::PassStats passStats;
 };
 
 /**
- * Plan `kind` for `loop`, emit all iteration programs against
- * `fabric` (applies the same covered-arc elimination rule
- * runDoacross uses), and run the configured IR pass pipeline over
- * the lowered programs. An IR verifier failure is fatal: a wait no
- * signal can satisfy means the plan would deadlock.
+ * Plan `kind` for `loop` against `fabric` (applies the same
+ * covered-arc elimination rule runDoacross uses) and lower its
+ * iterations with ir::lowerPool, which runs the configured IR pass
+ * pipeline per class body. An IR verifier failure is fatal: a wait
+ * no signal can satisfy means the plan would deadlock.
  */
 PlannedDoacross planDoacross(const dep::Loop &loop,
                              sync::SchemeKind kind,
@@ -157,13 +162,20 @@ sim::Tick sequentialCycles(const dep::Loop &loop,
                            const sim::MachineConfig &machine_cfg);
 
 /**
- * Run a shared pool of programs on an already-built machine:
- * processors pull programs in pool order, either through the
+ * Run a shared iteration pool on an already-built machine:
+ * processors pull iterations in pool order, either through the
  * simulated self-scheduling counter or by static cyclic
  * assignment. Used by runDoacross and by the hand-transformed
  * section 5 workloads (whose schemes allocate fabric variables
  * before emission).
  */
+RunResult runProgramPool(sim::Machine &machine,
+                         const ir::IterationPool &pool,
+                         SchedulePolicy policy,
+                         sim::Tick tick_limit = 1000000000ull,
+                         std::uint64_t chunk_size = 4);
+
+/** runProgramPool over hand-built programs (one-member classes). */
 RunResult runProgramPool(sim::Machine &machine,
                          const std::vector<sim::Program> &programs,
                          SchedulePolicy policy,
@@ -171,9 +183,14 @@ RunResult runProgramPool(sim::Machine &machine,
                          std::uint64_t chunk_size = 4);
 
 /**
- * Run hand-built per-processor program lists (barrier, FFT and
- * wavefront workloads): processor p executes perProc[p] in order.
+ * Run a per-processor pool (barrier, FFT and wavefront workloads):
+ * processor p executes its lane's iterations in order.
  */
+RunResult runPerProcessorPrograms(sim::Machine &machine,
+                                  const ir::IterationPool &pool,
+                                  sim::Tick tick_limit = 1000000000ull);
+
+/** runPerProcessorPrograms over hand-built program lists. */
 RunResult runPerProcessorPrograms(
     sim::Machine &machine,
     const std::vector<std::vector<sim::Program>> &per_proc,

@@ -241,7 +241,7 @@ seriesJson(const TimelineSeries &s)
 std::string
 varName(sim::SyncVarId var, const std::string &label)
 {
-    std::string name = "v" + std::to_string(var);
+    std::string name = std::string("v").append(std::to_string(var));
     if (!label.empty())
         name += " (" + label + ")";
     return name;

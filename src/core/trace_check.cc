@@ -15,9 +15,30 @@ TraceChecker::access(std::uint32_t stmt, std::uint16_t ref,
 {
     (void)addr;
     (void)is_write;
-    Record &rec = records_[keyOf(stmt, ref, iter)];
+    if (stmt >= sites_.size())
+        sites_.resize(std::size_t{stmt} + 1);
+    auto &refs = sites_[stmt];
+    if (ref >= refs.size())
+        refs.resize(std::size_t{ref} + 1);
+    std::vector<Record> &site = refs[ref];
+    if (iter >= site.size())
+        site.resize(std::max<std::uint64_t>(iter + 1, 2 * site.size()));
+    Record &rec = site[iter];
+    numRecords_ += !rec.seen();
     rec.firstStart = std::min(rec.firstStart, start);
     rec.lastEnd = std::max(rec.lastEnd, end);
+}
+
+const TraceChecker::Record *
+TraceChecker::find(std::uint32_t stmt, std::uint32_t ref,
+                   std::uint64_t iter) const
+{
+    if (stmt >= sites_.size() || ref >= sites_[stmt].size())
+        return nullptr;
+    const std::vector<Record> &site = sites_[stmt][ref];
+    if (iter >= site.size() || !site[iter].seen())
+        return nullptr;
+    return &site[iter];
 }
 
 std::vector<std::string>
@@ -45,12 +66,11 @@ TraceChecker::verify(const dep::Loop &loop,
                 continue; // untaken branch arm
             }
 
-            auto src_it = records_.find(
-                keyOf(dep.src, static_cast<std::uint16_t>(dep.srcRef),
-                      src_lpid));
-            auto dst_it = records_.find(
-                keyOf(dep.dst, static_cast<std::uint16_t>(dep.dstRef),
-                      lpid));
+            const Record *src = find(
+                dep.src, static_cast<std::uint16_t>(dep.srcRef),
+                src_lpid);
+            const Record *dst = find(
+                dep.dst, static_cast<std::uint16_t>(dep.dstRef), lpid);
             ++instancesChecked_;
 
             auto report = [&](const std::string &msg) {
@@ -58,30 +78,26 @@ TraceChecker::verify(const dep::Loop &loop,
                     violations.push_back(msg);
             };
 
-            if (src_it == records_.end() ||
-                dst_it == records_.end()) {
+            if (src == nullptr || dst == nullptr) {
                 report(sim::csprintf(
                     "%s: missing access record (src@%llu%s, "
                     "dst@%llu%s)",
                     depToString(loop, dep).c_str(),
                     static_cast<unsigned long long>(src_lpid),
-                    src_it == records_.end() ? " MISSING" : "",
+                    src == nullptr ? " MISSING" : "",
                     static_cast<unsigned long long>(lpid),
-                    dst_it == records_.end() ? " MISSING" : ""));
+                    dst == nullptr ? " MISSING" : ""));
                 continue;
             }
-            if (src_it->second.lastEnd >
-                dst_it->second.firstStart) {
+            if (src->lastEnd > dst->firstStart) {
                 report(sim::csprintf(
                     "%s violated: src@%llu ends %llu > dst@%llu "
                     "starts %llu",
                     depToString(loop, dep).c_str(),
                     static_cast<unsigned long long>(src_lpid),
-                    static_cast<unsigned long long>(
-                        src_it->second.lastEnd),
+                    static_cast<unsigned long long>(src->lastEnd),
                     static_cast<unsigned long long>(lpid),
-                    static_cast<unsigned long long>(
-                        dst_it->second.firstStart)));
+                    static_cast<unsigned long long>(dst->firstStart)));
             }
         }
     }

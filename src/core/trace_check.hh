@@ -14,6 +14,10 @@
  * Instances whose source lies outside the iteration space (real
  * loop boundaries) and instances on untaken branch arms are
  * skipped, matching the semantics of the original loop.
+ *
+ * Records are indexed by (statement, reference) site, then by
+ * iteration, in flat arrays: recording an access and checking an
+ * instance index arrays instead of hashing.
  */
 
 #ifndef PSYNC_CORE_TRACE_CHECK_HH
@@ -21,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/value_rule.hh"
@@ -41,7 +44,7 @@ class TraceChecker : public sim::TraceSink
                 sim::Tick start, sim::Tick end) override;
 
     /** Number of access records collected. */
-    std::uint64_t numRecords() const { return records_.size(); }
+    std::uint64_t numRecords() const { return numRecords_; }
 
     /**
      * Verify `deps` over the recorded trace of `loop`.
@@ -57,22 +60,30 @@ class TraceChecker : public sim::TraceSink
         return instancesChecked_;
     }
 
-    void clear() { records_.clear(); }
+    void
+    clear()
+    {
+        sites_.clear();
+        numRecords_ = 0;
+    }
 
   private:
+    /** Span of one (stmt, ref, iter) instance's accesses. */
     struct Record
     {
         sim::Tick firstStart = sim::maxTick;
         sim::Tick lastEnd = 0;
+
+        bool seen() const { return firstStart != sim::maxTick; }
     };
 
-    static std::uint64_t
-    keyOf(std::uint32_t stmt, std::uint16_t ref, std::uint64_t iter)
-    {
-        return accessKey(stmt, ref, iter);
-    }
+    /** The record of (stmt, ref, iter), or null if none was made. */
+    const Record *find(std::uint32_t stmt, std::uint32_t ref,
+                       std::uint64_t iter) const;
 
-    std::unordered_map<std::uint64_t, Record> records_;
+    /** sites_[stmt][ref][iter]. */
+    std::vector<std::vector<std::vector<Record>>> sites_;
+    std::uint64_t numRecords_ = 0;
     mutable std::uint64_t instancesChecked_ = 0;
 };
 

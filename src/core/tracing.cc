@@ -153,7 +153,7 @@ chromeTrace(const sim::TraceLog &log)
         std::string name =
             std::string("timeline.") + sim::sampleStreamName(stream);
         if (sim::sampleStreamIndexed(stream))
-            name += "[" + std::to_string(e.id) + "]";
+            name.append("[").append(std::to_string(e.id)).append("]");
         json::Value ev = json::object();
         ev.set("name", std::move(name));
         ev.set("cat", "timeline");

@@ -21,14 +21,24 @@
  *     can satisfy is rejected at plan time instead of deadlocking
  *     the run.
  *
- * runPasses walks the plan once: each program goes through
- * elimination, then peephole (both compact its ops in place), then
- * is folded into the op/wait counts and the verifier's
- * per-variable reach while its ops are still in cache. Reach needs
- * the whole plan, so a second loop checks every wait threshold
- * against the finished table. The result (programs, PassStats,
- * error order) equals running each stage over every program in
- * turn.
+ * The planner runs the two transforms once per iteration class
+ * (lowerPool): it emits a class's first two members, takes each
+ * through elimination and peephole, and fits the class body's
+ * slopes to the two results. The transforms decide alike at every
+ * member when the ops on one variable keep that variable and shift
+ * their values together across the class; a class that fails that
+ * test, or whose two members differ in shape, is split into
+ * one-member classes. PassStats counts every iteration, and the
+ * verifier folds its reach over every iteration's instantiated
+ * ops, so statistics and errors (text and order) equal running the
+ * pipeline over every emitted program.
+ *
+ * runPasses does the latter over a program vector in one walk:
+ * each program goes through elimination, then peephole (both
+ * compact its ops in place), then is folded into the op/wait counts
+ * and the verifier's per-variable reach while its ops are still in
+ * cache; a second loop checks every wait threshold against the
+ * finished table.
  *
  * Soundness of elimination rests on two global invariants every
  * scheme maintains: synchronization variables are monotone
@@ -54,6 +64,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/pool.hh"
 #include "ir/program.hh"
 
 namespace psync {
@@ -106,6 +117,10 @@ std::vector<std::string>
 verifyPrograms(const std::vector<Program> &programs,
                const InitValueFn &init_value);
 
+/** verifyPrograms over every iteration of a pool. */
+std::vector<std::string> verifyPool(const IterationPool &pool,
+                                    const InitValueFn &init_value);
+
 /**
  * Delete sync_wait_ge ops whose threshold is already established
  * by earlier ops of the same program (see file comment for the
@@ -138,6 +153,19 @@ std::uint64_t countOps(const std::vector<Program> &programs);
 PassStats runPasses(std::vector<Program> &programs,
                     const PassConfig &config,
                     const InitValueFn &init_value);
+
+/**
+ * Lower `iterations` iterations of `source` into a pool and run the
+ * configured pipeline per class body (see the file comment). Fills
+ * `stats` with what runPasses over every emitted program would
+ * report. `divisor` is the loop's inner trip count (1 for a flat
+ * loop): the coordinate of lpid is (lpid - 1) / divisor.
+ */
+IterationPool lowerPool(const IterationSource &source,
+                        std::uint64_t iterations,
+                        std::uint64_t divisor, const PassConfig &config,
+                        const InitValueFn &init_value,
+                        PassStats &stats);
 
 } // namespace ir
 } // namespace psync

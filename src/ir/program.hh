@@ -14,9 +14,9 @@
  *
  * The IR is deliberately executor-agnostic: nothing in this module
  * depends on the event queue, the sync fabrics, or pthreads. Both
- * executors interpret the same lowered programs, and the pass
- * pipeline (ir/passes) transforms them before either backend sees
- * them.
+ * executors interpret the same lowered iterations, stored as class
+ * bodies in an ir::IterationPool (ir/pool.hh), and the pass pipeline
+ * (ir/passes) transforms them before either backend sees them.
  */
 
 #ifndef PSYNC_IR_PROGRAM_HH

@@ -25,48 +25,31 @@ pauseSpin(unsigned n)
 
 } // namespace
 
-NativeDataMemory::NativeDataMemory(
-    const std::vector<sim::Program> &programs)
+NativeDataMemory::NativeDataMemory(const ir::DataImage &image)
+    : image_(image),
+      words_(new std::atomic<std::uint64_t>[image.words()])
 {
-    for (const auto &program : programs)
-        scan(program);
-}
-
-NativeDataMemory::NativeDataMemory(
-    const std::vector<std::vector<sim::Program>> &per_proc)
-{
-    for (const auto &list : per_proc)
-        for (const auto &program : list)
-            scan(program);
+    clearAll();
 }
 
 void
-NativeDataMemory::scan(const sim::Program &program)
+NativeDataMemory::outside(sim::Addr addr)
 {
-    for (const auto &op : program.ops) {
-        switch (op.kind) {
-          case sim::OpKind::dataRead:
-          case sim::OpKind::dataWrite:
-          case sim::OpKind::keyedRead:
-          case sim::OpKind::keyedWrite:
-            if (index_.emplace(op.addr, words_.size()).second)
-                words_.emplace_back(0);
-            break;
-          default:
-            break;
-        }
-    }
+    sim::panic("data address %llu is outside the plan's data image",
+               static_cast<unsigned long long>(addr));
 }
 
 std::map<sim::Addr, std::uint64_t>
 NativeDataMemory::snapshot() const
 {
     std::map<sim::Addr, std::uint64_t> image;
-    for (const auto &entry : index_) {
-        std::uint64_t value =
-            words_[entry.second].load(std::memory_order_acquire);
-        if (value != 0)
-            image[entry.first] = value;
+    for (const ir::DataImage::Region &r : image_.regions()) {
+        for (std::uint64_t k = 0; k < r.words; ++k) {
+            std::uint64_t value =
+                words_[r.first + k].load(std::memory_order_acquire);
+            if (value != 0)
+                image[r.base + (k << r.shift)] = value;
+        }
     }
     return image;
 }
@@ -74,8 +57,8 @@ NativeDataMemory::snapshot() const
 void
 NativeDataMemory::clearAll()
 {
-    for (auto &word : words_)
-        word.store(0, std::memory_order_relaxed);
+    for (std::uint64_t w = 0; w < image_.words(); ++w)
+        words_[w].store(0, std::memory_order_relaxed);
 }
 
 NativeExecutor::NativeExecutor(NativeSyncFabric &fabric,
@@ -131,8 +114,8 @@ NativeExecutor::access(const sim::Op &op, std::uint64_t iter,
 }
 
 bool
-NativeExecutor::runProgram(const sim::Program &program,
-                           ThreadState &ts, Deadline deadline)
+NativeExecutor::runProgram(ir::Iteration iteration, ThreadState &ts,
+                           Deadline deadline)
 {
     bool owned_pc = false;
     ++ts.programsRun;
@@ -160,21 +143,31 @@ NativeExecutor::runProgram(const sim::Program &program,
         return fabric_.fetchAdd(var, 1);
     };
 
-    for (const auto &op : program.ops) {
+    for (std::size_t k = 0; k < iteration.size; ++k) {
         if (fabric_.aborted())
             return false;
         maybeJitter(ts);
-        std::uint64_t iter =
-            op.iterTag ? op.iterTag : program.iter;
-        switch (op.kind) {
+        // Markers and compute delays carry nothing a native run
+        // reads, so they are not instantiated.
+        switch (iteration.ops[k].kind) {
           case sim::OpKind::stmtStart:
           case sim::OpKind::stmtEnd:
-            break;
+            continue;
           case sim::OpKind::compute:
             // No time model natively; under seeded jitter a compute
             // phase is a scheduling point (NativeConfig::timingSeed).
             if (cfg_.timingSeed != 0)
                 std::this_thread::yield();
+            continue;
+          default:
+            break;
+        }
+        const sim::Op op = iteration.op(k);
+        std::uint64_t iter = op.iterTag ? op.iterTag : iteration.iter;
+        switch (op.kind) {
+          case sim::OpKind::stmtStart:
+          case sim::OpKind::stmtEnd:
+          case sim::OpKind::compute:
             break;
           case sim::OpKind::dataRead:
           case sim::OpKind::dataWrite:
@@ -328,21 +321,21 @@ NativeExecutor::runLaneBody(unsigned lane, Body body)
 }
 
 bool
-NativeExecutor::runLane(const std::vector<sim::Program> &programs,
-                        unsigned lane, Deadline deadline)
+NativeExecutor::runLane(const ir::IterationPool &pool, unsigned lane,
+                        Deadline deadline)
 {
     return runLaneBody(lane, [&](ThreadState &ts) {
-        const std::uint64_t total = programs.size();
+        const std::uint64_t total = pool.size();
         bool ok = true;
         if (cfg_.schedule == core::SchedulePolicy::staticCyclic) {
             for (std::uint64_t i = lane; ok && i < total;
                  i += laneCount_)
-                ok = runProgram(programs[i], ts, deadline);
+                ok = runProgram(pool.at(i), ts, deadline);
         } else {
             std::uint64_t begin = 0, end = 0;
             while (ok && claimRange(total, begin, end)) {
                 for (std::uint64_t i = begin; ok && i < end; ++i)
-                    ok = runProgram(programs[i], ts, deadline);
+                    ok = runProgram(pool.at(i), ts, deadline);
             }
         }
         return ok;
@@ -380,24 +373,25 @@ NativeExecutor::spawnRound(unsigned lanes, LaneMain lane_main)
 }
 
 NativeRunResult
-NativeExecutor::runPool(const std::vector<sim::Program> &programs)
+NativeExecutor::runPool(const ir::IterationPool &pool)
 {
     return spawnRound(std::max(1u, cfg_.numThreads),
                       [&](unsigned lane, Deadline deadline) {
-                          runLane(programs, lane, deadline);
+                          runLane(pool, lane, deadline);
                       });
 }
 
 NativeRunResult
-NativeExecutor::runPerProcessor(
-    const std::vector<std::vector<sim::Program>> &per_proc)
+NativeExecutor::runPerProcessor(const ir::IterationPool &pool)
 {
+    const std::vector<std::size_t> &lanes = pool.lanes();
     return spawnRound(
-        static_cast<unsigned>(per_proc.size()),
+        static_cast<unsigned>(lanes.empty() ? 0 : lanes.size() - 1),
         [&](unsigned lane, Deadline deadline) {
             runLaneBody(lane, [&](ThreadState &ts) {
-                for (const auto &program : per_proc[lane]) {
-                    if (!runProgram(program, ts, deadline))
+                for (std::size_t i = lanes[lane]; i < lanes[lane + 1];
+                     ++i) {
+                    if (!runProgram(pool.at(i), ts, deadline))
                         return false;
                 }
                 return true;

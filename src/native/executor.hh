@@ -1,14 +1,15 @@
 /**
  * @file
- * Native multithreaded executor for planned iteration programs.
+ * Native multithreaded executor for planned iteration pools.
  *
- * Runs the same straight-line Programs the simulator's processors
- * interpret, on real host threads against a NativeSyncFabric and a
- * word-granular atomic data memory. Work distribution mirrors
- * core::SchedulePolicy: a shared fetch&add counter claims
- * iterations (plain, chunked, or guided block sizes) exactly like
- * the paper's self-scheduling dispatcher, or static cyclic
- * assignment with no shared state.
+ * Runs the same iteration pools the simulator's processors
+ * interpret, building each op from its class body at dispatch
+ * (ir::Iteration::op), on real host threads against a
+ * NativeSyncFabric and a word-granular atomic data memory. Work
+ * distribution mirrors core::SchedulePolicy: a shared fetch&add
+ * counter claims iterations (plain, chunked, or guided block sizes)
+ * exactly like the paper's self-scheduling dispatcher, or static
+ * cyclic assignment with no shared state.
  *
  * A recording round logs every tagged data access with start/end
  * *tickets* drawn from one global relaxed fetch&add clock. A ticket
@@ -37,15 +38,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/metrics.hh"
 #include "core/runtime.hh"
+#include "ir/pool.hh"
 #include "native/fabric.hh"
 #include "sim/program.hh"
 
@@ -135,26 +136,27 @@ struct NativeRunResult
 };
 
 /**
- * Word-granular shared data memory: one relaxed atomic per address
- * that appears in any program's data or keyed access. Built once
- * before the threads start; lookups during the run are read-only.
+ * Word-granular shared data memory: one relaxed atomic per word of
+ * a pool's data image, in one flat array. An access finds its word
+ * from the image's regions; nothing is hashed.
  */
 class NativeDataMemory
 {
   public:
-    /** Scan programs and materialize every referenced address. */
-    explicit NativeDataMemory(
-        const std::vector<sim::Program> &programs);
-    explicit NativeDataMemory(
-        const std::vector<std::vector<sim::Program>> &per_proc);
+    explicit NativeDataMemory(const ir::DataImage &image);
 
+    /** The word at `addr`; panics on an address outside the image. */
     std::atomic<std::uint64_t> &
     word(sim::Addr addr)
     {
-        return words_[index_.at(addr)];
+        const std::uint64_t w = image_.wordOf(addr);
+        if (w == ir::DataImage::npos)
+            outside(addr);
+        return words_[w];
     }
 
-    std::size_t size() const { return words_.size(); }
+    /** Words in the image. */
+    std::size_t size() const { return image_.words(); }
 
     /**
      * Final contents of every written word (zero means "never
@@ -173,13 +175,13 @@ class NativeDataMemory
     void clearAll();
 
   private:
-    void scan(const sim::Program &program);
+    [[noreturn]] static void outside(sim::Addr addr);
 
-    std::unordered_map<sim::Addr, std::size_t> index_;
-    std::deque<std::atomic<std::uint64_t>> words_;
+    ir::DataImage image_;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
 };
 
-/** Executes program pools / per-thread program lists natively. */
+/** Executes iteration pools natively. */
 class NativeExecutor
 {
   public:
@@ -187,17 +189,17 @@ class NativeExecutor
                    const NativeConfig &cfg);
 
     /**
-     * Pool mode: `cfg.numThreads` threads claim programs in pool
+     * Pool mode: `cfg.numThreads` threads claim iterations in pool
      * order per the schedule policy (the native runDoacross path).
      */
-    NativeRunResult runPool(const std::vector<sim::Program> &programs);
+    NativeRunResult runPool(const ir::IterationPool &pool);
 
     /**
-     * Per-processor mode: thread t executes per_proc[t] in order
-     * (barrier / FFT workloads); thread count = per_proc.size().
+     * Per-processor mode: thread t executes lane t of a
+     * per-processor pool in order (barrier / FFT workloads); one
+     * thread per lane.
      */
-    NativeRunResult
-    runPerProcessor(const std::vector<std::vector<sim::Program>> &per_proc);
+    NativeRunResult runPerProcessor(const ir::IterationPool &pool);
 
     /**
      * Gang mode — the runtime service's spawn-free path. The
@@ -206,7 +208,7 @@ class NativeExecutor
      * machinery directly:
      *
      *   executor.beginRun(lanes, record);     // leader, quiescent
-     *   ok[t] = executor.runLane(programs, t, deadline); // each lane
+     *   ok[t] = executor.runLane(pool, t, deadline); // each lane
      *   result = executor.finishRun(wall);    // leader, after all
      *                                         // lanes returned
      *
@@ -225,12 +227,12 @@ class NativeExecutor
     void beginRun(unsigned lanes, bool record_accesses);
 
     /**
-     * Execute lane `lane`'s share of the program pool under the
+     * Execute lane `lane`'s share of the iteration pool under the
      * configured schedule policy. Thread-safe across lanes of one
      * round. @return false when this lane failed or aborted.
      */
-    bool runLane(const std::vector<sim::Program> &programs,
-                 unsigned lane, Deadline deadline);
+    bool runLane(const ir::IterationPool &pool, unsigned lane,
+                 Deadline deadline);
 
     /** Merge lane states into the round's result. */
     NativeRunResult finishRun(std::uint64_t wall_nanos);
@@ -295,7 +297,7 @@ class NativeExecutor
     /** Load or store op's data word; log it in recording rounds. */
     void access(const sim::Op &op, std::uint64_t iter, bool is_write,
                 ThreadState &ts);
-    bool runProgram(const sim::Program &program, ThreadState &ts,
+    bool runProgram(ir::Iteration iteration, ThreadState &ts,
                     Deadline deadline);
     bool claimRange(std::uint64_t total, std::uint64_t &begin,
                     std::uint64_t &end);

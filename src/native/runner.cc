@@ -22,9 +22,9 @@ runDoacrossNative(const dep::Loop &loop, sync::SchemeKind kind,
     result.plan = std::move(planned.plan);
 
     NativeSyncFabric fabric(planning.fabric(), ncfg.spinLimit);
-    NativeDataMemory data(planned.programs);
+    NativeDataMemory data(planned.image);
     NativeExecutor executor(fabric, data, ncfg);
-    result.run = executor.runPool(planned.programs);
+    result.run = executor.runPool(planned.pool);
 
     if (cfg.checkTrace && ncfg.recordAccesses) {
         core::TraceChecker checker;

@@ -4,9 +4,9 @@
  * core::runDoacross.
  *
  * Planning is byte-identical to the simulator path — the same
- * core::planDoacross produces the scheme plan and per-iteration
- * programs against a planning-only sim fabric — then the variables
- * are mirrored onto a NativeSyncFabric and the programs execute on
+ * core::planDoacross produces the scheme plan and iteration pool
+ * against a planning-only sim fabric — then the variables are
+ * mirrored onto a NativeSyncFabric and the iterations execute on
  * real threads. Afterwards the timestamped access log is replayed
  * into the same core::TraceChecker the simulator uses, and every
  * read value is checked against a functional replay, so a native

@@ -46,11 +46,11 @@ renamedReferenceBuilder(const ServeConfig &cfg)
         ncfg.spinLimit = spin_limit;
         ncfg.timeoutMs = timeout_ms;
         native::NativeSyncFabric fabric(plan.initWords, spin_limit);
-        native::NativeDataMemory data(plan.programs);
+        native::NativeDataMemory data(plan.image);
         native::NativeExecutor executor(fabric, data, ncfg);
         executor.beginRun(1, true);
         const auto start = Clock::now();
-        executor.runLane(plan.programs, 0,
+        executor.runLane(plan.pool, 0,
                          start + std::chrono::milliseconds(timeout_ms));
         if (!executor.finishRun(nanosSince(start, Clock::now()))
                  .completed)
@@ -68,7 +68,7 @@ DoacrossService::Arena::Arena(
     const ServeConfig &cfg)
     : plan(p),
       fabric(p->initWords, cfg.native.spinLimit),
-      data(p->programs),
+      data(p->image),
       executor(fabric, data, executorConfig(cfg))
 {
     // From here on, every request restores the plan's init image
@@ -207,7 +207,7 @@ DoacrossService::serveRequest(Gang &gang, Request &req)
         }
         gang.cv.notify_all();
     }
-    arena.executor.runLane(arena.plan->programs, 0, deadline);
+    arena.executor.runLane(arena.plan->pool, 0, deadline);
     if (cfg_.gangSize > 1) {
         std::unique_lock<std::mutex> lk(gang.m);
         gang.doneCv.wait(lk, [&] {
@@ -342,8 +342,7 @@ DoacrossService::memberLoop(Gang &gang, unsigned lane)
             work = gang.work;
             deadline = gang.deadline;
         }
-        work->executor.runLane(work->plan->programs, lane,
-                               deadline);
+        work->executor.runLane(work->plan->pool, lane, deadline);
         {
             std::lock_guard<std::mutex> lk(gang.m);
             ++gang.lanesDone;

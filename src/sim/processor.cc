@@ -29,9 +29,9 @@ Processor::fetchNext()
 {
     Tick fetch_start = eventq.now();
     setActivity(ProcActivity::dispatch);
-    dispatch_(id_, [this, fetch_start](const Program *program) {
+    dispatch_(id_, [this, fetch_start](const ir::Iteration *iteration) {
         tracePhase(TracePhase::dispatch, fetch_start, eventq.now());
-        if (program == nullptr) {
+        if (iteration == nullptr) {
             halted_ = true;
             haltTick_ = eventq.now();
             setActivity(ProcActivity::halted);
@@ -40,45 +40,37 @@ Processor::fetchNext()
                                                    eventq.now()));
             return;
         }
-        beginProgram(program);
+        beginProgram(*iteration);
     });
 }
 
 void
-Processor::beginProgram(const Program *program)
+Processor::beginProgram(const ir::Iteration &iteration)
 {
-    current = program;
+    current = iteration;
     opIndex = 0;
     ownedPc = false;
     ++programsRun_;
     PSYNC_DPRINTF(eventq, Proc, "proc %u begins program iter %llu",
                   id_,
-                  static_cast<unsigned long long>(program->iter));
+                  static_cast<unsigned long long>(iteration.iter));
     step();
 }
 
 void
 Processor::step()
 {
-    while (current != nullptr && opIndex < current->ops.size()) {
-        const Op &op = current->ops[opIndex];
+    while (opIndex < current.size) {
+        const Op op = current.op(opIndex);
         ++opIndex;
         switch (op.kind) {
           case OpKind::stmtStart:
-            if (trace) {
-                trace->stmtStart(op.stmt,
-                                 op.iterTag ? op.iterTag
-                                            : current->iter,
-                                 eventq.now());
-            }
+            if (trace)
+                trace->stmtStart(op.stmt, opIter(op), eventq.now());
             continue;
           case OpKind::stmtEnd:
-            if (trace) {
-                trace->stmtEnd(op.stmt,
-                               op.iterTag ? op.iterTag
-                                          : current->iter,
-                               eventq.now());
-            }
+            if (trace)
+                trace->stmtEnd(op.stmt, opIter(op), eventq.now());
             continue;
           case OpKind::compute:
             execCompute(op);
@@ -111,7 +103,6 @@ Processor::step()
             return;
         }
     }
-    current = nullptr;
     fetchNext();
 }
 
@@ -139,9 +130,8 @@ Processor::execData(const Op &op)
         tracePhase(TracePhase::stall, start, end);
         traceOpSpan(op.id, op.kind, 0, opIter(op), start, end);
         if (trace) {
-            trace->access(op.stmt, op.ref,
-                          op.iterTag ? op.iterTag : current->iter,
-                          op.addr, is_write, start, end);
+            trace->access(op.stmt, op.ref, opIter(op), op.addr,
+                          is_write, start, end);
         }
         step();
     };
@@ -336,7 +326,7 @@ Processor::execKeyed(const Op &op)
     std::uint32_t stmt = op.stmt;
     std::uint16_t ref = op.ref;
     std::uint32_t op_id = op.id;
-    std::uint64_t iter = op.iterTag ? op.iterTag : current->iter;
+    std::uint64_t iter = opIter(op);
     eventq.scheduleIn(issue, [this, key, threshold, addr, stmt, ref,
                               op_id, iter, start, issue, is_write,
                               mem_fab]() {

@@ -2,8 +2,9 @@
  * @file
  * In-order processor model.
  *
- * A processor repeatedly fetches an iteration program from the
- * runtime's scheduler and interprets its ops. One memory or
+ * A processor repeatedly fetches an iteration from the runtime's
+ * scheduler and interprets its ops, building each from the
+ * iteration's class body as it reaches it (ir::Iteration::op). One memory or
  * synchronization operation is outstanding at a time (the machines
  * the paper targets are simple in-order designs). Cycle accounting
  * is split into compute, busy-wait (spin), synchronization
@@ -19,6 +20,7 @@
 #include <ostream>
 
 #include "sim/cache.hh"
+#include "ir/pool.hh"
 #include "sim/event_queue.hh"
 #include "sim/program.hh"
 #include "sim/stats.hh"
@@ -34,13 +36,15 @@ class Processor
 {
   public:
     /**
-     * Scheduler hook: the processor asks for its next program and
+     * Scheduler hook: the processor asks for its next iteration and
      * receives it (or nullptr when the work is exhausted) through
-     * the callback, possibly after simulated dispatch latency.
+     * the callback, possibly after simulated dispatch latency. The
+     * processor copies the iteration; the pool it points into must
+     * outlive the run.
      */
     using Dispatch =
         std::function<void(ProcId,
-                           std::function<void(const Program *)>)>;
+                           std::function<void(const ir::Iteration *)>)>;
 
     Processor(EventQueue &eq, ProcId id, SyncFabric &fabric,
               CacheSystem &caches, TraceSink *sink,
@@ -78,7 +82,7 @@ class Processor
 
   private:
     void fetchNext();
-    void beginProgram(const Program *program);
+    void beginProgram(const ir::Iteration &iteration);
     void step();
 
     /** Record a non-empty phase interval. */
@@ -128,7 +132,7 @@ class Processor
     std::uint64_t
     opIter(const Op &op) const
     {
-        return op.iterTag ? op.iterTag : current->iter;
+        return op.iterTag ? op.iterTag : current.iter;
     }
 
     void execCompute(const Op &op);
@@ -149,7 +153,7 @@ class Processor
     TraceLog *tracer;
 
     Dispatch dispatch_;
-    const Program *current = nullptr;
+    ir::Iteration current;
     size_t opIndex = 0;
 
     /** Improved-primitive ownership flag (Fig. 4.3), per program. */

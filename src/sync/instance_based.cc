@@ -30,6 +30,7 @@ InstanceBasedScheme::plan(const dep::DepGraph &graph,
 
     const long m = loop.innerTrip();
     std::uint64_t iterations = loop.iterations();
+    iterations_ = iterations;
 
     // Enumerate write slots.
     slotOf_.assign(loop.body.size(), {});
@@ -232,6 +233,40 @@ InstanceBasedScheme::copyAddrOf(std::uint64_t writer_lpid,
             writeSlots_[slot].copyOffset + copy_index) * 8;
 }
 
+const InstanceBasedScheme::ReadSource *
+InstanceBasedScheme::sourceOf(unsigned stmt, unsigned ref,
+                              std::uint64_t lpid) const
+{
+    for (const ReadSource &cand : readSrc_[stmt][ref])
+        if (dep::sinkHasSource(graph_->loop(), cand.dep, lpid))
+            return &cand;
+    return nullptr;
+}
+
+void
+InstanceBasedScheme::classKey(std::uint64_t lpid,
+                              std::vector<std::uint64_t> &key) const
+{
+    // Keys and copies are affine in the writer's lpid; what varies
+    // is which candidate producer reaches each read.
+    loopClassKey(graph_->loop(), lpid, key);
+    for (unsigned s = 0; s < readSrc_.size(); ++s) {
+        for (unsigned r = 0; r < readSrc_[s].size(); ++r) {
+            const ReadSource *rs = sourceOf(s, r, lpid);
+            key.push_back(rs ? 1 + static_cast<std::uint64_t>(
+                                       rs - readSrc_[s][r].data())
+                             : 0);
+        }
+    }
+}
+
+void
+InstanceBasedScheme::addRenamedRegions(ir::DataImage &image) const
+{
+    // copyAddrOf() places copies 8 (1 << 3) bytes apart.
+    image.addRegion(copyRegionBase_, copiesPerIter_ * iterations_, 3);
+}
+
 sim::Program
 InstanceBasedScheme::emit(std::uint64_t lpid) const
 {
@@ -256,13 +291,7 @@ InstanceBasedScheme::emit(std::uint64_t lpid) const
             const dep::ArrayRef &ref = stmt.refs[r];
             if (ref.isWrite)
                 continue;
-            const ReadSource *rs = nullptr;
-            for (const ReadSource &cand : readSrc_[s][r]) {
-                if (dep::sinkHasSource(loop, cand.dep, lpid)) {
-                    rs = &cand;
-                    break;
-                }
-            }
+            const ReadSource *rs = sourceOf(s, r, lpid);
             if (rs != nullptr) {
                 // In-bounds source indices imply a valid source
                 // instance, so w >= 1; a same-iteration producer

@@ -47,6 +47,12 @@ class InstanceBasedScheme : public Scheme
 
     sim::Program emit(std::uint64_t lpid) const override;
 
+    void classKey(std::uint64_t lpid,
+                  std::vector<std::uint64_t> &key) const override;
+
+    /** The renamed copies: copiesPerIter_ words per iteration. */
+    void addRenamedRegions(ir::DataImage &image) const override;
+
     /** Copies written per instance of write slot `slot`. */
     unsigned copiesOfSlot(unsigned slot) const
     {
@@ -88,6 +94,14 @@ class InstanceBasedScheme : public Scheme
         dep::Dep dep;            ///< the candidate flow dependence
     };
 
+    /**
+     * Producer candidate of read (stmt, ref) reaching iteration
+     * `lpid`: the first whose source indices are in bounds, or null
+     * when the read sees the original element.
+     */
+    const ReadSource *sourceOf(unsigned stmt, unsigned ref,
+                               std::uint64_t lpid) const;
+
     sim::SyncVarId keyVarOf(std::uint64_t writer_lpid, unsigned slot,
                             unsigned reader_index) const;
     sim::Addr copyAddrOf(std::uint64_t writer_lpid, unsigned slot,
@@ -107,6 +121,7 @@ class InstanceBasedScheme : public Scheme
     unsigned keysPerIter_ = 0;
     unsigned copiesPerIter_ = 0;
     sim::Addr copyRegionBase_ = 0;
+    std::uint64_t iterations_ = 0;
 };
 
 } // namespace sync

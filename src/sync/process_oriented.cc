@@ -71,6 +71,18 @@ ProcessOrientedScheme::plan(const dep::DepGraph &graph,
     return result;
 }
 
+void
+ProcessOrientedScheme::classKey(std::uint64_t lpid,
+                                std::vector<std::uint64_t> &key) const
+{
+    // Folding maps a process to PC[lpid mod X] and every source to
+    // PC[(lpid - dist) mod X]: the counters an iteration touches
+    // repeat with period X, the words written are affine in lpid.
+    key.push_back((lpid - 1) % numPcs_);
+    counterSinkKey(graph_->loop(), sinkDeps_, cfg_.exactBoundaries,
+                   lpid, key);
+}
+
 sim::Program
 ProcessOrientedScheme::emit(std::uint64_t lpid) const
 {

@@ -48,6 +48,9 @@ class ProcessOrientedScheme : public Scheme
 
     sim::Program emit(std::uint64_t lpid) const override;
 
+    void classKey(std::uint64_t lpid,
+                  std::vector<std::uint64_t> &key) const override;
+
     /** X, the number of hardware PCs in use. */
     unsigned numPcs() const { return numPcs_; }
 

@@ -50,12 +50,11 @@ ReferenceBasedScheme::plan(const dep::DepGraph &graph,
         sim::SyncWord runStart = 0;
         bool lastWasRead = false;
     };
-    std::unordered_map<std::uint64_t, ElemState> state;
+    std::vector<ElemState> state(layout.totalElements());
 
-    orders_.assign(iterations, {});
+    orders_.assign(iterations * slotsPerIter_, 0);
     for (std::uint64_t lpid = 1; lpid <= iterations; ++lpid) {
-        auto &row = orders_[lpid - 1];
-        row.assign(slotsPerIter_, 0);
+        sim::SyncWord *row = orders_.data() + (lpid - 1) * slotsPerIter_;
         long i = 0, j = 0;
         loop.indicesOf(lpid, i, j);
         for (unsigned s = 0; s < loop.body.size(); ++s) {
@@ -69,8 +68,7 @@ ReferenceBasedScheme::plan(const dep::DepGraph &graph,
             // numbers and cannot deadlock on itself.
             auto visit = [&](unsigned r) {
                 const dep::ArrayRef &ref = stmt.refs[r];
-                ElemState &es =
-                    state[layout.globalOrdinal(ref, i, j)];
+                ElemState &es = state[layout.globalOrdinal(ref, i, j)];
                 sim::SyncWord order;
                 if (!ref.isWrite && es.lastWasRead) {
                     order = es.runStart;
@@ -122,7 +120,19 @@ sim::SyncWord
 ReferenceBasedScheme::orderOf(std::uint64_t lpid, unsigned stmt_idx,
                               unsigned ref_idx) const
 {
-    return orders_[lpid - 1][refSlot_[stmt_idx][ref_idx]];
+    return orders_[(lpid - 1) * slotsPerIter_ +
+                   refSlot_[stmt_idx][ref_idx]];
+}
+
+void
+ReferenceBasedScheme::classKey(std::uint64_t lpid,
+                               std::vector<std::uint64_t> &key) const
+{
+    // Keys and addresses are affine in the iteration; the order
+    // numbers are not, so the whole order row joins the key.
+    loopClassKey(graph_->loop(), lpid, key);
+    const sim::SyncWord *row = orders_.data() + (lpid - 1) * slotsPerIter_;
+    key.insert(key.end(), row, row + slotsPerIter_);
 }
 
 sim::Program

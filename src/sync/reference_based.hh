@@ -21,7 +21,6 @@
 #ifndef PSYNC_SYNC_REFERENCE_BASED_HH
 #define PSYNC_SYNC_REFERENCE_BASED_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "sync/scheme.hh"
@@ -46,6 +45,9 @@ class ReferenceBasedScheme : public Scheme
 
     sim::Program emit(std::uint64_t lpid) const override;
 
+    void classKey(std::uint64_t lpid,
+                  std::vector<std::uint64_t> &key) const override;
+
     /** Order number of (iteration, statement, ref); tests only. */
     sim::SyncWord orderOf(std::uint64_t lpid, unsigned stmt_idx,
                           unsigned ref_idx) const;
@@ -66,10 +68,11 @@ class ReferenceBasedScheme : public Scheme
     sim::SyncVarId keyBase_ = 0;
 
     /**
-     * Order numbers, indexed [lpid-1], one entry per (stmt, ref)
-     * in static order (inactive statements get entries too, unused).
+     * Order numbers, one row of slotsPerIter_ entries per iteration
+     * (row lpid-1), one entry per (stmt, ref) in static order
+     * (inactive statements get entries too, left 0).
      */
-    std::vector<std::vector<sim::SyncWord>> orders_;
+    std::vector<sim::SyncWord> orders_;
     /** Flat (stmt, ref) slot of a reference. */
     std::vector<std::vector<unsigned>> refSlot_;
     unsigned slotsPerIter_ = 0;

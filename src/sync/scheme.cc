@@ -1,5 +1,6 @@
 #include "sync/scheme.hh"
 
+#include "dep/transform.hh"
 #include "sim/logging.hh"
 #include "sync/instance_based.hh"
 #include "sync/process_oriented.hh"
@@ -61,6 +62,13 @@ class NoneScheme : public Scheme
         return prog;
     }
 
+    void
+    classKey(std::uint64_t lpid,
+             std::vector<std::uint64_t> &key) const override
+    {
+        loopClassKey(graph_->loop(), lpid, key);
+    }
+
   private:
     const dep::DepGraph *graph_ = nullptr;
     const dep::DataLayout *layout_ = nullptr;
@@ -94,6 +102,42 @@ allSyncSchemes()
     return {SchemeKind::referenceBased, SchemeKind::instanceBased,
             SchemeKind::statementOriented, SchemeKind::processBasic,
             SchemeKind::processImproved};
+}
+
+void
+loopClassKey(const dep::Loop &loop, std::uint64_t lpid,
+             std::vector<std::uint64_t> &key)
+{
+    if (loop.depth == 2)
+        key.push_back((lpid - 1) % static_cast<std::uint64_t>(
+                                       loop.innerTrip()));
+    KeyBits bits(key);
+    for (const dep::Statement &stmt : loop.body)
+        if (stmt.guard.conditional())
+            bits.push(dep::stmtActive(loop, stmt, lpid));
+}
+
+void
+counterSinkKey(const dep::Loop &loop,
+               const std::vector<std::vector<dep::Dep>> &sink_deps,
+               bool exact_boundaries, std::uint64_t lpid,
+               std::vector<std::uint64_t> &key)
+{
+    loopClassKey(loop, lpid, key);
+    const long m = loop.innerTrip();
+    KeyBits bits(key);
+    for (unsigned s = 0; s < loop.body.size(); ++s) {
+        const bool active = dep::stmtActive(loop, loop.body[s], lpid);
+        for (const dep::Dep &d : sink_deps[s]) {
+            const long dist = d.linearDistance(m);
+            if (dist <= 0)
+                continue; // never waited on, at any iteration
+            bits.push(active &&
+                      static_cast<std::uint64_t>(dist) >= lpid);
+            if (exact_boundaries)
+                bits.push(active && !dep::sinkHasSource(loop, d, lpid));
+        }
+    }
 }
 
 void

@@ -20,7 +20,10 @@
  * A scheme is planned once for a (loop, dependence graph, machine)
  * triple — allocating its synchronization variables on the
  * machine's fabric and precomputing whatever order numbers it needs
- * — and then emits one straight-line Program per iteration.
+ * — and then emits one straight-line Program per iteration. emit()
+ * is the one definition of an iteration's program; classKey() names
+ * the tests emit() branches on, so the planner emits only a few
+ * members per iteration class (ir::lowerPool).
  */
 
 #ifndef PSYNC_SYNC_SCHEME_HH
@@ -32,6 +35,7 @@
 
 #include "dep/dep_graph.hh"
 #include "dep/loop_ir.hh"
+#include "ir/pool.hh"
 #include "sim/program.hh"
 #include "sim/sync_fabric.hh"
 
@@ -133,10 +137,9 @@ struct SchemePlan
 };
 
 /** A data-synchronization scheme (strategy object). */
-class Scheme
+class Scheme : public ir::IterationSource
 {
   public:
-    virtual ~Scheme() = default;
 
     virtual SchemeKind kind() const = 0;
 
@@ -154,9 +157,27 @@ class Scheme
                             const SchemeConfig &cfg) = 0;
 
     /** Emit the transformed program of iteration `lpid` (1-based). */
-    virtual sim::Program emit(std::uint64_t lpid) const = 0;
+    sim::Program emit(std::uint64_t lpid) const override = 0;
+
+    /**
+     * Every test emit(lpid) branches on (see IterationSource). Each
+     * scheme's key includes loopClassKey()'s words.
+     */
+    void classKey(std::uint64_t lpid,
+                  std::vector<std::uint64_t> &key) const override = 0;
+
+    /**
+     * Append the address regions of renamed storage, beyond the
+     * layout's in-place arrays; none by default.
+     */
+    virtual void
+    addRenamedRegions(ir::DataImage &image) const
+    {
+        (void)image;
+    }
 
   protected:
+
     /**
      * Upper bound on the ops of one iteration's program, computed
      * by plan() so that emit() reserves it once and the program's
@@ -190,6 +211,62 @@ std::vector<SchemeKind> allSyncSchemes();
 void emitStatementBody(const dep::Loop &loop, unsigned stmt_idx,
                        long i, long j, const dep::DataLayout &layout,
                        ir::ProgramBuilder &out);
+
+/**
+ * Packs key bits into whole words; the last, partial word is pushed
+ * on destruction. Words do not record how many bits they hold, so a
+ * scheme must push the same number of bits for every iteration.
+ */
+class KeyBits
+{
+  public:
+    explicit KeyBits(std::vector<std::uint64_t> &key) : key_(key) {}
+    ~KeyBits()
+    {
+        if (used_ != 0)
+            key_.push_back(word_);
+    }
+    KeyBits(const KeyBits &) = delete;
+    KeyBits &operator=(const KeyBits &) = delete;
+
+    void
+    push(bool bit)
+    {
+        word_ |= static_cast<std::uint64_t>(bit) << used_;
+        if (++used_ == 64) {
+            key_.push_back(word_);
+            word_ = 0;
+            used_ = 0;
+        }
+    }
+
+  private:
+    std::vector<std::uint64_t> &key_;
+    std::uint64_t word_ = 0;
+    unsigned used_ = 0;
+};
+
+/**
+ * The class-key words every scheme shares: the column of a nest
+ * (its addresses are affine in the outer index only within one
+ * column), then one bit per guarded statement, set when it runs in
+ * iteration `lpid`.
+ */
+void loopClassKey(const dep::Loop &loop, std::uint64_t lpid,
+                  std::vector<std::uint64_t> &key);
+
+/**
+ * The class key of the statement- and process-counter schemes:
+ * loopClassKey(), then for each enforced incoming arc `sink_deps[s]`
+ * of a running statement, of positive linear distance, whether the
+ * source precedes iteration 1 and (exact boundaries) whether its
+ * indices fall outside the loop. Both schemes skip a sink wait on
+ * exactly these tests.
+ */
+void counterSinkKey(const dep::Loop &loop,
+                    const std::vector<std::vector<dep::Dep>> &sink_deps,
+                    bool exact_boundaries, std::uint64_t lpid,
+                    std::vector<std::uint64_t> &key);
 
 /** Ops emitStatementBody appends for `stmt`, at most. */
 inline std::size_t

@@ -66,6 +66,16 @@ StatementOrientedScheme::plan(const dep::DepGraph &graph,
     return result;
 }
 
+void
+StatementOrientedScheme::classKey(std::uint64_t lpid,
+                                  std::vector<std::uint64_t> &key) const
+{
+    // Counter values are affine in lpid; only the skipped waits and
+    // the running statements vary.
+    counterSinkKey(graph_->loop(), sinkDeps_, cfg_.exactBoundaries,
+                   lpid, key);
+}
+
 sim::Program
 StatementOrientedScheme::emit(std::uint64_t lpid) const
 {

@@ -41,6 +41,9 @@ class StatementOrientedScheme : public Scheme
 
     sim::Program emit(std::uint64_t lpid) const override;
 
+    void classKey(std::uint64_t lpid,
+                  std::vector<std::uint64_t> &key) const override;
+
     /** Statement counters required by the loop. */
     unsigned numScs() const { return numScs_; }
 

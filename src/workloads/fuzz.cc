@@ -79,7 +79,7 @@ makeFuzzLoop(std::uint64_t seed, std::uint64_t index,
     bool any_plain_write = false;
     for (unsigned s = 0; s < num_stmts; ++s) {
         dep::Statement stmt;
-        stmt.label = "S" + std::to_string(s + 1);
+        stmt.label = std::string("S").append(std::to_string(s + 1));
         stmt.cost = static_cast<sim::Tick>(
             rng.range(limits.minCost, limits.maxCost));
 
@@ -89,7 +89,7 @@ makeFuzzLoop(std::uint64_t seed, std::uint64_t index,
             dep::ArrayRef ref;
             unsigned array = static_cast<unsigned>(
                 rng.below(num_arrays));
-            ref.array = "X" + std::to_string(array);
+            ref.array = std::string("X").append(std::to_string(array));
             ref.isWrite = rng.chance(limits.writeProb);
             ref.subs.push_back(dep::Subscript{
                 coeff_i[array], 0,

@@ -22,14 +22,15 @@ makeSyntheticLoop(const SyntheticSpec &spec)
 
     for (unsigned s = 0; s < spec.numStatements; ++s) {
         dep::Statement stmt;
-        stmt.label = "S" + std::to_string(s + 1);
+        stmt.label = std::string("S").append(std::to_string(s + 1));
         stmt.cost = static_cast<sim::Tick>(
             rng.range(spec.minCost, spec.maxCost));
 
         unsigned num_refs = 1 + static_cast<unsigned>(rng.below(3));
         for (unsigned r = 0; r < num_refs; ++r) {
             std::string array =
-                "X" + std::to_string(rng.below(spec.numArrays));
+                std::string("X").append(
+                    std::to_string(rng.below(spec.numArrays)));
             long offset =
                 static_cast<long>(rng.below(2 * spec.maxOffset + 1)) -
                 spec.maxOffset;

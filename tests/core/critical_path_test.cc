@@ -49,18 +49,14 @@ TEST(CriticalPathTest, PureRecurrenceIsSequential)
     dep::Loop loop;
     loop.depth = 1;
     loop.outer = {1, 50};
-    dep::Statement s;
-    s.label = "S1";
-    s.cost = 3;
-    dep::ArrayRef rd, wr;
-    rd.array = "A";
-    rd.subs = {dep::Subscript{1, 0, -1}};
-    rd.isWrite = false;
-    wr.array = "A";
-    wr.subs = {dep::Subscript{1, 0, 0}};
-    wr.isWrite = true;
-    s.refs = {rd, wr};
-    loop.body = {s};
+    const dep::ArrayRef rd{.array = "A",
+                           .subs = {dep::Subscript{1, 0, -1}},
+                           .isWrite = false};
+    const dep::ArrayRef wr{.array = "A",
+                           .subs = {dep::Subscript{1, 0, 0}},
+                           .isWrite = true};
+    loop.body = {dep::Statement{
+        .label = "S1", .cost = 3, .refs = {rd, wr}, .guard = {}}};
 
     dep::DepGraph graph(loop);
     auto cp = core::criticalPath(graph, unitCosts());
@@ -75,18 +71,14 @@ TEST(CriticalPathTest, DistanceStretchesParallelism)
     dep::Loop loop;
     loop.depth = 1;
     loop.outer = {1, 40};
-    dep::Statement s;
-    s.label = "S1";
-    s.cost = 3;
-    dep::ArrayRef rd, wr;
-    rd.array = "A";
-    rd.subs = {dep::Subscript{1, 0, -4}};
-    rd.isWrite = false;
-    wr.array = "A";
-    wr.subs = {dep::Subscript{1, 0, 0}};
-    wr.isWrite = true;
-    s.refs = {rd, wr};
-    loop.body = {s};
+    const dep::ArrayRef rd{.array = "A",
+                           .subs = {dep::Subscript{1, 0, -4}},
+                           .isWrite = false};
+    const dep::ArrayRef wr{.array = "A",
+                           .subs = {dep::Subscript{1, 0, 0}},
+                           .isWrite = true};
+    loop.body = {dep::Statement{
+        .label = "S1", .cost = 3, .refs = {rd, wr}, .guard = {}}};
 
     dep::DepGraph graph(loop);
     auto cp = core::criticalPath(graph, unitCosts());

@@ -10,6 +10,7 @@
 #include "sim/machine.hh"
 
 using namespace psync;
+using psync::ir::Iteration;
 
 namespace {
 
@@ -36,13 +37,13 @@ runOn(sim::Machine &m,
 {
     std::vector<std::size_t> next(progs.size(), 0);
     auto dispatch =
-        [&](sim::ProcId who,
-            std::function<void(const sim::Program *)> cb) {
+        [&](sim::ProcId who, std::function<void(const Iteration *)> cb) {
             if (next[who] >= progs[who].size()) {
                 cb(nullptr);
                 return;
             }
-            cb(&progs[who][next[who]++]);
+            const auto it = Iteration::of(progs[who][next[who]++]);
+            cb(&it);
         };
     EXPECT_TRUE(m.run(dispatch));
 }

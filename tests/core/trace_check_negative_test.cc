@@ -130,12 +130,13 @@ TEST(TraceCheckNegativeTest, NativeBackendReportsViolation)
     auto programs =
         brokenPrograms(v, {sim::Op::mkWaitGE(read_done, 1)},
                        {sim::Op::mkWrite(read_done, 1)});
-    native::NativeDataMemory data(programs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     cfg.numThreads = 2;
     cfg.schedule = core::SchedulePolicy::staticCyclic;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(programs);
+    auto result = exec.runPool(pool);
     ASSERT_TRUE(result.completed);
 
     core::TraceChecker checker;

@@ -99,10 +99,12 @@ TEST(DependenceTest, LinearizedDistances)
     dep::Loop loop = workloads::makeNestedLoop(10, 8);
     auto deps = dep::analyze(loop).deps;
     for (const auto &d : deps) {
-        if (d.src == 0)
+        if (d.src == 0) {
             EXPECT_EQ(d.linearDistance(loop.innerTrip()), 1);
-        if (d.src == 1)
+        }
+        if (d.src == 1) {
             EXPECT_EQ(d.linearDistance(loop.innerTrip()), 9);
+        }
     }
 }
 
@@ -128,19 +130,15 @@ TEST(DependenceTest, DisjointConstantElements)
     dep::Loop loop;
     loop.depth = 1;
     loop.outer = {1, 10};
-    dep::Statement a, b;
-    a.label = "S1";
-    b.label = "S2";
-    dep::ArrayRef w1, w2;
-    w1.array = "X";
-    w1.subs = {dep::Subscript{0, 0, 1}};
-    w1.isWrite = true;
-    w2.array = "X";
-    w2.subs = {dep::Subscript{0, 0, 2}};
-    w2.isWrite = true;
-    a.refs = {w1};
-    b.refs = {w2};
-    loop.body = {a, b};
+    const dep::ArrayRef w1{.array = "X",
+                           .subs = {dep::Subscript{0, 0, 1}},
+                           .isWrite = true};
+    const dep::ArrayRef w2{.array = "X",
+                           .subs = {dep::Subscript{0, 0, 2}},
+                           .isWrite = true};
+    loop.body = {
+        dep::Statement{.label = "S1", .cost = 1, .refs = {w1}, .guard = {}},
+        dep::Statement{.label = "S2", .cost = 1, .refs = {w2}, .guard = {}}};
     EXPECT_TRUE(dep::analyze(loop).deps.empty());
 }
 

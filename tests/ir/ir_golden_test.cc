@@ -50,8 +50,9 @@ lowerFig21(sync::SchemeKind kind)
         core::planDoacross(loop, kind, cfg, machine.fabric());
 
     std::string text;
-    for (const auto &prog : planned.programs)
-        text += ir::disassemble(prog, /*with_ids=*/true);
+    for (std::size_t i = 0; i < planned.pool.size(); ++i)
+        text += ir::disassemble(planned.pool.program(i),
+                                /*with_ids=*/true);
     return text;
 }
 

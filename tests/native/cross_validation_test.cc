@@ -248,10 +248,12 @@ crossValidateFft(workloads::FftSync mode)
     auto sim_result = core::runPerProcessorPrograms(machine, progs);
     ASSERT_TRUE(sim_result.completed);
 
-    native::NativeDataMemory data(progs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(progs);
+
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig ncfg;
     native::NativeExecutor exec(fabric, data, ncfg);
-    auto nat = exec.runPerProcessor(progs);
+    auto nat = exec.runPerProcessor(pool);
     ASSERT_TRUE(nat.completed);
     EXPECT_TRUE(exec.verifyValues().empty());
 
@@ -306,10 +308,12 @@ TEST(CrossValidationTest, ButterflyBarrierEpisodesMatchSim)
     auto sim_result = core::runPerProcessorPrograms(machine, progs);
     ASSERT_TRUE(sim_result.completed);
 
-    native::NativeDataMemory data(progs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(progs);
+
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig ncfg;
     native::NativeExecutor exec(fabric, data, ncfg);
-    auto nat = exec.runPerProcessor(progs);
+    auto nat = exec.runPerProcessor(pool);
     ASSERT_TRUE(nat.completed);
     EXPECT_TRUE(exec.verifyValues().empty());
 

@@ -80,13 +80,13 @@ epochRoundsMatchFresh(sync::SchemeKind kind, int rounds)
     // executor; each round pays one epoch bump, never a reinit.
     native::NativeSyncFabric fabric(plan->initWords, ncfg.spinLimit);
     fabric.enableEpochReuse();
-    native::NativeDataMemory data(plan->programs);
+    native::NativeDataMemory data(plan->image);
     native::NativeExecutor exec(fabric, data, ncfg);
 
     for (int round = 0; round < rounds; ++round) {
         fabric.beginEpoch();
         data.clearAll();
-        auto run = exec.runPool(plan->programs);
+        auto run = exec.runPool(plan->pool);
         ASSERT_TRUE(run.completed)
             << name << " epoch round " << round;
         ASSERT_TRUE(run.errors.empty()) << name;
@@ -97,10 +97,10 @@ epochRoundsMatchFresh(sync::SchemeKind kind, int rounds)
         // executor — what every round would cost without epochs.
         native::NativeSyncFabric fresh_fabric(plan->initWords,
                                               ncfg.spinLimit);
-        native::NativeDataMemory fresh_data(plan->programs);
+        native::NativeDataMemory fresh_data(plan->image);
         native::NativeExecutor fresh_exec(fresh_fabric, fresh_data,
                                           ncfg);
-        auto fresh_run = fresh_exec.runPool(plan->programs);
+        auto fresh_run = fresh_exec.runPool(plan->pool);
         ASSERT_TRUE(fresh_run.completed)
             << name << " fresh round " << round;
         RunImage fresh = imageOf(fresh_exec, fresh_data);
@@ -171,9 +171,11 @@ TEST(EpochReuseTest, TimeoutAbortsThenEpochClearsForCleanRerun)
     ncfg.numThreads = 2;
     ncfg.timeoutMs = 200;
     {
-        native::NativeDataMemory data({stuck});
+        const std::vector<sim::Program> programs = {stuck};
+        const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+        native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeExecutor exec(fabric, data, ncfg);
-        auto run = exec.runPool({stuck});
+        auto run = exec.runPool(pool);
         EXPECT_FALSE(run.completed);
         EXPECT_TRUE(fabric.aborted());
     }
@@ -190,9 +192,11 @@ TEST(EpochReuseTest, TimeoutAbortsThenEpochClearsForCleanRerun)
     fabric.beginEpoch();
     EXPECT_FALSE(fabric.aborted());
     {
-        native::NativeDataMemory data({healthy});
+        const std::vector<sim::Program> programs = {healthy};
+        const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+        native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeExecutor exec(fabric, data, ncfg);
-        auto run = exec.runPool({healthy});
+        auto run = exec.runPool(pool);
         EXPECT_TRUE(run.completed);
         EXPECT_TRUE(run.errors.empty());
     }

@@ -49,15 +49,17 @@ campaignPlans(core::PlanCache &cache)
 }
 
 std::size_t
-dataAccesses(const std::vector<sim::Program> &programs)
+dataAccesses(const ir::IterationPool &pool)
 {
     std::size_t n = 0;
-    for (const auto &program : programs) {
-        for (const auto &op : program.ops) {
-            n += op.kind == sim::OpKind::dataRead ||
-                 op.kind == sim::OpKind::dataWrite ||
-                 op.kind == sim::OpKind::keyedRead ||
-                 op.kind == sim::OpKind::keyedWrite;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+        const ir::Iteration it = pool.at(i);
+        for (std::size_t k = 0; k < it.size; ++k) {
+            const sim::OpKind kind = it.ops[k].kind;
+            n += kind == sim::OpKind::dataRead ||
+                 kind == sim::OpKind::dataWrite ||
+                 kind == sim::OpKind::keyedRead ||
+                 kind == sim::OpKind::keyedWrite;
         }
     }
     return n;
@@ -70,7 +72,7 @@ class Arena
     static constexpr unsigned kLanes = 2;
 
     explicit Arena(const core::CachedPlan &plan)
-        : plan_(plan), fabric_(plan.initWords), data_(plan.programs),
+        : plan_(plan), fabric_(plan.initWords), data_(plan.image),
           executor_(fabric_, data_, config())
     {
         fabric_.enableEpochReuse();
@@ -86,9 +88,9 @@ class Arena
             std::chrono::steady_clock::now() +
             std::chrono::seconds(20);
         std::thread member([&] {
-            executor_.runLane(plan_.programs, 1, deadline);
+            executor_.runLane(plan_.pool, 1, deadline);
         });
-        executor_.runLane(plan_.programs, 0, deadline);
+        executor_.runLane(plan_.pool, 0, deadline);
         member.join();
         return executor_.finishRun(0);
     }
@@ -140,7 +142,7 @@ TEST(NativeLeanRoundTest, RecordingRoundAfterLeanRoundsVerifies)
     core::PlanCache cache(
         64, serve::renamedReferenceBuilder(serve::ServeConfig{}));
     for (const PlanPtr &plan : campaignPlans(cache)) {
-        const std::size_t accesses = dataAccesses(plan->programs);
+        const std::size_t accesses = dataAccesses(plan->pool);
         Arena arena(*plan);
         // Lean and recording rounds interleave as the service
         // interleaves unsampled and sampled requests.

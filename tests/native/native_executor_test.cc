@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -60,9 +61,48 @@ TEST(NativeDataMemoryTest, ScansEveryReferencedAddress)
     native::NativeSyncFabric fabric;
     sim::SyncVarId v = fabric.allocate(1, 0);
     auto programs = producerConsumer(v, 640);
-    native::NativeDataMemory data(programs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     EXPECT_EQ(data.size(), 1u); // one distinct address
     EXPECT_EQ(data.word(640).load(), 0u);
+}
+
+TEST(NativeDataMemoryTest, HandBuiltImageSpansChunkAndCopyRegions)
+{
+    // Iterations that write words of FFT's chunk region (1 << 34),
+    // 8 bytes apart, and of the renamed-copy region (1 << 36), 16
+    // bytes apart, and read a chunk word the next iteration writes.
+    // The pool numbers the addresses once; snapshot() must report
+    // every written word at its address, as a memory keyed by
+    // address would, and skip the words never written.
+    const sim::Addr chunk = sim::Addr(1) << 34;
+    const sim::Addr copies = sim::Addr(1) << 36;
+    const std::uint64_t n = 6;
+    std::vector<sim::Program> programs;
+    std::map<sim::Addr, std::uint64_t> expected;
+    for (std::uint64_t i = 1; i <= n; ++i) {
+        sim::Program p;
+        p.iter = i;
+        p.ops = {sim::Op::mkData(false, chunk + i * 8, 0, 1),
+                 sim::Op::mkData(true, chunk + (i - 1) * 8, 0, 0),
+                 sim::Op::mkData(true, copies + (i - 1) * 16, 1, 0)};
+        programs.push_back(p);
+        expected[chunk + (i - 1) * 8] = core::valueOfWrite(0, 0, i);
+        expected[copies + (i - 1) * 16] = core::valueOfWrite(1, 0, i);
+    }
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    const ir::DataImage image = ir::DataImage::numbered(pool);
+    ASSERT_EQ(image.regions().size(), 2u);
+    EXPECT_EQ(image.words(), 2 * n + 1); // chunk + n*8 is only read
+
+    native::NativeSyncFabric fabric;
+    native::NativeDataMemory data(image);
+    native::NativeConfig cfg;
+    cfg.numThreads = 1;
+    native::NativeExecutor exec(fabric, data, cfg);
+    ASSERT_TRUE(exec.runPool(pool).completed);
+    EXPECT_EQ(data.snapshot(), expected);
+    EXPECT_TRUE(exec.verifyValues().empty());
 }
 
 TEST(NativeExecutorTest, ProducerConsumerObservesWrittenValue)
@@ -70,11 +110,12 @@ TEST(NativeExecutorTest, ProducerConsumerObservesWrittenValue)
     native::NativeSyncFabric fabric;
     sim::SyncVarId v = fabric.allocate(1, 0);
     auto programs = producerConsumer(v, 640);
-    native::NativeDataMemory data(programs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     cfg.numThreads = 2;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(programs);
+    auto result = exec.runPool(pool);
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(result.programsRun, 2u);
 
@@ -101,12 +142,13 @@ TEST(NativeExecutorTest, EveryPolicyRunsEachProgramOnce)
           core::SchedulePolicy::staticCyclic}) {
         native::NativeSyncFabric fabric;
         auto programs = independent(23);
-        native::NativeDataMemory data(programs);
+        const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+        native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeConfig cfg;
         cfg.numThreads = 4;
         cfg.schedule = policy;
         native::NativeExecutor exec(fabric, data, cfg);
-        auto result = exec.runPool(programs);
+        auto result = exec.runPool(pool);
         ASSERT_TRUE(result.completed);
         EXPECT_EQ(result.programsRun, 23u);
         // Exactly-once: every word written exactly its own value.
@@ -140,7 +182,8 @@ TEST(NativeExecutorTest, LogIsSortedByUniqueEndTickets)
         programs.push_back(p);
     }
     native::NativeSyncFabric fabric;
-    native::NativeDataMemory data(programs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     cfg.numThreads = kLanes;
     cfg.schedule = core::SchedulePolicy::staticCyclic;
@@ -157,7 +200,7 @@ TEST(NativeExecutorTest, LogIsSortedByUniqueEndTickets)
                 started.fetch_add(1);
                 while (started.load() < kLanes)
                     std::this_thread::yield();
-                exec.runLane(programs, t, deadline);
+                exec.runLane(pool, t, deadline);
             });
         }
         for (auto &lane : lanes)
@@ -208,10 +251,11 @@ TEST(NativeExecutorTest, PerProcessorBarrierCompletes)
         }
         per_proc[p] = {prog};
     }
-    native::NativeDataMemory data(per_proc);
+    const ir::IterationPool pool = ir::IterationPool::borrow(per_proc);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPerProcessor(per_proc);
+    auto result = exec.runPerProcessor(pool);
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(result.numThreads, procs);
     EXPECT_EQ(result.programsRun, procs);
@@ -225,12 +269,13 @@ TEST(NativeExecutorTest, JitteredRunsStayCorrect)
         native::NativeSyncFabric fabric;
         sim::SyncVarId v = fabric.allocate(1, 0);
         auto programs = producerConsumer(v, 640);
-        native::NativeDataMemory data(programs);
+        const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+        native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeConfig cfg;
         cfg.numThreads = 2;
         cfg.timingSeed = seed;
         native::NativeExecutor exec(fabric, data, cfg);
-        auto result = exec.runPool(programs);
+        auto result = exec.runPool(pool);
         ASSERT_TRUE(result.completed) << "seed " << seed;
         EXPECT_TRUE(exec.verifyValues().empty()) << "seed " << seed;
         EXPECT_EQ(data.word(640).load(),
@@ -246,12 +291,13 @@ TEST(NativeExecutorTest, DeadlockTurnsIntoFailureNotHang)
     stuck.iter = 1;
     stuck.ops = {sim::Op::mkWaitGE(v, 1)}; // never satisfied
     std::vector<sim::Program> programs = {stuck};
-    native::NativeDataMemory data(programs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     cfg.numThreads = 1;
     cfg.timeoutMs = 100;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(programs);
+    auto result = exec.runPool(pool);
     EXPECT_FALSE(result.completed);
     EXPECT_TRUE(fabric.aborted());
 }
@@ -270,10 +316,11 @@ TEST(NativeExecutorTest, ReplayFeedsEveryRecordToSink)
     };
     native::NativeSyncFabric fabric;
     auto programs = independent(9);
-    native::NativeDataMemory data(programs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     native::NativeExecutor exec(fabric, data, cfg);
-    ASSERT_TRUE(exec.runPool(programs).completed);
+    ASSERT_TRUE(exec.runPool(pool).completed);
     Counter sink;
     exec.replayAccesses(sink);
     EXPECT_EQ(sink.accesses, 9u);
@@ -287,12 +334,13 @@ TEST(NativeExecutorTest, GuidedHandlesFewerProgramsThanThreads)
     // far more threads than programs and demand exactly-once.
     native::NativeSyncFabric fabric;
     auto programs = independent(3);
-    native::NativeDataMemory data(programs);
+    const ir::IterationPool pool = ir::IterationPool::borrow(programs);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     cfg.numThreads = 8;
     cfg.schedule = core::SchedulePolicy::guidedSelfScheduling;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(programs);
+    auto result = exec.runPool(pool);
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(result.programsRun, 3u);
     auto image = data.snapshot();

@@ -8,19 +8,30 @@
  * identity — is what the key carries, so a loop parsed back from
  * its own text hits the cache. The oracle property: a miss builds
  * no reference; the first request builds it once, for every thread
- * and every later call, even after its service is gone.
+ * and every later call, even after its service is gone. The pool
+ * properties: instantiating every iteration of a lowered pool equals
+ * emitting and transforming every program, and a plan holds class
+ * bodies whose size does not grow with the loop's trip count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
+#include <tuple>
 
+#include "bench/registry.hh"
 #include "core/plan_cache.hh"
 #include "dep/loop_text.hh"
 #include "serve/service.hh"
+#include "workloads/branches.hh"
 #include "workloads/fig21.hh"
+#include "workloads/nested.hh"
 #include "workloads/relaxation.hh"
 
 using namespace psync;
@@ -72,7 +83,301 @@ countingBuilder(std::atomic<int> &calls)
     };
 }
 
+/** Every field of an op, for exact comparison. */
+auto
+fieldsOf(const ir::Op &op)
+{
+    return std::tie(op.kind, op.cycles, op.addr, op.var, op.value,
+                    op.aux, op.stmt, op.ref, op.id, op.iterTag);
+}
+
+std::vector<dep::Loop>
+corpusLoops()
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             PSYNC_FUZZ_CORPUS_DIR)) {
+        if (entry.path().extension() == ".loop")
+            files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    std::vector<dep::Loop> loops;
+    for (const auto &file : files) {
+        std::ifstream in(file);
+        std::ostringstream text;
+        text << in.rdbuf();
+        dep::ParsedLoop parsed = dep::parseLoop(text.str());
+        EXPECT_TRUE(parsed.ok) << file << ": " << parsed.error;
+        if (parsed.ok)
+            loops.push_back(std::move(parsed.loop));
+    }
+    return loops;
+}
+
+/**
+ * Plan `kind` for `loop` once, then under passes off, verify only and
+ * everything on require ir::lowerPool's pool to instantiate, at every
+ * iteration, exactly the program Scheme::emit gives after
+ * ir::runPasses over all of them: ops with ids, every PassStats
+ * field, the verifier's errors in order. Returns the most classes any
+ * config needed.
+ */
+std::size_t
+expectPoolMatchesEmission(const dep::Loop &loop, sync::SchemeKind kind,
+                          const sync::SchemeConfig &scfg,
+                          const std::string &what)
+{
+    sim::MachineConfig mc;
+    mc.numProcs = 4;
+    mc.fabric = sim::FabricKind::registers;
+    mc.syncRegisters = 1u << 20;
+    sim::Machine machine(mc);
+    dep::DepGraph graph(loop, !scfg.exactBoundaries);
+    dep::DataLayout layout(loop, mc.memory.wordBytes);
+    std::unique_ptr<sync::Scheme> scheme = sync::makeScheme(kind);
+    scheme->plan(graph, layout, machine.fabric(), scfg);
+    sim::SyncFabric &fabric = machine.fabric();
+    ir::InitValueFn init = [&fabric](ir::SyncVarId var) {
+        return fabric.peek(var);
+    };
+
+    ir::PassConfig off;
+    off.enabled = false;
+    ir::PassConfig verify_only;
+    ir::PassConfig all;
+    all.eliminateRedundantWaits = true;
+    all.peephole = true;
+    const std::pair<const char *, ir::PassConfig> configs[] = {
+        {"off", off}, {"verify", verify_only}, {"all", all}};
+
+    std::size_t classes = 0;
+    for (const auto &[name, cfg] : configs) {
+        SCOPED_TRACE(what + " passes=" + name);
+        std::vector<ir::Program> programs;
+        for (std::uint64_t lpid = 1; lpid <= loop.iterations(); ++lpid)
+            programs.push_back(scheme->emit(lpid));
+        ir::PassStats want = ir::runPasses(programs, cfg, init);
+        ir::PassStats got;
+        ir::IterationPool pool = ir::lowerPool(
+            *scheme, loop.iterations(),
+            static_cast<std::uint64_t>(loop.innerTrip()), cfg, init,
+            got);
+        classes = std::max(classes, pool.numClasses());
+        std::vector<bool> used(pool.numClasses(), false);
+        for (std::size_t i = 0; i < pool.size(); ++i)
+            used[pool.classOf(i)] = true;
+        EXPECT_TRUE(std::all_of(used.begin(), used.end(),
+                                [](bool u) { return u; }))
+            << "a class no iteration uses";
+
+        EXPECT_EQ(got.opsBefore, want.opsBefore);
+        EXPECT_EQ(got.opsAfter, want.opsAfter);
+        EXPECT_EQ(got.waitsBefore, want.waitsBefore);
+        EXPECT_EQ(got.waitsAfter, want.waitsAfter);
+        EXPECT_EQ(got.waitsEliminated, want.waitsEliminated);
+        EXPECT_EQ(got.opsMerged, want.opsMerged);
+        EXPECT_EQ(got.verified, want.verified);
+        EXPECT_EQ(got.verifierErrors, want.verifierErrors);
+
+        EXPECT_EQ(pool.size(), programs.size());
+        for (std::size_t i = 0; i < programs.size(); ++i) {
+            const ir::Program made = pool.program(i);
+            bool same = made.iter == programs[i].iter &&
+                        made.ops.size() == programs[i].ops.size();
+            for (std::size_t k = 0; same && k < made.ops.size(); ++k)
+                same = fieldsOf(made.ops[k]) ==
+                       fieldsOf(programs[i].ops[k]);
+            if (!same) {
+                ADD_FAILURE() << "iteration " << programs[i].iter
+                              << " differs:\n"
+                              << ir::disassemble(made, true)
+                              << "emitted:\n"
+                              << ir::disassemble(programs[i], true);
+                break;
+            }
+        }
+    }
+    return classes;
+}
+
+/** The serve campaign's config of a registry scenario: passes on. */
+core::RunConfig
+campaignConfig(const bench::Scenario &s)
+{
+    core::RunConfig cfg = s.config;
+    cfg.passes.enabled = true;
+    cfg.passes.verify = true;
+    cfg.passes.eliminateRedundantWaits = true;
+    cfg.passes.peephole = true;
+    return cfg;
+}
+
 } // namespace
+
+TEST(PlanCachePoolTest, InstantiatedIterationsEqualEmittedPrograms)
+{
+    struct Case
+    {
+        std::string name;
+        dep::Loop loop;
+    };
+    std::vector<Case> cases;
+    for (dep::Loop &loop : corpusLoops())
+        cases.push_back({"corpus " + loop.name, std::move(loop)});
+    for (long n : {1L, 3L, 16L, 17L, 64L, 257L})
+        cases.push_back({"fig21 N=" + std::to_string(n),
+                         workloads::makeFig21Loop(n)});
+    cases.push_back({"jitter", workloads::makeFig21JitterLoop(
+                                   96, 8, 40, 0.15, 7)});
+    cases.push_back({"nested 8x12", workloads::makeNestedLoop(8, 12)});
+    cases.push_back({"nested 12x8", workloads::makeNestedLoop(12, 8)});
+    cases.push_back({"branches", workloads::makeBranchLoop(128, 0.5)});
+    // A[i] and A[2i - 16] name the same element, and so the same
+    // reference-scheme key, at i = 16 only: the elimination pass
+    // decides differently there, so that class must be split.
+    dep::ParsedLoop crossing = dep::parseLoop("psync-loop v1\n"
+                                              "name crossing\n"
+                                              "depth 1\n"
+                                              "outer 1 32\n"
+                                              "seed 1\n"
+                                              "stmt S1 cost 2\n"
+                                              "ref read A sub 1 0 0\n"
+                                              "ref read A sub 2 0 -16\n"
+                                              "ref write A sub 1 0 1\n"
+                                              "end\n");
+    ASSERT_TRUE(crossing.ok) << crossing.error;
+    cases.push_back({"crossing", crossing.loop});
+
+    const sync::SchemeKind kinds[] = {
+        sync::SchemeKind::none, sync::SchemeKind::referenceBased,
+        sync::SchemeKind::instanceBased,
+        sync::SchemeKind::statementOriented,
+        sync::SchemeKind::processBasic,
+        sync::SchemeKind::processImproved};
+    for (const Case &c : cases) {
+        bool guarded = false;
+        for (const dep::Statement &stmt : c.loop.body)
+            guarded = guarded || stmt.guard.conditional();
+        for (sync::SchemeKind kind : kinds) {
+            if (guarded && kind == sync::SchemeKind::instanceBased)
+                continue; // the scheme rejects guarded bodies
+            const std::string what =
+                c.name + " " + sync::schemeKindName(kind);
+            sync::SchemeConfig scfg;
+            scfg.numPcs = 16;
+            scfg.numScs = 1u << 20;
+            const std::size_t classes =
+                expectPoolMatchesEmission(c.loop, kind, scfg, what);
+            if (c.name == "fig21 N=257") {
+                EXPECT_LE(classes, 18u) << what;
+            }
+            if (kind == sync::SchemeKind::referenceBased) {
+                scfg.cedarCombining = true;
+                expectPoolMatchesEmission(c.loop, kind, scfg,
+                                          what + " cedar");
+                scfg.cedarCombining = false;
+            }
+            if (guarded) {
+                scfg.earlyBranchSignals = false;
+                expectPoolMatchesEmission(c.loop, kind, scfg,
+                                          what + " late signals");
+                scfg.earlyBranchSignals = true;
+            }
+            if (c.loop.depth == 2) {
+                scfg.exactBoundaries = true;
+                expectPoolMatchesEmission(c.loop, kind, scfg,
+                                          what + " exact");
+            }
+        }
+    }
+}
+
+TEST(PlanCachePoolTest, VerifierErrorsMatchEmittedProgramsInOrder)
+{
+    // Iteration lpid waits on counter lpid mod 4 for 3 * lpid and
+    // then writes 3 * lpid - 1, so the last iteration on each counter
+    // waits for more than any write reaches. The pool's verifier must
+    // name the same waits, in the same words and order, as the
+    // verifier over every emitted program.
+    struct Crafted : ir::IterationSource
+    {
+        void
+        classKey(std::uint64_t lpid,
+                 std::vector<std::uint64_t> &key) const override
+        {
+            key.push_back(lpid % 4);
+        }
+
+        ir::Program
+        emit(std::uint64_t lpid) const override
+        {
+            ir::Program program;
+            program.iter = lpid;
+            ir::ProgramBuilder b(program);
+            const auto var = static_cast<ir::SyncVarId>(lpid % 4);
+            b.waitGE(var, 3 * lpid);
+            b.compute(2);
+            b.write(var, 3 * lpid - 1);
+            return program;
+        }
+    };
+    const Crafted source;
+    const std::uint64_t n = 30;
+    ir::InitValueFn init = [](ir::SyncVarId) { return ir::SyncWord{0}; };
+    ir::PassConfig cfg;
+    cfg.eliminateRedundantWaits = true;
+    cfg.peephole = true;
+
+    std::vector<ir::Program> programs;
+    for (std::uint64_t lpid = 1; lpid <= n; ++lpid)
+        programs.push_back(source.emit(lpid));
+    const ir::PassStats want = ir::runPasses(programs, cfg, init);
+    ir::PassStats got;
+    const ir::IterationPool pool =
+        ir::lowerPool(source, n, 1, cfg, init, got);
+    EXPECT_EQ(pool.numClasses(), 4u);
+    ASSERT_EQ(want.verifierErrors.size(), 4u);
+    EXPECT_EQ(got.verifierErrors, want.verifierErrors);
+    EXPECT_FALSE(got.verified);
+}
+
+TEST(PlanCacheTest, PlansHoldClassBodiesThatDoNotGrowWithN)
+{
+    // serve-miss's plans: every fig21-n256 scenario, passes on, at
+    // N = 257..320.
+    core::PlanCache cache(8);
+    std::size_t body_ops = 0, iteration_ops = 0;
+    for (const bench::Scenario *s :
+         bench::matchScenariosGlob("fig21-n256/*")) {
+        const core::RunConfig cfg = campaignConfig(*s);
+        std::size_t first_ops = 0, first_classes = 0, first_bytes = 0;
+        for (long n = 257; n <= 320; ++n) {
+            auto plan = cache.get(workloads::makeFig21Loop(n), s->kind,
+                                  cfg);
+            ASSERT_EQ(plan->pool.size(), static_cast<std::size_t>(n));
+            if (n == 257) {
+                first_ops = plan->pool.bodyOps();
+                first_classes = plan->pool.numClasses();
+                first_bytes = plan->pool.bytes();
+            }
+            EXPECT_EQ(plan->pool.bodyOps(), first_ops)
+                << s->id << " N=" << n;
+            EXPECT_EQ(plan->pool.numClasses(), first_classes)
+                << s->id << " N=" << n;
+            // All that grows is one 4-byte class index per iteration.
+            EXPECT_LE(plan->pool.bytes(),
+                      first_bytes + (n - 257) * sizeof(std::uint32_t))
+                << s->id << " N=" << n;
+            body_ops += plan->pool.bodyOps();
+            iteration_ops += plan->passStats.opsAfter;
+        }
+        EXPECT_LE(first_classes, 18u) << s->id;
+    }
+    // The ops of one program per iteration, which the 384 plans held
+    // before they were lowered by class, against what they hold now.
+    EXPECT_EQ(iteration_ops, 3026944u);
+    EXPECT_EQ(body_ops, 93376u);
+}
 
 TEST(PlanCacheTest, SecondGetOfSameKeyHits)
 {
@@ -214,7 +519,7 @@ TEST(PlanCacheTest, LruEvictionKeepsRecentlyUsed)
 
     // The evicted entry's shared_ptr stays valid — eviction never
     // invalidates a plan a gang is still executing.
-    EXPECT_FALSE(b->programs.empty());
+    EXPECT_NE(b->pool.size(), 0u);
 
     // Re-requesting the evicted key replans (miss, not a hit).
     std::uint64_t misses = cache.misses();
@@ -228,7 +533,7 @@ TEST(PlanCacheTest, EntryCarriesInitImageAndVerifiedPlan)
     dep::Loop loop = workloads::makeFig21Loop(12);
     auto plan = cache.get(loop, sync::SchemeKind::processImproved,
                           baseConfig());
-    EXPECT_FALSE(plan->programs.empty());
+    EXPECT_EQ(plan->pool.size(), 12u);
     EXPECT_FALSE(plan->initWords.empty());
     EXPECT_FALSE(plan->plan.depsVerified.empty());
 }

@@ -57,10 +57,13 @@ stuckPlan()
     plan->loopText = "(handcrafted deadlock)";
     plan->kind = sync::SchemeKind::none;
     plan->initWords = {0};
-    sim::Program stuck;
-    stuck.iter = 1;
-    stuck.ops = {sim::Op::mkWaitGE(0, 99)};
-    plan->programs = {stuck};
+    static const std::vector<sim::Program> programs = [] {
+        sim::Program stuck;
+        stuck.iter = 1;
+        stuck.ops = {sim::Op::mkWaitGE(0, 99)};
+        return std::vector<sim::Program>{stuck};
+    }();
+    plan->pool = ir::IterationPool::borrow(programs);
     return plan;
 }
 

@@ -7,6 +7,7 @@
 #include "sim/machine.hh"
 
 using namespace psync::sim;
+using psync::ir::Iteration;
 
 TEST(MachineTest, BusMachineExposesDataBus)
 {
@@ -62,12 +63,13 @@ TEST(MachineTest, CompletionTickIsLastHalt)
     }
     std::vector<size_t> next(3, 0);
     auto dispatch = [&](ProcId who,
-                        std::function<void(const Program *)> cb) {
+                        std::function<void(const Iteration *)> cb) {
         if (next[who] >= progs[who].size()) {
             cb(nullptr);
             return;
         }
-        cb(&progs[who][next[who]++]);
+        const auto it = Iteration::of(progs[who][next[who]++]);
+        cb(&it);
     };
     ASSERT_TRUE(m.run(dispatch));
     EXPECT_EQ(m.completionTick(), 30u);
@@ -87,12 +89,13 @@ TEST(MachineTest, DumpStatsMentionsComponents)
     }
     std::vector<size_t> next(2, 0);
     auto dispatch = [&](ProcId who,
-                        std::function<void(const Program *)> cb) {
+                        std::function<void(const Iteration *)> cb) {
         if (next[who] >= progs[who].size()) {
             cb(nullptr);
             return;
         }
-        cb(&progs[who][next[who]++]);
+        const auto it = Iteration::of(progs[who][next[who]++]);
+        cb(&it);
     };
     ASSERT_TRUE(m.run(dispatch));
     std::ostringstream os;
@@ -123,13 +126,13 @@ TEST(MachineTest, RunReportsBlockedProcessorsAsIncomplete)
     progs[0].iter = 1;
     progs[0].ops = {Op::mkWaitGE(v, 1)};
     size_t next = 0;
-    auto dispatch = [&](ProcId,
-                        std::function<void(const Program *)> cb) {
+    auto dispatch = [&](ProcId, std::function<void(const Iteration *)> cb) {
         if (next >= progs.size()) {
             cb(nullptr);
             return;
         }
-        cb(&progs[next++]);
+        const auto it = Iteration::of(progs[next++]);
+        cb(&it);
     };
     // Register-fabric waiter parks; the queue drains but the
     // processor never halts.

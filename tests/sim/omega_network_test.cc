@@ -8,6 +8,7 @@
 #include "sim/omega_network.hh"
 
 using namespace psync::sim;
+using psync::ir::Iteration;
 
 TEST(OmegaNetworkTest, TraversalLatency)
 {
@@ -95,12 +96,13 @@ TEST(OmegaNetworkTest, MachineBuildsNetworkMachine)
     }
     std::vector<size_t> next(16, 0);
     auto dispatch = [&](ProcId who,
-                        std::function<void(const Program *)> cb) {
+                        std::function<void(const Iteration *)> cb) {
         if (next[who] >= progs[who].size()) {
             cb(nullptr);
             return;
         }
-        cb(&progs[who][next[who]++]);
+        const auto it = Iteration::of(progs[who][next[who]++]);
+        cb(&it);
     };
     ASSERT_TRUE(m.run(dispatch));
     EXPECT_EQ(m.dataNet().transactions(), 16u);
@@ -127,13 +129,13 @@ TEST(OmegaNetworkTest, NetworkScalesWhereBusSaturates)
         }
         std::vector<size_t> next(32, 0);
         auto dispatch =
-            [&](ProcId who,
-                std::function<void(const Program *)> cb) {
+            [&](ProcId who, std::function<void(const Iteration *)> cb) {
             if (next[who] >= progs[who].size()) {
                 cb(nullptr);
                 return;
             }
-            cb(&progs[who][next[who]++]);
+            const auto it = Iteration::of(progs[who][next[who]++]);
+            cb(&it);
         };
         EXPECT_TRUE(m.run(dispatch));
         return m.completionTick();

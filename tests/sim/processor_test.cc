@@ -7,6 +7,7 @@
 #include "sim/machine.hh"
 
 using namespace psync::sim;
+using psync::ir::Iteration;
 
 namespace {
 
@@ -15,12 +16,13 @@ Processor::Dispatch
 oneProcDispatch(const std::vector<Program> &programs, size_t &next)
 {
     return [&programs, &next](ProcId who,
-                              std::function<void(const Program *)> cb) {
+                              std::function<void(const Iteration *)> cb) {
         if (who != 0 || next >= programs.size()) {
             cb(nullptr);
             return;
         }
-        cb(&programs[next++]);
+        const auto it = Iteration::of(programs[next++]);
+        cb(&it);
     };
 }
 
@@ -77,13 +79,14 @@ TEST(ProcessorTest, WaitGESpinsUntilSignaled)
     std::vector<std::vector<Program> *> lists{&p0, &p1};
     std::vector<size_t> next(2, 0);
     auto dispatch = [&](ProcId who,
-                        std::function<void(const Program *)> cb) {
+                        std::function<void(const Iteration *)> cb) {
         auto &list = *lists[who];
         if (next[who] >= list.size()) {
             cb(nullptr);
             return;
         }
-        cb(&list[next[who]++]);
+        const auto it = Iteration::of(list[next[who]++]);
+        cb(&it);
     };
     ASSERT_TRUE(m.run(dispatch));
     EXPECT_GE(m.proc(0).spinCycles(), 48u);
@@ -142,13 +145,14 @@ TEST(ProcessorTest, PcTransferAcquiresThenHandsOff)
     std::vector<std::vector<Program> *> lists{&p0, &p1};
     std::vector<size_t> next(2, 0);
     auto dispatch = [&](ProcId who,
-                        std::function<void(const Program *)> cb) {
+                        std::function<void(const Iteration *)> cb) {
         auto &list = *lists[who];
         if (next[who] >= list.size()) {
             cb(nullptr);
             return;
         }
-        cb(&list[next[who]++]);
+        const auto it = Iteration::of(list[next[who]++]);
+        cb(&it);
     };
     ASSERT_TRUE(m.run(dispatch));
     EXPECT_EQ(m.fabric().peek(v), PcWord::pack(5, 0));
@@ -171,12 +175,13 @@ TEST(ProcessorTest, CtrBarrierReleasesAllArrivals)
     }
     std::vector<size_t> next(4, 0);
     auto dispatch = [&](ProcId who,
-                        std::function<void(const Program *)> cb) {
+                        std::function<void(const Iteration *)> cb) {
         if (next[who] >= lists[who].size()) {
             cb(nullptr);
             return;
         }
-        cb(&lists[who][next[who]++]);
+        const auto it = Iteration::of(lists[who][next[who]++]);
+        cb(&it);
     };
     ASSERT_TRUE(m.run(dispatch));
     EXPECT_EQ(m.fabric().peek(ctr), 4u);
@@ -189,8 +194,7 @@ TEST(ProcessorTest, CtrBarrierReleasesAllArrivals)
 TEST(ProcessorTest, HaltsWhenDispatchReturnsNull)
 {
     Machine m(regConfig(2));
-    auto dispatch = [](ProcId,
-                       std::function<void(const Program *)> cb) {
+    auto dispatch = [](ProcId, std::function<void(const Iteration *)> cb) {
         cb(nullptr);
     };
     ASSERT_TRUE(m.run(dispatch));

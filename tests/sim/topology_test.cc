@@ -13,6 +13,7 @@
 #include "sim/topology.hh"
 
 using namespace psync::sim;
+using psync::ir::Iteration;
 
 TEST(TopologyTest, SyncTopologyMapsMachineConfig)
 {
@@ -121,13 +122,13 @@ TEST(TopologyTest, ComposedFabricsRunPrograms)
         }
         std::vector<size_t> next(4, 0);
         auto dispatch = [&](ProcId who,
-                            std::function<void(const Program *)>
-                                cb) {
+                            std::function<void(const Iteration *)> cb) {
             if (next[who] >= progs[who].size()) {
                 cb(nullptr);
                 return;
             }
-            cb(&progs[who][next[who]++]);
+            const auto it = Iteration::of(progs[who][next[who]++]);
+            cb(&it);
         };
         ASSERT_TRUE(m.run(dispatch))
             << "fabric " << fabricKindName(kind);

@@ -8,6 +8,7 @@
 #include "workloads/nested.hh"
 
 using namespace psync;
+using psync::ir::Iteration;
 
 namespace {
 
@@ -97,13 +98,13 @@ TEST(CedarCombiningTest, RegisterFabricRejectsKeyedOps)
     progs[0].ops = {sim::Op::mkKeyed(false, 0, 0, 8, 0)};
     size_t next = 0;
     auto dispatch = [&](sim::ProcId,
-                        std::function<void(const sim::Program *)>
-                            cb) {
+                        std::function<void(const Iteration *)> cb) {
         if (next >= progs.size()) {
             cb(nullptr);
             return;
         }
-        cb(&progs[next++]);
+        const auto it = Iteration::of(progs[next++]);
+        cb(&it);
     };
     EXPECT_DEATH(m.run(dispatch), "memory-resident keys");
 }

@@ -6,6 +6,7 @@
 #include "sync/pc_file.hh"
 
 using namespace psync;
+using psync::ir::Iteration;
 using sim::PcWord;
 
 namespace {
@@ -80,12 +81,13 @@ TEST(PcFileTest, OwnershipChainAcrossFolding)
     std::vector<size_t> next(2, 0);
     std::vector<std::vector<sim::Program> *> lists{&p0, &p1};
     auto dispatch = [&](sim::ProcId who,
-                        std::function<void(const sim::Program *)> cb) {
+                        std::function<void(const Iteration *)> cb) {
         if (next[who] >= lists[who]->size()) {
             cb(nullptr);
             return;
         }
-        cb(&(*lists[who])[next[who]++]);
+        const auto it = Iteration::of((*lists[who])[next[who]++]);
+        cb(&it);
     };
     ASSERT_TRUE(m.run(dispatch));
     // After both transfers, PC[1] belongs to process 5.

@@ -163,8 +163,9 @@ TEST(ProcessOrientedTest, ImprovedEmissionUsesMarkAndTransfer)
 
     // No blocking get_PC anywhere.
     for (const auto &op : prog.ops) {
-        if (op.kind == OpKind::syncWaitGE)
+        if (op.kind == OpKind::syncWaitGE) {
             EXPECT_NE(op.value, PcWord::pack(10, 0));
+        }
     }
 }
 
