@@ -1,7 +1,5 @@
 #include "core/metrics.hh"
 
-#include <iomanip>
-
 #include "sim/cluster_fabric.hh"
 #include "sim/combining_fabric.hh"
 
@@ -234,22 +232,6 @@ RunResult::toJson() const
     if (waitLatency.count() > 0)
         v.set("wait_latency", waitLatency.toJson());
     return v;
-}
-
-void
-printResult(std::ostream &os, const char *label, const RunResult &r)
-{
-    os << std::left << std::setw(20) << label << std::right
-       << std::setw(10) << r.cycles
-       << std::setw(9) << std::fixed << std::setprecision(3)
-       << r.utilization()
-       << std::setw(9) << r.spinFraction()
-       << std::setw(12) << r.syncOps
-       << std::setw(12) << r.syncBusBroadcasts
-       << std::setw(10) << r.coalescedWrites
-       << std::setw(12) << r.syncMemPolls
-       << std::setw(8) << std::setprecision(2) << r.hotSpotRatio
-       << (r.completed ? "" : "  [DEADLOCK]") << "\n";
 }
 
 } // namespace core

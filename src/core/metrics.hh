@@ -10,7 +10,6 @@
 #define PSYNC_CORE_METRICS_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -239,21 +238,17 @@ struct RunResult
 
     /**
      * Machine-readable dump: every raw field plus the derived
-     * utilization/spin fractions, a superset of what printResult
-     * shows. Keys are stable snake_case and always emitted in the
-     * same order (new fields append after the existing block), so
-     * trajectory diffs line up; tools should treat absent keys as
-     * zero. `wait_latency` appears only when the run was profiled.
+     * utilization/spin fractions. Keys are stable snake_case and
+     * always emitted in the same order (new fields append after the
+     * existing block), so trajectory diffs line up; tools should
+     * treat absent keys as zero. `wait_latency` appears only when
+     * the run was profiled.
      */
     json::Value toJson() const;
 };
 
 /** Snapshot a machine's statistics into a RunResult. */
 RunResult collectResult(sim::Machine &machine, bool completed);
-
-/** One-result-per-line table helper used by the benches. */
-void printResult(std::ostream &os, const char *label,
-                 const RunResult &result);
 
 } // namespace core
 } // namespace psync

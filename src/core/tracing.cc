@@ -172,12 +172,5 @@ chromeTrace(const sim::TraceLog &log)
     return doc;
 }
 
-void
-writeChromeTrace(const sim::TraceLog &log, std::ostream &os)
-{
-    chromeTrace(log).dump(os, 0);
-    os << "\n";
-}
-
 } // namespace core
 } // namespace psync

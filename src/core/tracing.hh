@@ -13,8 +13,6 @@
 #ifndef PSYNC_CORE_TRACING_HH
 #define PSYNC_CORE_TRACING_HH
 
-#include <ostream>
-
 #include "core/json.hh"
 #include "sim/tracing.hh"
 
@@ -31,9 +29,6 @@ namespace core {
  * timeline samples.
  */
 json::Value chromeTrace(const sim::TraceLog &log);
-
-/** Write chromeTrace(log) to `os`, newline-terminated. */
-void writeChromeTrace(const sim::TraceLog &log, std::ostream &os);
 
 } // namespace core
 } // namespace psync

@@ -14,12 +14,10 @@ ValueTrace::access(std::uint32_t stmt, std::uint16_t ref,
     (void)end;
     if (is_write) {
         memory_[addr] = valueOfWrite(stmt, ref, iter);
-        ++writesApplied_;
     } else {
         auto it = memory_.find(addr);
         reads_[accessKey(stmt, ref, iter)] =
             it == memory_.end() ? 0 : it->second;
-        ++readsRecorded_;
     }
 }
 

@@ -105,23 +105,16 @@ class ValueTrace : public sim::TraceSink
         return reads_;
     }
 
-    std::uint64_t writesApplied() const { return writesApplied_; }
-    std::uint64_t readsRecorded() const { return readsRecorded_; }
-
     void
     clear()
     {
         memory_.clear();
         reads_.clear();
-        writesApplied_ = 0;
-        readsRecorded_ = 0;
     }
 
   private:
     std::map<sim::Addr, std::uint64_t> memory_;
     std::map<std::uint64_t, std::uint64_t> reads_;
-    std::uint64_t writesApplied_ = 0;
-    std::uint64_t readsRecorded_ = 0;
 };
 
 /** Memory image and read values of a sequential execution. */

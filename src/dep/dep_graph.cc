@@ -39,15 +39,6 @@ DepGraph::crossIteration() const
     return out;
 }
 
-std::vector<unsigned>
-DepGraph::sourceStatements() const
-{
-    std::set<unsigned> srcs;
-    for (const Dep &d : enforced())
-        srcs.insert(d.src);
-    return {srcs.begin(), srcs.end()};
-}
-
 unsigned
 DepGraph::numCovered() const
 {
@@ -61,7 +52,7 @@ DepGraph::numCovered() const
 
 bool
 DepGraph::pathOfDistance(unsigned src, unsigned dst, long dist,
-                         size_t skip, bool at_most) const
+                         size_t skip) const
 {
     // The search works on linearized distances; exact vector sums
     // are preserved because every workload's inner distances are
@@ -76,9 +67,7 @@ DepGraph::pathOfDistance(unsigned src, unsigned dst, long dist,
         [&](unsigned node, long acc, int hops, bool used_arc) -> bool {
         if (acc > target || hops > 16)
             return false;
-        if (node == dst &&
-            (at_most ? (acc <= target && used_arc)
-                     : (acc == target && (hops >= 2 || used_arc))))
+        if (node == dst && acc == target && (hops >= 2 || used_arc))
             return true;
         if (!visited.insert({node, acc, hops}).second)
             return false;
@@ -91,14 +80,12 @@ DepGraph::pathOfDistance(unsigned src, unsigned dst, long dist,
         auto can_enter = [&](unsigned v, long acc_v) {
             if (!loop_->body[v].guard.conditional())
                 return true;
-            if (v != dst)
-                return false;
-            return at_most ? acc_v <= target : acc_v == target;
+            return v == dst && acc_v == target;
         };
 
         // Dependence arcs out of `node`.
         for (size_t k = 0; k < deps_.size(); ++k) {
-            if (k == skip || deps_[k].covered || deps_[k].redundant)
+            if (k == skip || deps_[k].covered)
                 continue;
             const Dep &d = deps_[k];
             if (d.src != node || !d.crossIteration())
@@ -151,90 +138,6 @@ DepGraph::markCovered()
         if (pathOfDistance(dep.src, dep.dst, dep.linearDistance(m), k))
             dep.covered = true;
     }
-}
-
-unsigned
-DepGraph::transitiveReduction()
-{
-    // Larger distances first: the long (often linearization-
-    // manufactured) arcs are the ones short interior arcs make
-    // redundant, and an arc dropped here must not itself be used
-    // to drop another (pathOfDistance skips redundant arcs).
-    std::vector<size_t> order(deps_.size());
-    for (size_t k = 0; k < order.size(); ++k)
-        order[k] = k;
-    const long m = loop_->innerTrip();
-    std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
-        return deps_[x].linearDistance(m) > deps_[y].linearDistance(m);
-    });
-
-    unsigned marked = 0;
-    for (size_t k : order) {
-        Dep &dep = deps_[k];
-        if (!dep.crossIteration() || dep.covered || dep.redundant)
-            continue;
-        if (pathOfDistance(dep.src, dep.dst, dep.linearDistance(m),
-                           k, /*at_most=*/true)) {
-            dep.redundant = true;
-            ++marked;
-        }
-    }
-    return marked;
-}
-
-std::vector<Dep>
-DepGraph::enforcedReduced() const
-{
-    std::vector<Dep> out;
-    for (const Dep &d : deps_) {
-        if (d.crossIteration() && !d.covered && !d.redundant)
-            out.push_back(d);
-    }
-    return out;
-}
-
-unsigned
-DepGraph::numRedundant() const
-{
-    unsigned n = 0;
-    for (const Dep &d : deps_) {
-        if (d.redundant)
-            ++n;
-    }
-    return n;
-}
-
-std::string
-DepGraph::toDot() const
-{
-    std::ostringstream os;
-    os << "digraph \"" << loop_->name << "\" {\n"
-       << "  rankdir=TB;\n  node [shape=box];\n";
-    for (const dep::Statement &stmt : loop_->body) {
-        os << "  \"" << stmt.label << "\"";
-        if (stmt.guard.conditional())
-            os << " [style=rounded]";
-        os << ";\n";
-    }
-    for (const Dep &d : deps_) {
-        os << "  \"" << loop_->body[d.src].label << "\" -> \""
-           << loop_->body[d.dst].label << "\" [label=\""
-           << depTypeName(d.type) << " (" << d.d1;
-        if (loop_->depth == 2)
-            os << "," << d.d2;
-        os << ")\"";
-        if (d.covered)
-            os << ", style=dashed";
-        else if (d.redundant)
-            os << ", style=dotted";
-        if (d.type == DepType::anti)
-            os << ", color=gray40";
-        else if (d.type == DepType::output)
-            os << ", color=gray70";
-        os << "];\n";
-    }
-    os << "}\n";
-    return os.str();
 }
 
 std::string

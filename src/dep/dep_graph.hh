@@ -49,57 +49,23 @@ class DepGraph
     /** All cross-iteration dependences (for trace verification). */
     std::vector<Dep> crossIteration() const;
 
-    /** Statements that are the source of an enforced dependence. */
-    std::vector<unsigned> sourceStatements() const;
-
     /** Number of covered (eliminated) arcs. */
     unsigned numCovered() const;
 
-    /**
-     * Transitive reduction under the serialized-instances rule
-     * (section 5, Fig. 5.2): mark cross-iteration arcs for which a
-     * chain of other uncovered arcs (plus zero-distance program
-     * order) has total distance <= the arc's distance. The <=
-     * condition is weaker than the exact-sum coverage rule and is
-     * only valid when each statement's instances are serialized —
-     * a path of distance d' < d then orders a(i) before b(i+d')
-     * which precedes b(i+d) — so only schemes that serialize
-     * instances (statement- and process-oriented stepping) may
-     * drop synchronization for the marked arcs. Linearization of a
-     * nested loop manufactures exactly such arcs: the boundary arc
-     * (d1,d2) with large linear distance rides along with its
-     * interior sibling of smaller distance. Marked arcs get
-     * Dep::redundant and are excluded from enforcedReduced().
-     * Returns the number of arcs newly marked.
-     */
-    unsigned transitiveReduction();
-
-    /** Arcs to synchronize when redundant arcs may be dropped. */
-    std::vector<Dep> enforcedReduced() const;
-
-    /** Number of arcs marked by transitiveReduction(). */
-    unsigned numRedundant() const;
-
     /** Multi-line rendering of the full graph. */
     std::string toString() const;
-
-    /**
-     * Graphviz dot rendering: statements as nodes, dependences as
-     * labeled edges (dashed = covered), mirroring Fig. 2.1(b).
-     */
-    std::string toDot() const;
 
   private:
     void markCovered();
 
     /**
      * True if a path from `src` to `dst` of linearized distance
-     * exactly `dist` (or, with `at_most`, <= `dist`) exists,
-     * excluding arc `skip`, arcs already marked covered/redundant,
-     * and any path through a branch-guarded intermediate statement.
+     * exactly `dist` exists, excluding arc `skip`, arcs already
+     * marked covered, and any path through a branch-guarded
+     * intermediate statement.
      */
     bool pathOfDistance(unsigned src, unsigned dst, long dist,
-                        size_t skip, bool at_most = false) const;
+                        size_t skip) const;
 
     const Loop *loop_;
     std::vector<Dep> deps_;

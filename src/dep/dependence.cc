@@ -205,8 +205,6 @@ depToString(const Loop &loop, const Dep &dep)
     os << ")";
     if (dep.covered)
         os << " [covered]";
-    if (dep.redundant)
-        os << " [redundant]";
     return os.str();
 }
 

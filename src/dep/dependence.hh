@@ -54,14 +54,6 @@ struct Dep
     unsigned dstRef = 0;
     /** Marked by coverage elimination (section 2, Fig. 2.1). */
     bool covered = false;
-    /**
-     * Marked by DepGraph::transitiveReduction(): a chain of other
-     * arcs with total distance <= this arc's distance exists. Only
-     * sound when each statement's instances execute serialized
-     * (section 5 / Fig. 5.2); schemes that serialize instances may
-     * skip synchronization for these arcs.
-     */
-    bool redundant = false;
 
     /** True if the dependence crosses iterations. */
     bool

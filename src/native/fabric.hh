@@ -184,8 +184,6 @@ class NativeSyncFabric
      */
     void enableEpochReuse();
 
-    bool epochReuseEnabled() const { return epochEnabled_; }
-
     /**
      * Start a fresh execution epoch: every variable logically
      * reverts to its init-image value without any per-word write,

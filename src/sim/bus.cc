@@ -14,11 +14,7 @@ Bus::Bus(EventQueue &eq, std::string bus_name, Tick cycles_per_txn,
       name_(std::move(bus_name)),
       cyclesPerTxn(cycles_per_txn),
       tracer(trace_log),
-      traceId(trace_id),
-      numTransactions(name_ + ".transactions"),
-      busyCyclesStat(name_ + ".busy_cycles"),
-      queueDelayStat(name_ + ".queue_delay"),
-      maxQueueStat(name_ + ".max_queue")
+      traceId(trace_id)
 {
     if (tracer)
         tracer->nameBus(traceId, name_);
@@ -35,7 +31,7 @@ Bus::transact(ProcId who, GrantHandler on_grant, GrantHandler on_done)
 {
     pending.push(Request{who, eventq.now(), std::move(on_grant),
                          std::move(on_done)});
-    maxQueueStat.updateMax(static_cast<double>(pending.size()));
+    maxQueue_ = std::max<std::uint64_t>(maxQueue_, pending.size());
     if (!granting)
         grantNext();
 }
@@ -55,9 +51,9 @@ Bus::grantNext()
     Tick done = grant + cyclesPerTxn;
     freeAt = done;
 
-    ++numTransactions;
-    busyCyclesStat += static_cast<double>(cyclesPerTxn);
-    queueDelayStat += static_cast<double>(grant - req.issued);
+    ++transactions_;
+    busyCycles_ += cyclesPerTxn;
+    queueDelay_ += grant - req.issued;
 
     PSYNC_DPRINTF(eventq, Bus,
                   "%s grant proc %u (queued %llu cycles)",
@@ -84,17 +80,15 @@ Bus::grantNext()
 void
 Bus::sampleTimeline(TraceLog &t, Tick at) const
 {
-    // busyCyclesStat books a transaction's full occupancy at grant
+    // busyCycles_ books a transaction's full occupancy at grant
     // time; back out the not-yet-elapsed tail of an in-flight
     // transaction so consecutive samples difference to the busy
     // cycles actually inside the interval.
-    double busy = busyCyclesStat.value();
+    Tick busy = busyCycles_;
     if (granting && freeAt > at)
-        busy -= static_cast<double>(freeAt - at);
-    if (busy < 0)
-        busy = 0;
+        busy -= std::min(busy, freeAt - at);
     t.push(TraceEvent::sample(SampleStream::busBusyCycles, traceId, at,
-                              busy));
+                              static_cast<double>(busy)));
     t.push(TraceEvent::sample(
         SampleStream::busQueueDepth, traceId, at,
         static_cast<double>(pending.size() + (granting ? 1 : 0))));
@@ -105,25 +99,7 @@ Bus::utilization(Tick end_tick) const
 {
     if (end_tick == 0)
         return 0.0;
-    return busyCyclesStat.value() / static_cast<double>(end_tick);
-}
-
-void
-Bus::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, numTransactions);
-    stats::dump(os, busyCyclesStat);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, maxQueueStat);
-}
-
-void
-Bus::registerStats(stats::Group &group) const
-{
-    group.add(numTransactions);
-    group.add(busyCyclesStat);
-    group.add(queueDelayStat);
-    group.add(maxQueueStat);
+    return static_cast<double>(busyCycles_) / static_cast<double>(end_tick);
 }
 
 } // namespace sim

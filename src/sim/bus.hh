@@ -19,7 +19,6 @@
 #include "sim/event_queue.hh"
 #include "sim/interconnect.hh"
 #include "sim/ring_fifo.hh"
-#include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
 
@@ -32,7 +31,7 @@ class Bus : public Interconnect
   public:
     /**
      * @param eq            event queue driving the simulation
-     * @param bus_name      name used in statistics output
+     * @param bus_name      name used in trace and debug output
      * @param cycles_per_txn bus occupancy of one transaction
      * @param tracer        optional trace log (may be null)
      * @param trace_id      id of this bus's busy events and timeline
@@ -58,32 +57,17 @@ class Bus : public Interconnect
     void transact(ProcId who, GrantHandler on_grant,
                   GrantHandler on_done) override;
 
-    /** Cycles one transaction occupies the bus. */
-    Tick cyclesPerTransaction() const { return cyclesPerTxn; }
-
     /** Number of completed transactions. */
-    std::uint64_t transactions() const override
-    {
-        return static_cast<std::uint64_t>(numTransactions.value());
-    }
+    std::uint64_t transactions() const override { return transactions_; }
 
     /** Total cycles the bus was busy. */
-    Tick busyCycles() const
-    {
-        return static_cast<Tick>(busyCyclesStat.value());
-    }
+    Tick busyCycles() const { return busyCycles_; }
 
     /** Total cycles transactions spent waiting for a grant. */
-    Tick queueDelay() const override
-    {
-        return static_cast<Tick>(queueDelayStat.value());
-    }
+    Tick queueDelay() const override { return queueDelay_; }
 
     /** Largest queue depth observed. */
-    std::uint64_t maxQueueDepth() const
-    {
-        return static_cast<std::uint64_t>(maxQueueStat.value());
-    }
+    std::uint64_t maxQueueDepth() const { return maxQueue_; }
 
     /** Fraction of time busy over [0, end_tick]. */
     double utilization(Tick end_tick) const override;
@@ -93,12 +77,6 @@ class Bus : public Interconnect
      * instantaneous queue depth) under this bus's trace id.
      */
     void sampleTimeline(TraceLog &t, Tick at) const;
-
-    /** Write the bus statistics to a stream. */
-    void dumpStats(std::ostream &os) const override;
-
-    /** Register this bus's statistics with a walker group. */
-    void registerStats(stats::Group &group) const override;
 
     const std::string &name() const override { return name_; }
 
@@ -130,10 +108,10 @@ class Bus : public Interconnect
     GrantHandler inflightDone;
     Tick inflightGrant = 0;
 
-    stats::Scalar numTransactions;
-    stats::Scalar busyCyclesStat;
-    stats::Scalar queueDelayStat;
-    stats::Gauge maxQueueStat;
+    std::uint64_t transactions_ = 0;
+    Tick busyCycles_ = 0;
+    Tick queueDelay_ = 0;
+    std::uint64_t maxQueue_ = 0;
 };
 
 } // namespace sim

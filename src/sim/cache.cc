@@ -10,11 +10,7 @@ CacheSystem::CacheSystem(EventQueue &eq, Memory &mem,
     : eventq(eq),
       memory(mem),
       config(cfg),
-      numProcs(num_procs),
-      hitsStat("cache.hits"),
-      missesStat("cache.misses"),
-      invalidationsStat("cache.invalidations"),
-      writeThroughsStat("cache.write_throughs")
+      numProcs(num_procs)
 {
     if (config.enabled) {
         lines.assign(num_procs,
@@ -45,7 +41,7 @@ CacheSystem::invalidateOthers(ProcId who, Addr addr)
         Line &line = lines[p][indexOf(addr)];
         if (line.valid && line.tag == addr / 8) {
             line.valid = false;
-            ++invalidationsStat;
+            ++invalidations_;
         }
     }
 }
@@ -59,11 +55,11 @@ CacheSystem::read(ProcId who, Addr addr, AccessHandler on_done)
     }
     Line &line = lineOf(who, addr);
     if (line.valid && line.tag == addr / 8) {
-        ++hitsStat;
+        ++hits_;
         eventq.scheduleIn(config.hitCycles, std::move(on_done));
         return;
     }
-    ++missesStat;
+    ++misses_;
     memory.readDiscard(who, addr,
                        [this, who, addr,
                         on_done = std::move(on_done)]() {
@@ -81,7 +77,6 @@ CacheSystem::write(ProcId who, Addr addr, AccessHandler on_done)
     }
     // Write-through: memory is updated on every store; the
     // invalidation rides the same bus transaction (snooping).
-    ++writeThroughsStat;
     memory.write(who, addr, 0,
                  [this, who, addr,
                   on_done = std::move(on_done)]() {
@@ -89,24 +84,6 @@ CacheSystem::write(ProcId who, Addr addr, AccessHandler on_done)
         invalidateOthers(who, addr);
         on_done();
     });
-}
-
-void
-CacheSystem::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, hitsStat);
-    stats::dump(os, missesStat);
-    stats::dump(os, invalidationsStat);
-    stats::dump(os, writeThroughsStat);
-}
-
-void
-CacheSystem::registerStats(stats::Group &group) const
-{
-    group.add(hitsStat);
-    group.add(missesStat);
-    group.add(invalidationsStat);
-    group.add(writeThroughsStat);
 }
 
 } // namespace sim

@@ -21,12 +21,10 @@
 #define PSYNC_SIM_CACHE_HH
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/memory.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace psync {
@@ -60,32 +58,18 @@ class CacheSystem
 
     bool enabled() const { return config.enabled; }
 
-    std::uint64_t hits() const
-    {
-        return static_cast<std::uint64_t>(hitsStat.value());
-    }
+    std::uint64_t hits() const { return hits_; }
 
-    std::uint64_t misses() const
-    {
-        return static_cast<std::uint64_t>(missesStat.value());
-    }
+    std::uint64_t misses() const { return misses_; }
 
-    std::uint64_t invalidations() const
-    {
-        return static_cast<std::uint64_t>(invalidationsStat.value());
-    }
+    std::uint64_t invalidations() const { return invalidations_; }
 
     double
     hitRate() const
     {
-        double total = hitsStat.value() + missesStat.value();
-        return total > 0 ? hitsStat.value() / total : 0.0;
+        double total = static_cast<double>(hits_ + misses_);
+        return total > 0 ? static_cast<double>(hits_) / total : 0.0;
     }
-
-    void dumpStats(std::ostream &os) const;
-
-    /** Register the cache statistics with a walker group. */
-    void registerStats(stats::Group &group) const;
 
   private:
     struct Line
@@ -115,10 +99,9 @@ class CacheSystem
     unsigned numProcs;
     std::vector<std::vector<Line>> lines;
 
-    stats::Scalar hitsStat;
-    stats::Scalar missesStat;
-    stats::Scalar invalidationsStat;
-    stats::Scalar writeThroughsStat;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t invalidations_ = 0;
 };
 
 } // namespace sim

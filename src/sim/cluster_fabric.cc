@@ -17,14 +17,7 @@ HierarchicalSyncFabric::HierarchicalSyncFabric(
       globalBus(global_bus),
       capacity_(capacity),
       coalesceEnabled(coalesce),
-      tracer(trace),
-      localBroadcastsStat("syncfab.hier.local_broadcasts"),
-      globalBroadcastsStat("syncfab.hier.global_broadcasts"),
-      coalescedLocalStat("syncfab.hier.coalesced_local"),
-      coalescedGlobalStat("syncfab.hier.coalesced_global"),
-      combinedIncsStat("syncfab.hier.combined_incs"),
-      localReadsStat("syncfab.hier.local_reads"),
-      wakeupsStat("syncfab.hier.wakeups")
+      tracer(trace)
 {
     if (clusterBuses.empty())
         fatal("hierarchical fabric needs at least one cluster");
@@ -83,7 +76,6 @@ HierarchicalSyncFabric::commitCluster(unsigned c, SyncVarId var,
 {
     images[c][var] = value;
     waiters[c][var].release(value, [this, var](Waiter &&w) {
-        ++wakeupsStat;
         if (tracer) {
             auto it = activeWaiters.find(var);
             if (it != activeWaiters.end() && --it->second == 0)
@@ -102,7 +94,6 @@ void
 HierarchicalSyncFabric::waitGE(ProcId who, SyncVarId var,
                                SyncWord threshold, WaitHandler on_done)
 {
-    ++localReadsStat;
     unsigned c = clusterOf(who);
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (cluster %u image %llu)",
@@ -128,7 +119,6 @@ void
 HierarchicalSyncFabric::read(ProcId who, SyncVarId var,
                              ValueHandler on_done)
 {
-    ++localReadsStat;
     ReadyOp ready;
     ready.kind = ReadyOp::Kind::readValue;
     ready.value = images[clusterOf(who)][var];
@@ -147,7 +137,7 @@ HierarchicalSyncFabric::forwardGlobal(ProcId who, unsigned c,
         // A global broadcast of this variable from this cluster is
         // still waiting for the stage; the newer value covers it.
         it->second.value = value;
-        ++coalescedGlobalStat;
+        ++coalescedGlobal_;
         return;
     }
     auto &pw = pendingGlobal[gkey];
@@ -170,7 +160,7 @@ HierarchicalSyncFabric::forwardGlobal(ProcId who, unsigned c,
 void
 HierarchicalSyncFabric::commitGlobal(SyncVarId var, SyncWord value)
 {
-    ++globalBroadcastsStat;
+    ++globalBroadcasts_;
     trace(tracer, TraceEvent::syncOp(SyncOp::broadcast, var, 0, eventq.now()));
     values[var] = value;
     for (unsigned c = 0; c < numClusters(); ++c)
@@ -191,7 +181,7 @@ HierarchicalSyncFabric::write(ProcId who, SyncVarId var,
     if (coalesceEnabled && it != pendingLocal.end() &&
         it->second.valid) {
         it->second.value = value;
-        ++coalescedLocalStat;
+        ++coalescedLocal_;
         trace(tracer, TraceEvent::syncOp(SyncOp::coalesced, var, who,
                                          eventq.now()));
     } else {
@@ -209,7 +199,7 @@ HierarchicalSyncFabric::write(ProcId who, SyncVarId var,
                 ProcId writer = static_cast<ProcId>(key >> 32);
                 SyncVarId var_id =
                     static_cast<SyncVarId>(key & 0xffffffffu);
-                ++localBroadcastsStat;
+                ++localBroadcasts_;
                 SyncWord committed = pendingLocal[key].latched;
                 commitCluster(c, var_id, committed);
                 forwardGlobal(writer, c, var_id, committed);
@@ -226,7 +216,7 @@ void
 HierarchicalSyncFabric::applyIncBatch()
 {
     InflightBatch batch = inflightIncs.pop();
-    ++globalBroadcastsStat;
+    ++globalBroadcasts_;
     SyncWord base = values[batch.var];
     SyncWord count = static_cast<SyncWord>(batch.members.size());
     // Pre-values are handed out FIFO in batch-join order, exactly
@@ -255,14 +245,14 @@ HierarchicalSyncFabric::fetchInc(ProcId who, SyncVarId var,
     localIncs[c].push(std::move(on_done));
     clusterBuses[c]->transact(who, [this, who, var, c](Tick) {
         ValueHandler handler = localIncs[c].pop();
-        ++localBroadcastsStat;
+        ++localBroadcasts_;
         std::uint64_t bkey = pairKey(c, var);
         auto it = openIncs.find(bkey);
         if (it != openIncs.end() && it->second.valid) {
             // The cluster engine already has a global fetch&add
             // queued for this variable: join its batch.
             it->second.members.push_back(std::move(handler));
-            ++combinedIncsStat;
+            ++combinedIncs_;
             return;
         }
         auto &batch = openIncs[bkey];
@@ -309,30 +299,6 @@ HierarchicalSyncFabric::sampleTimeline(TraceLog &t, Tick at) const
                                   entry.first, at,
                                   static_cast<double>(entry.second)));
     }
-}
-
-void
-HierarchicalSyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, localBroadcastsStat);
-    stats::dump(os, globalBroadcastsStat);
-    stats::dump(os, coalescedLocalStat);
-    stats::dump(os, coalescedGlobalStat);
-    stats::dump(os, combinedIncsStat);
-    stats::dump(os, localReadsStat);
-    stats::dump(os, wakeupsStat);
-}
-
-void
-HierarchicalSyncFabric::registerStats(stats::Group &group) const
-{
-    group.add(localBroadcastsStat);
-    group.add(globalBroadcastsStat);
-    group.add(coalescedLocalStat);
-    group.add(coalescedGlobalStat);
-    group.add(combinedIncsStat);
-    group.add(localReadsStat);
-    group.add(wakeupsStat);
 }
 
 } // namespace sim

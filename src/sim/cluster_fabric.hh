@@ -32,7 +32,6 @@
 #include "sim/bus.hh"
 #include "sim/event_queue.hh"
 #include "sim/ring_fifo.hh"
-#include "sim/stats.hh"
 #include "sim/sync_fabric.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
@@ -100,40 +99,21 @@ class HierarchicalSyncFabric : public SyncFabric
     Tick issueCost() const override { return 1; }
 
     /** Local-bus broadcasts (cluster-internal commits). */
-    std::uint64_t localBroadcasts() const
-    {
-        return static_cast<std::uint64_t>(localBroadcastsStat.value());
-    }
+    std::uint64_t localBroadcasts() const { return localBroadcasts_; }
 
     /** Global-stage transactions (cross-cluster commits + incs). */
-    std::uint64_t globalBroadcasts() const
-    {
-        return static_cast<std::uint64_t>(
-            globalBroadcastsStat.value());
-    }
+    std::uint64_t globalBroadcasts() const { return globalBroadcasts_; }
 
     /** Writes absorbed into a pending local broadcast. */
-    std::uint64_t coalescedLocal() const
-    {
-        return static_cast<std::uint64_t>(coalescedLocalStat.value());
-    }
+    std::uint64_t coalescedLocal() const { return coalescedLocal_; }
 
     /** Cross-cluster updates absorbed into a pending global one. */
-    std::uint64_t coalescedGlobal() const
-    {
-        return static_cast<std::uint64_t>(coalescedGlobalStat.value());
-    }
+    std::uint64_t coalescedGlobal() const { return coalescedGlobal_; }
 
     /** Fetch&adds that joined an already-open cluster batch. */
-    std::uint64_t combinedIncs() const
-    {
-        return static_cast<std::uint64_t>(combinedIncsStat.value());
-    }
+    std::uint64_t combinedIncs() const { return combinedIncs_; }
 
     void sampleTimeline(TraceLog &t, Tick at) const override;
-
-    void dumpStats(std::ostream &os) const override;
-    void registerStats(stats::Group &group) const override;
 
   private:
     /** A processor spinning on its cluster's image of a variable. */
@@ -232,13 +212,11 @@ class HierarchicalSyncFabric : public SyncFabric
     std::vector<RingFifo<ValueHandler>> localIncs;
     RingFifo<ReadyOp> readyOps;
 
-    stats::Scalar localBroadcastsStat;
-    stats::Scalar globalBroadcastsStat;
-    stats::Scalar coalescedLocalStat;
-    stats::Scalar coalescedGlobalStat;
-    stats::Scalar combinedIncsStat;
-    stats::Scalar localReadsStat;
-    stats::Scalar wakeupsStat;
+    std::uint64_t localBroadcasts_ = 0;
+    std::uint64_t globalBroadcasts_ = 0;
+    std::uint64_t coalescedLocal_ = 0;
+    std::uint64_t coalescedGlobal_ = 0;
+    std::uint64_t combinedIncs_ = 0;
 };
 
 } // namespace sim

@@ -22,14 +22,7 @@ CombiningSyncFabric::CombiningSyncFabric(EventQueue &eq,
       network("sync_net", num_ports, num_modules, stage_cycles,
               port_cycles),
       moduleFreeAt(num_modules, 0),
-      readsStat("syncfab.comb.reads"),
-      writesStat("syncfab.comb.writes"),
-      rmwsStat("syncfab.comb.rmws"),
-      pollsStat("syncfab.comb.polls"),
-      parkedStat("syncfab.comb.parked_waits"),
-      wakeupsStat("syncfab.comb.wakeups"),
-      moduleDelayStat("syncfab.comb.module_queue_delay"),
-      moduleOpsStat("syncfab.comb.module_ops", num_modules)
+      moduleOps_(num_modules, 0)
 {
     if (num_modules == 0)
         fatal("combining fabric needs at least one sync module");
@@ -94,10 +87,10 @@ CombiningSyncFabric::route(std::uint32_t slot, CombineClass cls)
     }
     unsigned m = moduleOf(op.var);
     Tick start = std::max(d.arrive, moduleFreeAt[m]);
-    moduleDelayStat += static_cast<double>(start - d.arrive);
+    moduleDelay_ += start - d.arrive;
     Tick done = start + serviceCycles;
     moduleFreeAt[m] = done;
-    moduleOpsStat[m] += 1;
+    ++moduleOps_[m];
     op.rootSlot = slot;
     op.completion = done + network.returnCycles();
     // The root's wait-buffer entries stay live until its reply
@@ -149,7 +142,6 @@ void
 CombiningSyncFabric::release(SyncVarId var, SyncWord value, Tick done)
 {
     parked[var].release(value, [this, var, done](std::uint32_t slot) {
-        ++wakeupsStat;
         if (tracer) {
             auto it = activeWaiters.find(var);
             if (it != activeWaiters.end() && --it->second == 0)
@@ -165,7 +157,6 @@ void
 CombiningSyncFabric::waitGE(ProcId who, SyncVarId var,
                             SyncWord threshold, WaitHandler on_done)
 {
-    ++pollsStat;
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(threshold));
@@ -189,7 +180,7 @@ CombiningSyncFabric::waitGE(ProcId who, SyncVarId var,
     // Unsatisfied: park module-side. The slot stays allocated (it
     // anchors the wait handler and keeps combining references to
     // this packet valid) until release() schedules its wake.
-    ++parkedStat;
+    ++parkedWaits_;
     if (tracer)
         ++activeWaiters[var];
     parkedProcs.insert(who);
@@ -200,7 +191,6 @@ void
 CombiningSyncFabric::read(ProcId who, SyncVarId var,
                           ValueHandler on_done)
 {
-    ++readsStat;
     trace(tracer, TraceEvent::syncOp(SyncOp::poll, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
@@ -218,7 +208,6 @@ void
 CombiningSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
                            DoneHandler on_done)
 {
-    ++writesStat;
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(value));
@@ -243,7 +232,6 @@ void
 CombiningSyncFabric::fetchInc(ProcId who, SyncVarId var,
                               ValueHandler on_done)
 {
-    ++rmwsStat;
     trace(tracer, TraceEvent::syncOp(SyncOp::rmw, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
@@ -278,11 +266,16 @@ CombiningSyncFabric::poke(SyncVarId var, SyncWord value)
 double
 CombiningSyncFabric::hotSpotRatio() const
 {
-    double total = moduleOpsStat.total();
+    std::uint64_t total = 0;
+    std::uint64_t hottest = 0;
+    for (std::uint64_t n : moduleOps_) {
+        total += n;
+        hottest = std::max(hottest, n);
+    }
     if (total == 0)
         return 0.0;
-    double uniform = total / numModules_;
-    return moduleOpsStat.maxValue() / uniform;
+    double uniform = static_cast<double>(total) / numModules_;
+    return static_cast<double>(hottest) / uniform;
 }
 
 void
@@ -300,34 +293,6 @@ bool
 CombiningSyncFabric::isParked(ProcId who) const
 {
     return parkedProcs.count(who) > 0;
-}
-
-void
-CombiningSyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, readsStat);
-    stats::dump(os, writesStat);
-    stats::dump(os, rmwsStat);
-    stats::dump(os, pollsStat);
-    stats::dump(os, parkedStat);
-    stats::dump(os, wakeupsStat);
-    stats::dump(os, moduleDelayStat);
-    stats::dump(os, moduleOpsStat);
-    network.dumpStats(os);
-}
-
-void
-CombiningSyncFabric::registerStats(stats::Group &group) const
-{
-    group.add(readsStat);
-    group.add(writesStat);
-    group.add(rmwsStat);
-    group.add(pollsStat);
-    group.add(parkedStat);
-    group.add(wakeupsStat);
-    group.add(moduleDelayStat);
-    group.add(moduleOpsStat);
-    network.registerStats(group);
 }
 
 } // namespace sim

@@ -35,7 +35,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/omega_network.hh"
-#include "sim/stats.hh"
 #include "sim/sync_fabric.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
@@ -79,38 +78,26 @@ class CombiningSyncFabric : public SyncFabric
 
     Tick issueCost() const override { return 1; }
 
-    /** The sync-side combining network (stats, per-stage counters). */
+    /** The sync-side combining network (per-stage counters). */
     const CombiningOmegaNetwork &net() const { return network; }
 
     /** Module an allocated variable interleaves to. */
     unsigned moduleOf(SyncVarId var) const { return var % numModules_; }
 
     /** Operations serviced at module `m` (combined trees count 1). */
-    std::uint64_t moduleOps(unsigned m) const
-    {
-        return static_cast<std::uint64_t>(moduleOpsStat[m]);
-    }
+    std::uint64_t moduleOps(unsigned m) const { return moduleOps_[m]; }
 
     /** Busiest module's share relative to uniform (1.0 = uniform). */
     double hotSpotRatio() const;
 
     /** Waits that parked module-side at least once. */
-    std::uint64_t parkedWaits() const
-    {
-        return static_cast<std::uint64_t>(parkedStat.value());
-    }
+    std::uint64_t parkedWaits() const { return parkedWaits_; }
 
     /** Cycles operations waited for a busy sync module. */
-    Tick moduleQueueDelay() const
-    {
-        return static_cast<Tick>(moduleDelayStat.value());
-    }
+    Tick moduleQueueDelay() const { return moduleDelay_; }
 
     void sampleTimeline(TraceLog &t, Tick at) const override;
     bool isParked(ProcId who) const override;
-
-    void dumpStats(std::ostream &os) const override;
-    void registerStats(stats::Group &group) const override;
 
   private:
     /**
@@ -188,14 +175,9 @@ class CombiningSyncFabric : public SyncFabric
     /** Processors currently parked (timeline sampling). */
     std::unordered_set<ProcId> parkedProcs;
 
-    stats::Scalar readsStat;
-    stats::Scalar writesStat;
-    stats::Scalar rmwsStat;
-    stats::Scalar pollsStat;
-    stats::Scalar parkedStat;
-    stats::Scalar wakeupsStat;
-    stats::Scalar moduleDelayStat;
-    stats::Vector moduleOpsStat;
+    std::uint64_t parkedWaits_ = 0;
+    Tick moduleDelay_ = 0;
+    std::vector<std::uint64_t> moduleOps_;
 };
 
 } // namespace sim

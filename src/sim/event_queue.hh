@@ -117,9 +117,6 @@ class EventQueue
     /** Number of pending events (diagnostics). */
     std::size_t pendingEvents() const { return ringCount_ + far_.size(); }
 
-    /** Pending events in the calendar ring (0 on the heap core). */
-    std::size_t ringEvents() const { return ringCount_; }
-
     /** Non-empty calendar buckets (0 on the heap core). */
     std::size_t occupiedBuckets() const;
 

@@ -14,11 +14,9 @@
 #define PSYNC_SIM_INTERCONNECT_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 
 #include "sim/inline_function.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace psync {
@@ -54,11 +52,6 @@ class Interconnect
 
     /** Fraction of capacity used over [0, end_tick]. */
     virtual double utilization(Tick end_tick) const = 0;
-
-    virtual void dumpStats(std::ostream &os) const = 0;
-
-    /** Register the transport's statistics with a walker group. */
-    virtual void registerStats(stats::Group &group) const = 0;
 
     virtual const std::string &name() const = 0;
 };

@@ -183,35 +183,5 @@ Machine::completionTick() const
     return last;
 }
 
-void
-Machine::dumpStats(std::ostream &os) const
-{
-    dataNet_->dumpStats(os);
-    if (syncBus_)
-        syncBus_->dumpStats(os);
-    for (const auto &cb : clusterBuses_)
-        cb->dumpStats(os);
-    memory_->dumpStats(os);
-    if (caches_->enabled())
-        caches_->dumpStats(os);
-    fabric_->dumpStats(os);
-    for (const auto &proc : processors_)
-        proc->dumpStats(os);
-}
-
-void
-Machine::registerStats(stats::Group &group) const
-{
-    dataNet_->registerStats(group);
-    if (syncBus_)
-        syncBus_->registerStats(group);
-    for (const auto &cb : clusterBuses_)
-        cb->registerStats(group);
-    memory_->registerStats(group);
-    if (caches_->enabled())
-        caches_->registerStats(group);
-    fabric_->registerStats(group);
-}
-
 } // namespace sim
 } // namespace psync

@@ -14,7 +14,6 @@
 #define PSYNC_SIM_MACHINE_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "sim/bus.hh"
@@ -213,11 +212,6 @@ class Machine
      * boundaries; exposed for tests.
      */
     void sampleTimeline(Tick at);
-
-    void dumpStats(std::ostream &os) const;
-
-    /** Register every component's statistics with a walker group. */
-    void registerStats(stats::Group &group) const;
 
   private:
     /**

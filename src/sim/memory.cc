@@ -15,11 +15,7 @@ Memory::Memory(EventQueue &eq, Interconnect &data_net,
       config(cfg),
       tracer(trace),
       moduleFreeAt(cfg.numModules, 0),
-      accessesStat("memory.module_accesses", cfg.numModules),
-      queueDelayStat("memory.module_queue_delay"),
-      readsStat("memory.reads"),
-      writesStat("memory.writes"),
-      rmwsStat("memory.rmws")
+      moduleAccesses(cfg.numModules, 0)
 {
     if (config.numModules == 0)
         fatal("memory must have at least one module");
@@ -53,7 +49,7 @@ void
 Memory::service(std::uint32_t slot)
 {
     unsigned module = moduleOf(requests[slot].addr);
-    accessesStat[module] += 1;
+    ++moduleAccesses[module];
 
     dataNet.transact(requests[slot].who,
                      [this, slot](Tick) { arrived(slot); });
@@ -68,7 +64,7 @@ Memory::arrived(std::uint32_t slot)
     Tick start = std::max(arrive, moduleFreeAt[module]);
     Tick done = start + req.serviceCycles;
     moduleFreeAt[module] = done;
-    queueDelayStat += static_cast<double>(start - arrive);
+    queueDelay_ += start - arrive;
     PSYNC_DPRINTF(eventq, Mem,
                   "module %u service proc %u [%llu, %llu)",
                   module, req.who,
@@ -118,7 +114,6 @@ Memory::complete(std::uint32_t slot)
 void
 Memory::read(ProcId who, Addr addr, ValueHandler on_done)
 {
-    ++readsStat;
     std::uint32_t slot = allocRequest();
     Request &req = requests[slot];
     req.kind = Request::Kind::read;
@@ -132,7 +127,6 @@ Memory::read(ProcId who, Addr addr, ValueHandler on_done)
 void
 Memory::readDiscard(ProcId who, Addr addr, AccessHandler on_done)
 {
-    ++readsStat;
     std::uint32_t slot = allocRequest();
     Request &req = requests[slot];
     req.kind = Request::Kind::readDiscard;
@@ -147,7 +141,6 @@ void
 Memory::write(ProcId who, Addr addr, SyncWord value,
               AccessHandler on_done)
 {
-    ++writesStat;
     std::uint32_t slot = allocRequest();
     Request &req = requests[slot];
     req.kind = Request::Kind::write;
@@ -165,7 +158,6 @@ Memory::rmw(ProcId who, Addr addr, Modify modify, ValueHandler on_done)
     // An atomic read-modify-write holds the module for a read plus
     // a write; serialized arrivals at one hot word pay the full
     // double service each (the fetch&add funnel of Example 4).
-    ++rmwsStat;
     std::uint32_t slot = allocRequest();
     Request &req = requests[slot];
     req.kind = Request::Kind::rmw;
@@ -181,12 +173,12 @@ void
 Memory::serviceAtModule(Addr addr, AccessHandler on_done)
 {
     unsigned module = moduleOf(addr);
-    accessesStat[module] += 1;
+    ++moduleAccesses[module];
     Tick arrive = eventq.now();
     Tick start = std::max(arrive, moduleFreeAt[module]);
     Tick done = start + config.serviceCycles;
     moduleFreeAt[module] = done;
-    queueDelayStat += static_cast<double>(start - arrive);
+    queueDelay_ += start - arrive;
     trace(tracer, TraceEvent::busy(Resource::module, module, /*who=*/0, start,
                                    done));
     eventq.schedule(done, std::move(on_done));
@@ -197,7 +189,7 @@ Memory::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (unsigned m = 0; m < config.numModules; ++m) {
         t.push(TraceEvent::sample(SampleStream::moduleAccesses, m, at,
-                                  accessesStat[m]));
+                                  static_cast<double>(moduleAccesses[m])));
         // The reserved-until horizon divided by the service time is
         // the number of requests queued or in service at the module
         // right now (rmw counts double, matching its occupancy).
@@ -211,34 +203,29 @@ Memory::sampleTimeline(TraceLog &t, Tick at) const
     }
 }
 
+std::uint64_t
+Memory::totalAccesses() const
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t n : moduleAccesses)
+        total += n;
+    return total;
+}
+
+std::uint64_t
+Memory::hottestModuleAccesses() const
+{
+    return *std::max_element(moduleAccesses.begin(), moduleAccesses.end());
+}
+
 double
 Memory::hotSpotRatio() const
 {
-    double total = accessesStat.total();
+    double total = static_cast<double>(totalAccesses());
     if (total == 0)
         return 1.0;
     double uniform = total / config.numModules;
-    return accessesStat.maxValue() / uniform;
-}
-
-void
-Memory::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, accessesStat);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, readsStat);
-    stats::dump(os, writesStat);
-    stats::dump(os, rmwsStat);
-}
-
-void
-Memory::registerStats(stats::Group &group) const
-{
-    group.add(accessesStat);
-    group.add(queueDelayStat);
-    group.add(readsStat);
-    group.add(writesStat);
-    group.add(rmwsStat);
+    return static_cast<double>(hottestModuleAccesses()) / uniform;
 }
 
 } // namespace sim

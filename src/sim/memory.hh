@@ -19,14 +19,12 @@
 #define PSYNC_SIM_MEMORY_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/interconnect.hh"
-#include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
 
@@ -104,16 +102,10 @@ class Memory
         return it == words.end() ? 0 : it->second;
     }
 
-    std::uint64_t totalAccesses() const
-    {
-        return static_cast<std::uint64_t>(accessesStat.total());
-    }
+    std::uint64_t totalAccesses() const;
 
     /** Accesses to the single busiest module. */
-    std::uint64_t hottestModuleAccesses() const
-    {
-        return static_cast<std::uint64_t>(accessesStat.maxValue());
-    }
+    std::uint64_t hottestModuleAccesses() const;
 
     /**
      * Hot-spot ratio: busiest module's share of accesses relative
@@ -122,10 +114,7 @@ class Memory
     double hotSpotRatio() const;
 
     /** Total cycles requests waited for a busy module. */
-    Tick moduleQueueDelay() const
-    {
-        return static_cast<Tick>(queueDelayStat.value());
-    }
+    Tick moduleQueueDelay() const { return queueDelay_; }
 
     /**
      * Emit per-module timeline samples to `t`: cumulative serviced
@@ -133,11 +122,6 @@ class Memory
      * requests, from the module's reserved-until horizon).
      */
     void sampleTimeline(TraceLog &t, Tick at) const;
-
-    void dumpStats(std::ostream &os) const;
-
-    /** Register the memory statistics with a walker group. */
-    void registerStats(stats::Group &group) const;
 
   private:
     /**
@@ -189,11 +173,9 @@ class Memory
     std::vector<Request> requests;
     std::uint32_t freeHead = noRequest;
 
-    stats::Vector accessesStat;
-    stats::Scalar queueDelayStat;
-    stats::Scalar readsStat;
-    stats::Scalar writesStat;
-    stats::Scalar rmwsStat;
+    /** Requests serviced per module. */
+    std::vector<std::uint64_t> moduleAccesses;
+    Tick queueDelay_ = 0;
 };
 
 } // namespace sim

@@ -16,10 +16,7 @@ OmegaNetwork::OmegaNetwork(EventQueue &eq, std::string net_name,
       numStages(num_stages),
       stageCycles(stage_cycles),
       portCycles(port_cycles),
-      portFreeAt(num_ports, 0),
-      numTransactions(name_ + ".transactions"),
-      queueDelayStat(name_ + ".queue_delay"),
-      busyCyclesStat(name_ + ".port_busy_cycles")
+      portFreeAt(num_ports, 0)
 {
     if (num_ports == 0)
         fatal("omega network needs at least one port");
@@ -44,9 +41,9 @@ OmegaNetwork::transact(ProcId who, GrantHandler on_grant,
     Tick inject = std::max(now, portFreeAt[who]);
     portFreeAt[who] = inject + portCycles;
 
-    ++numTransactions;
-    queueDelayStat += static_cast<double>(inject - now);
-    busyCyclesStat += static_cast<double>(portCycles);
+    ++transactions_;
+    queueDelay_ += inject - now;
+    portBusy_ += portCycles;
 
     Tick delivered = inject + numStages * stageCycles;
     if (on_grant) {
@@ -97,10 +94,7 @@ CombiningOmegaNetwork::CombiningOmegaNetwork(std::string net_name,
     : name_(std::move(net_name)),
       stageCycles(stage_cycles),
       portCycles(port_cycles),
-      portFreeAt(num_ports, 0),
-      numTransactions(name_ + ".transactions"),
-      queueDelayStat(name_ + ".queue_delay"),
-      portBusyStat(name_ + ".port_busy_cycles")
+      portFreeAt(num_ports, 0)
 {
     if (num_ports == 0)
         fatal("combining network needs at least one port");
@@ -113,11 +107,10 @@ CombiningOmegaNetwork::CombiningOmegaNetwork(std::string net_name,
     switchFreeAt.assign(switches, 0);
     switchBusy.assign(switches, 0);
     residents.resize(switches);
-    conflictsStat.init(name_ + ".stage_conflicts", numStages);
-    conflictCyclesStat.init(name_ + ".stage_conflict_cycles",
-                            numStages);
-    combinesStat.init(name_ + ".stage_combines", numStages);
-    stageBusyStat.init(name_ + ".stage_busy_cycles", numStages);
+    conflicts_.assign(numStages, 0);
+    conflictCycles_.assign(numStages, 0);
+    combines_.assign(numStages, 0);
+    stageBusy_.assign(numStages, 0);
 }
 
 unsigned
@@ -142,9 +135,8 @@ CombiningOmegaNetwork::inject(ProcId who, unsigned dest,
 
     Tick inject = std::max(now, portFreeAt[who]);
     portFreeAt[who] = inject + portCycles;
-    ++numTransactions;
-    queueDelayStat += static_cast<double>(inject - now);
-    portBusyStat += static_cast<double>(portCycles);
+    ++transactions_;
+    queueDelay_ += inject - now;
 
     Delivery d;
     Tick t = inject;
@@ -163,7 +155,7 @@ CombiningOmegaNetwork::inject(ProcId who, unsigned dest,
             if (resident && resident->departAt > t) {
                 // A same-variable packet is still queued in this
                 // switch: merge into it instead of going further.
-                combinesStat[s] += 1;
+                ++combines_[s];
                 d.combined = true;
                 d.mergedWith = resident->packet;
                 d.stage = s;
@@ -171,17 +163,15 @@ CombiningOmegaNetwork::inject(ProcId who, unsigned dest,
             }
         }
         if (switchFreeAt[sw] > t) {
-            conflictsStat[s] += 1;
-            conflictCyclesStat[s] +=
-                static_cast<double>(switchFreeAt[sw] - t);
-            queueDelayStat +=
-                static_cast<double>(switchFreeAt[sw] - t);
+            ++conflicts_[s];
+            conflictCycles_[s] += switchFreeAt[sw] - t;
+            queueDelay_ += switchFreeAt[sw] - t;
             t = switchFreeAt[sw];
         }
         Tick depart = t + stageCycles;
         switchFreeAt[sw] = depart;
         switchBusy[sw] += stageCycles;
-        stageBusyStat[s] += static_cast<double>(stageCycles);
+        stageBusy_[s] += stageCycles;
         if (resident) {
             resident->packet = packet_id;
             resident->departAt = depart;
@@ -211,6 +201,15 @@ CombiningOmegaNetwork::holdResidents(ProcId who, unsigned dest,
     }
 }
 
+std::uint64_t
+CombiningOmegaNetwork::combinedTotal() const
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t n : combines_)
+        total += n;
+    return total;
+}
+
 Tick
 CombiningOmegaNetwork::busiestSwitchCycles(unsigned s) const
 {
@@ -225,35 +224,12 @@ void
 CombiningOmegaNetwork::sampleTimeline(TraceLog &t, Tick at) const
 {
     for (unsigned s = 0; s < numStages; ++s) {
-        t.push(TraceEvent::sample(SampleStream::netStageConflictCycles,
-                                  s, at, conflictCyclesStat[s]));
+        t.push(TraceEvent::sample(
+            SampleStream::netStageConflictCycles, s, at,
+            static_cast<double>(conflictCycles_[s])));
         t.push(TraceEvent::sample(SampleStream::netStageCombines, s, at,
-                                  combinesStat[s]));
+                                  static_cast<double>(combines_[s])));
     }
-}
-
-void
-CombiningOmegaNetwork::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, numTransactions);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, portBusyStat);
-    stats::dump(os, conflictsStat);
-    stats::dump(os, conflictCyclesStat);
-    stats::dump(os, combinesStat);
-    stats::dump(os, stageBusyStat);
-}
-
-void
-CombiningOmegaNetwork::registerStats(stats::Group &group) const
-{
-    group.add(numTransactions);
-    group.add(queueDelayStat);
-    group.add(portBusyStat);
-    group.add(conflictsStat);
-    group.add(conflictCyclesStat);
-    group.add(combinesStat);
-    group.add(stageBusyStat);
 }
 
 double
@@ -263,23 +239,7 @@ OmegaNetwork::utilization(Tick end_tick) const
         return 0.0;
     double capacity =
         static_cast<double>(end_tick) * portFreeAt.size();
-    return busyCyclesStat.value() / capacity;
-}
-
-void
-OmegaNetwork::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, numTransactions);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, busyCyclesStat);
-}
-
-void
-OmegaNetwork::registerStats(stats::Group &group) const
-{
-    group.add(numTransactions);
-    group.add(queueDelayStat);
-    group.add(busyCyclesStat);
+    return static_cast<double>(portBusy_) / capacity;
 }
 
 } // namespace sim

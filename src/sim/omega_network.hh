@@ -28,7 +28,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/interconnect.hh"
-#include "sim/stats.hh"
 #include "sim/tracing.hh"
 
 namespace psync {
@@ -40,7 +39,7 @@ class OmegaNetwork : public Interconnect
   public:
     /**
      * @param eq          event queue
-     * @param net_name    statistics name
+     * @param net_name    name used in trace and debug output
      * @param num_ports   injection ports (= processors)
      * @param num_stages  switch stages (log2 of endpoints)
      * @param stage_cycles latency per stage
@@ -54,21 +53,13 @@ class OmegaNetwork : public Interconnect
     void transact(ProcId who, GrantHandler on_grant,
                   GrantHandler on_done) override;
 
-    std::uint64_t transactions() const override
-    {
-        return static_cast<std::uint64_t>(numTransactions.value());
-    }
+    std::uint64_t transactions() const override { return transactions_; }
 
-    Tick queueDelay() const override
-    {
-        return static_cast<Tick>(queueDelayStat.value());
-    }
+    Tick queueDelay() const override { return queueDelay_; }
 
     /** Aggregate utilization across all injection ports. */
     double utilization(Tick end_tick) const override;
 
-    void dumpStats(std::ostream &os) const override;
-    void registerStats(stats::Group &group) const override;
     const std::string &name() const override { return name_; }
 
     unsigned stages() const { return numStages; }
@@ -101,9 +92,10 @@ class OmegaNetwork : public Interconnect
     std::vector<Flight> flights;
     std::uint32_t freeFlight = noFlight;
 
-    stats::Scalar numTransactions;
-    stats::Scalar queueDelayStat;
-    stats::Scalar busyCyclesStat;
+    std::uint64_t transactions_ = 0;
+    Tick queueDelay_ = 0;
+    /** Injection-port cycles used, all ports. */
+    Tick portBusy_ = 0;
 };
 
 /** Combining class of a packet traversing the combining network. */
@@ -143,7 +135,7 @@ class CombiningOmegaNetwork
 {
   public:
     /**
-     * @param net_name     statistics name
+     * @param net_name     name of the network
      * @param num_ports    injection ports (= processors)
      * @param num_endpoints memory-side endpoints (sync modules)
      * @param stage_cycles latency per switch stage
@@ -198,40 +190,22 @@ class CombiningOmegaNetwork
     /** Cycles a reply spends traversing back to its processor. */
     Tick returnCycles() const { return numStages * stageCycles; }
 
-    std::uint64_t transactions() const
-    {
-        return static_cast<std::uint64_t>(numTransactions.value());
-    }
+    std::uint64_t transactions() const { return transactions_; }
 
     /** Packets absorbed by combining, all stages. */
-    std::uint64_t combinedTotal() const
-    {
-        return static_cast<std::uint64_t>(combinesStat.total());
-    }
+    std::uint64_t combinedTotal() const;
 
-    std::uint64_t stageConflicts(unsigned s) const
-    {
-        return static_cast<std::uint64_t>(conflictsStat[s]);
-    }
+    std::uint64_t stageConflicts(unsigned s) const { return conflicts_[s]; }
 
-    Tick stageConflictCycles(unsigned s) const
-    {
-        return static_cast<Tick>(conflictCyclesStat[s]);
-    }
+    Tick stageConflictCycles(unsigned s) const { return conflictCycles_[s]; }
 
-    std::uint64_t stageCombines(unsigned s) const
-    {
-        return static_cast<std::uint64_t>(combinesStat[s]);
-    }
+    std::uint64_t stageCombines(unsigned s) const { return combines_[s]; }
 
     /** Busy cycles of the single busiest switch of stage `s`. */
     Tick busiestSwitchCycles(unsigned s) const;
 
     /** Total busy cycles of stage `s` across all its switches. */
-    Tick stageBusyCycles(unsigned s) const
-    {
-        return static_cast<Tick>(stageBusyStat[s]);
-    }
+    Tick stageBusyCycles(unsigned s) const { return stageBusy_[s]; }
 
     unsigned switchesPerStage() const
     {
@@ -239,16 +213,11 @@ class CombiningOmegaNetwork
     }
 
     /** Port queueing + switch-conflict wait cycles, total. */
-    Tick queueDelay() const
-    {
-        return static_cast<Tick>(queueDelayStat.value());
-    }
+    Tick queueDelay() const { return queueDelay_; }
 
     /** Emit per-stage conflict/combine samples to `t` at `at`. */
     void sampleTimeline(TraceLog &t, Tick at) const;
 
-    void dumpStats(std::ostream &os) const;
-    void registerStats(stats::Group &group) const;
     const std::string &name() const { return name_; }
 
   private:
@@ -285,13 +254,13 @@ class CombiningOmegaNetwork
      */
     std::vector<std::vector<Resident>> residents;
 
-    stats::Scalar numTransactions;
-    stats::Scalar queueDelayStat;
-    stats::Scalar portBusyStat;
-    stats::Vector conflictsStat;
-    stats::Vector conflictCyclesStat;
-    stats::Vector combinesStat;
-    stats::Vector stageBusyStat;
+    std::uint64_t transactions_ = 0;
+    Tick queueDelay_ = 0;
+    /** Per-stage counters, indexed by stage. */
+    std::vector<std::uint64_t> conflicts_;
+    std::vector<Tick> conflictCycles_;
+    std::vector<std::uint64_t> combines_;
+    std::vector<Tick> stageBusy_;
 };
 
 } // namespace sim

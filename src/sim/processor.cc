@@ -416,15 +416,5 @@ Processor::execCtrBarrier(const Op &op)
     });
 }
 
-void
-Processor::dumpStats(std::ostream &os) const
-{
-    os << "proc" << id_ << ": compute=" << computeCycles_
-       << " spin=" << spinCycles_ << " sync=" << syncOverheadCycles_
-       << " stall=" << stallCycles_ << " sync_ops=" << syncOpsIssued_
-       << " programs=" << programsRun_ << " halt=" << haltTick_
-       << "\n";
-}
-
 } // namespace sim
 } // namespace psync

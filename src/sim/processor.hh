@@ -17,13 +17,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <ostream>
 
 #include "sim/cache.hh"
 #include "ir/pool.hh"
 #include "sim/event_queue.hh"
 #include "sim/program.hh"
-#include "sim/stats.hh"
 #include "sim/sync_fabric.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
@@ -77,8 +75,6 @@ class Processor
     std::uint64_t syncOpsIssued() const { return syncOpsIssued_; }
     std::uint64_t programsRun() const { return programsRun_; }
     std::uint64_t marksSkipped() const { return marksSkipped_; }
-
-    void dumpStats(std::ostream &os) const;
 
   private:
     void fetchNext();

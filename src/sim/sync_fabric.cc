@@ -36,12 +36,7 @@ MemorySyncFabric::MemorySyncFabric(EventQueue &eq, Memory &mem, Addr base,
       baseAddr(base),
       pollInterval(poll_interval),
       cachedSpin(cached_spin),
-      tracer(trace),
-      pollsStat("syncfab.mem.polls"),
-      writesStat("syncfab.mem.writes"),
-      rmwsStat("syncfab.mem.rmws"),
-      keyedOpsStat("syncfab.mem.keyed_ops"),
-      keyedRetriesStat("syncfab.mem.keyed_retries")
+      tracer(trace)
 {
     if (pollInterval == 0)
         fatal("poll interval must be at least one cycle");
@@ -137,7 +132,7 @@ MemorySyncFabric::freeOp(std::uint32_t slot)
 void
 MemorySyncFabric::pollLoop(std::uint32_t slot)
 {
-    ++pollsStat;
+    ++polls_;
     trace(tracer, TraceEvent::syncOp(SyncOp::poll, ops[slot].var,
                                      ops[slot].who, eventq.now()));
     memory.read(ops[slot].who, addrOf(ops[slot].var),
@@ -223,7 +218,6 @@ void
 MemorySyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
                         DoneHandler on_done)
 {
-    ++writesStat;
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (memory fabric)", who,
                   var, static_cast<unsigned long long>(value));
@@ -249,7 +243,6 @@ void
 MemorySyncFabric::fetchInc(ProcId who, SyncVarId var,
                            ValueHandler on_done)
 {
-    ++rmwsStat;
     trace(tracer, TraceEvent::syncOp(SyncOp::rmw, var, who, eventq.now()));
     std::uint32_t slot = allocOp();
     ops[slot].var = var;
@@ -309,7 +302,7 @@ MemorySyncFabric::wakeKeyed(SyncVarId key)
         return ops[a].parkSeq < ops[b].parkSeq;
     });
     for (std::uint32_t slot : woken) {
-        ++keyedRetriesStat;
+        ++keyedRetries_;
         trackUnpark(ops[slot].who);
         // The retry occupies the key's module but never the
         // interconnect: the synchronization processor is local.
@@ -323,7 +316,7 @@ MemorySyncFabric::keyedAccess(ProcId who, SyncVarId key,
                               SyncWord threshold,
                               WaitHandler on_done)
 {
-    ++keyedOpsStat;
+    ++keyedOps_;
     trace(tracer, TraceEvent::syncOp(SyncOp::keyed, key, who, eventq.now()));
     std::uint32_t slot = allocOp();
     OpState &op = ops[slot];
@@ -351,26 +344,6 @@ MemorySyncFabric::poke(SyncVarId var, SyncWord value)
     memory.poke(addrOf(var), value);
 }
 
-void
-MemorySyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, pollsStat);
-    stats::dump(os, writesStat);
-    stats::dump(os, rmwsStat);
-    stats::dump(os, keyedOpsStat);
-    stats::dump(os, keyedRetriesStat);
-}
-
-void
-MemorySyncFabric::registerStats(stats::Group &group) const
-{
-    group.add(pollsStat);
-    group.add(writesStat);
-    group.add(rmwsStat);
-    group.add(keyedOpsStat);
-    group.add(keyedRetriesStat);
-}
-
 //
 // RegisterSyncFabric
 //
@@ -382,11 +355,7 @@ RegisterSyncFabric::RegisterSyncFabric(EventQueue &eq, Bus &sync_bus,
       syncBus(sync_bus),
       capacity_(capacity),
       coalesceEnabled(coalesce),
-      tracer(trace),
-      broadcastsStat("syncfab.reg.broadcasts"),
-      coalescedStat("syncfab.reg.coalesced_writes"),
-      localReadsStat("syncfab.reg.local_reads"),
-      wakeupsStat("syncfab.reg.wakeups")
+      tracer(trace)
 {
 }
 
@@ -425,7 +394,6 @@ RegisterSyncFabric::commit(SyncVarId var, SyncWord value)
 {
     values[var] = value;
     waiters[var].release(value, [this, var](Waiter &&w) {
-        ++wakeupsStat;
         if (tracer) {
             auto it = activeWaiters.find(var);
             if (it != activeWaiters.end() && --it->second == 0)
@@ -445,7 +413,6 @@ void
 RegisterSyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
                            WaitHandler on_done)
 {
-    ++localReadsStat;
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (local image %llu)", who,
                   var, static_cast<unsigned long long>(threshold),
@@ -480,7 +447,6 @@ void
 RegisterSyncFabric::read(ProcId who, SyncVarId var, ValueHandler on_done)
 {
     (void)who;
-    ++localReadsStat;
     ReadyOp ready;
     ready.kind = ReadyOp::Kind::readValue;
     ready.value = values[var];
@@ -504,7 +470,7 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
         // A broadcast of this variable from this processor is still
         // waiting for the bus; the newer value covers the older one.
         it->second.value = value;
-        ++coalescedStat;
+        ++coalesced_;
         trace(tracer, TraceEvent::syncOp(SyncOp::coalesced, var, who,
                                          eventq.now()));
     } else {
@@ -523,7 +489,7 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
                 entry.valid = false;
             },
             [this, who, var, key](Tick) {
-                ++broadcastsStat;
+                ++broadcasts_;
                 trace(tracer, TraceEvent::instant(Instant::syncBroadcast, who,
                                                   eventq.now()));
                 trace(tracer, TraceEvent::syncOp(SyncOp::broadcast, var, who,
@@ -552,7 +518,7 @@ RegisterSyncFabric::fetchInc(ProcId who, SyncVarId var,
     syncBus.transact(who, [this, who, var](Tick) {
         ValueHandler handler = pendingIncs.pop();
         SyncWord old_value = values[var];
-        ++broadcastsStat;
+        ++broadcasts_;
         trace(tracer, TraceEvent::instant(Instant::syncBroadcast, who,
                                           eventq.now()));
         commit(var, old_value + 1);
@@ -570,24 +536,6 @@ void
 RegisterSyncFabric::poke(SyncVarId var, SyncWord value)
 {
     values[var] = value;
-}
-
-void
-RegisterSyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, broadcastsStat);
-    stats::dump(os, coalescedStat);
-    stats::dump(os, localReadsStat);
-    stats::dump(os, wakeupsStat);
-}
-
-void
-RegisterSyncFabric::registerStats(stats::Group &group) const
-{
-    group.add(broadcastsStat);
-    group.add(coalescedStat);
-    group.add(localReadsStat);
-    group.add(wakeupsStat);
 }
 
 } // namespace sim

@@ -20,7 +20,6 @@
 #define PSYNC_SIM_SYNC_FABRIC_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,7 +29,6 @@
 #include "sim/event_queue.hh"
 #include "sim/memory.hh"
 #include "sim/ring_fifo.hh"
-#include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
 #include "sim/waiter_queue.hh"
@@ -154,11 +152,6 @@ class SyncFabric
         (void)who;
         return false;
     }
-
-    virtual void dumpStats(std::ostream &os) const = 0;
-
-    /** Register the fabric's statistics with a walker group. */
-    virtual void registerStats(stats::Group &group) const = 0;
 };
 
 /**
@@ -207,10 +200,7 @@ class MemorySyncFabric : public SyncFabric
     Tick issueCost() const override { return 1; }
 
     /** Total spin polls issued to memory. */
-    std::uint64_t polls() const
-    {
-        return static_cast<std::uint64_t>(pollsStat.value());
-    }
+    std::uint64_t polls() const { return polls_; }
 
     /**
      * Cedar-style combined keyed access (the "synchronization
@@ -225,22 +215,13 @@ class MemorySyncFabric : public SyncFabric
                      WaitHandler on_done);
 
     /** Combined keyed accesses serviced. */
-    std::uint64_t keyedOps() const
-    {
-        return static_cast<std::uint64_t>(keyedOpsStat.value());
-    }
+    std::uint64_t keyedOps() const { return keyedOps_; }
 
     /** Module-local retries of parked keyed requests. */
-    std::uint64_t keyedRetries() const
-    {
-        return static_cast<std::uint64_t>(keyedRetriesStat.value());
-    }
+    std::uint64_t keyedRetries() const { return keyedRetries_; }
 
     void sampleTimeline(TraceLog &t, Tick at) const override;
     bool isParked(ProcId who) const override;
-
-    void dumpStats(std::ostream &os) const override;
-    void registerStats(stats::Group &group) const override;
 
   private:
     /**
@@ -316,11 +297,9 @@ class MemorySyncFabric : public SyncFabric
     std::unordered_map<SyncVarId, unsigned> activeWaiters;
     std::unordered_set<ProcId> parkedProcs;
 
-    stats::Scalar pollsStat;
-    stats::Scalar writesStat;
-    stats::Scalar rmwsStat;
-    stats::Scalar keyedOpsStat;
-    stats::Scalar keyedRetriesStat;
+    std::uint64_t polls_ = 0;
+    std::uint64_t keyedOps_ = 0;
+    std::uint64_t keyedRetries_ = 0;
 };
 
 /**
@@ -366,21 +345,12 @@ class RegisterSyncFabric : public SyncFabric
     Tick issueCost() const override { return 1; }
 
     /** Broadcast transactions that actually used the bus. */
-    std::uint64_t broadcasts() const
-    {
-        return static_cast<std::uint64_t>(broadcastsStat.value());
-    }
+    std::uint64_t broadcasts() const { return broadcasts_; }
 
     /** Writes absorbed into a pending broadcast. */
-    std::uint64_t coalescedWrites() const
-    {
-        return static_cast<std::uint64_t>(coalescedStat.value());
-    }
+    std::uint64_t coalescedWrites() const { return coalesced_; }
 
     void sampleTimeline(TraceLog &t, Tick at) const override;
-
-    void dumpStats(std::ostream &os) const override;
-    void registerStats(stats::Group &group) const override;
 
   private:
     /** A processor spinning on its local image of a variable. */
@@ -449,10 +419,8 @@ class RegisterSyncFabric : public SyncFabric
     /** Fetch&inc completions, FIFO — the bus grants in FIFO order. */
     RingFifo<ValueHandler> pendingIncs;
 
-    stats::Scalar broadcastsStat;
-    stats::Scalar coalescedStat;
-    stats::Scalar localReadsStat;
-    stats::Scalar wakeupsStat;
+    std::uint64_t broadcasts_ = 0;
+    std::uint64_t coalesced_ = 0;
 };
 
 } // namespace sim

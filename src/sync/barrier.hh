@@ -33,8 +33,6 @@ class CounterBarrier
     void emit(sim::Program &prog, unsigned generation) const;
 
     unsigned numProcs() const { return numProcs_; }
-    sim::SyncVarId counterVar() const { return counter_; }
-    sim::SyncVarId releaseVar() const { return release_; }
 
   private:
     sim::SyncVarId counter_;

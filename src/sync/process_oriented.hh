@@ -54,9 +54,6 @@ class ProcessOrientedScheme : public Scheme
     /** X, the number of hardware PCs in use. */
     unsigned numPcs() const { return numPcs_; }
 
-    /** First fabric variable of the PC block. */
-    sim::SyncVarId pcBase() const { return pcBase_; }
-
     /** Step number of a source statement (0 = not a source). */
     unsigned stepOf(unsigned stmt_idx) const
     {

@@ -62,27 +62,6 @@ TEST(MetricsTest, FabricCountersLandInResult)
     EXPECT_GT(mem.run.syncMemPolls, 0u);
 }
 
-TEST(MetricsTest, PrintResultEmitsRow)
-{
-    core::RunResult r;
-    r.cycles = 1234;
-    r.numProcs = 4;
-    r.computeCycles = 2000;
-    std::ostringstream os;
-    core::printResult(os, "test-row", r);
-    EXPECT_NE(os.str().find("test-row"), std::string::npos);
-    EXPECT_NE(os.str().find("1234"), std::string::npos);
-}
-
-TEST(MetricsTest, IncompleteRunFlagged)
-{
-    core::RunResult r;
-    r.completed = false;
-    std::ostringstream os;
-    core::printResult(os, "dead", r);
-    EXPECT_NE(os.str().find("DEADLOCK"), std::string::npos);
-}
-
 // toJson() -> dump -> parse reproduces every field. Each field gets
 // a distinct value so a key typo or a copy-paste of the wrong
 // member cannot cancel out.

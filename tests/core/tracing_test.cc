@@ -9,7 +9,6 @@
 
 #include <map>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "core/json.hh"
@@ -67,9 +66,7 @@ TEST(TracingTest, ChromeTraceIsWellFormedJson)
     ASSERT_TRUE(result.completed);
     ASSERT_GT(recorder.size(), 0u);
 
-    std::ostringstream os;
-    core::writeChromeTrace(recorder, os);
-    auto parsed = core::json::parse(os.str());
+    auto parsed = core::json::parse(core::chromeTrace(recorder).dump());
     ASSERT_TRUE(parsed.ok) << parsed.error;
 
     const core::json::Value *events =
@@ -269,7 +266,7 @@ TEST(TracingTest, RunResultToJsonRoundTrips)
     auto parsed = core::json::parse(result.toJson().dump());
     ASSERT_TRUE(parsed.ok) << parsed.error;
 
-    // Every quantity printResult() prints must be present.
+    // The headline counters of a run must all be present.
     for (const char *key :
          {"cycles", "utilization", "spin_fraction", "sync_ops",
           "sync_bus_broadcasts", "coalesced_writes",
@@ -286,33 +283,4 @@ TEST(TracingTest, RunResultToJsonRoundTrips)
               result.completed);
     EXPECT_DOUBLE_EQ(parsed.value.find("sync_ops")->asNumber(),
                      static_cast<double>(result.syncOps));
-}
-
-TEST(TracingTest, MachineStatsGroupDumpsJson)
-{
-    sim::TraceLog recorder;
-    workloads::RelaxationSpec spec;
-    spec.n = 8;
-    dep::Loop loop =
-        workloads::makeRelaxationLoop(spec.n, spec.stmtCost);
-    dep::DataLayout layout(loop);
-
-    sim::Machine machine(machineConfig(), nullptr, &recorder);
-    sync::PcFile pcs(machine.fabric(), 2 * kProcs);
-    auto programs =
-        workloads::buildPipelinedPrograms(pcs, loop, layout, spec);
-    auto result = core::runProgramPool(
-        machine, programs, core::SchedulePolicy::selfScheduling);
-    ASSERT_TRUE(result.completed);
-
-    sim::stats::Group group;
-    machine.registerStats(group);
-    ASSERT_GT(group.size(), 0u);
-
-    std::ostringstream os;
-    group.dumpJson(os);
-    auto parsed = core::json::parse(os.str());
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    ASSERT_TRUE(parsed.value.isObject());
-    EXPECT_EQ(parsed.value.asObject().size(), group.size());
 }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "dep/dep_graph.hh"
 #include "workloads/fig21.hh"
 #include "workloads/nested.hh"
@@ -62,19 +60,6 @@ TEST(DepGraphTest, Fig21EnforcedSetIsMinimal)
     }
     EXPECT_EQ(enforced.size(), 5u);
     EXPECT_EQ(graph.numCovered(), 2u);
-}
-
-TEST(DepGraphTest, SourceStatementsOfFig21)
-{
-    dep::Loop loop = workloads::makeFig21Loop(64);
-    dep::DepGraph graph(loop);
-    auto sources = graph.sourceStatements();
-    // S1 (flow), S2/S3 (anti into S4), S4 (flow into S5).
-    EXPECT_EQ(sources.size(), 4u);
-    EXPECT_TRUE(std::count(sources.begin(), sources.end(), 0u));
-    EXPECT_TRUE(std::count(sources.begin(), sources.end(), 1u));
-    EXPECT_TRUE(std::count(sources.begin(), sources.end(), 2u));
-    EXPECT_TRUE(std::count(sources.begin(), sources.end(), 3u));
 }
 
 TEST(DepGraphTest, CoverageDisabledKeepsAllArcs)
@@ -182,19 +167,6 @@ TEST(DepGraphTest, GuardedIntermediateBlocksCoverage)
                                   dep::DepType::flow);
     ASSERT_NE(far, nullptr);
     EXPECT_FALSE(far->covered) << graph.toString();
-}
-
-TEST(DepGraphTest, DotOutputWellFormed)
-{
-    dep::Loop loop = workloads::makeFig21Loop(16);
-    dep::DepGraph graph(loop);
-    std::string dot = graph.toDot();
-    EXPECT_EQ(dot.find("digraph"), 0u);
-    EXPECT_NE(dot.find("\"S1\" -> \"S2\" [label=\"flow (2)\""),
-              std::string::npos);
-    // Covered arcs render dashed.
-    EXPECT_NE(dot.find("style=dashed"), std::string::npos);
-    EXPECT_NE(dot.find("}"), std::string::npos);
 }
 
 TEST(DepGraphTest, ToStringListsEveryArc)

@@ -84,3 +84,33 @@ TEST(BusTest, IdleGapThenNewGrant)
     eq.run();
     EXPECT_EQ(second_done, 52u);
 }
+
+// A busy-cycle sample backs out the unelapsed tail of the transaction
+// on the bus, so consecutive samples difference to the cycles spent
+// inside each interval; the queue depth counts that transaction too.
+TEST(BusTest, TimelineSampleBacksOutInFlightTail)
+{
+    EventQueue eq;
+    Bus bus(eq, "bus", 4);
+    TraceLog log;
+    eq.schedule(0, [&]() { bus.transact(0, [](Tick) {}); });
+    eq.schedule(1, [&]() { bus.sampleTimeline(log, 1); });
+    // Queued behind the first transaction, granted at tick 4.
+    eq.schedule(1, [&]() { bus.transact(1, [](Tick) {}); });
+    // Runs before the first transaction's done event at tick 4.
+    eq.schedule(4, [&]() { bus.sampleTimeline(log, 4); });
+    eq.schedule(6, [&]() { bus.sampleTimeline(log, 6); });
+    eq.run();
+
+    std::vector<double> busy, depth;
+    log.forEach([&](const TraceEvent &e) {
+        EXPECT_EQ(e.kind, TraceKind::sample);
+        if (e.codeAs<SampleStream>() == SampleStream::busBusyCycles)
+            busy.push_back(e.value());
+        else
+            depth.push_back(e.value());
+    });
+    EXPECT_EQ(busy, (std::vector<double>{1, 4, 4 + 2}));
+    EXPECT_EQ(depth, (std::vector<double>{1, 2, 1}));
+    EXPECT_EQ(bus.busyCycles(), 8u);
+}

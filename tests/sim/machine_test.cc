@@ -1,8 +1,6 @@
-/** @file Machine assembly, configuration, stats dumping. */
+/** @file Machine assembly and configuration. */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "sim/machine.hh"
 
@@ -73,38 +71,6 @@ TEST(MachineTest, CompletionTickIsLastHalt)
     };
     ASSERT_TRUE(m.run(dispatch));
     EXPECT_EQ(m.completionTick(), 30u);
-}
-
-TEST(MachineTest, DumpStatsMentionsComponents)
-{
-    MachineConfig cfg;
-    cfg.numProcs = 2;
-    cfg.cache.enabled = true;
-    Machine m(cfg);
-    std::vector<std::vector<Program>> progs(2);
-    for (unsigned p = 0; p < 2; ++p) {
-        progs[p].resize(1);
-        progs[p][0].iter = p + 1;
-        progs[p][0].ops = {Op::mkData(false, 8 * p, 0)};
-    }
-    std::vector<size_t> next(2, 0);
-    auto dispatch = [&](ProcId who,
-                        std::function<void(const Iteration *)> cb) {
-        if (next[who] >= progs[who].size()) {
-            cb(nullptr);
-            return;
-        }
-        const auto it = Iteration::of(progs[who][next[who]++]);
-        cb(&it);
-    };
-    ASSERT_TRUE(m.run(dispatch));
-    std::ostringstream os;
-    m.dumpStats(os);
-    std::string text = os.str();
-    EXPECT_NE(text.find("data_bus"), std::string::npos);
-    EXPECT_NE(text.find("memory."), std::string::npos);
-    EXPECT_NE(text.find("cache."), std::string::npos);
-    EXPECT_NE(text.find("proc0"), std::string::npos);
 }
 
 TEST(MachineTest, KindNames)
