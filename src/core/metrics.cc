@@ -77,6 +77,8 @@ collectResult(sim::Machine &machine, bool completed)
         r.syncOps += proc.syncOpsIssued();
         r.marksSkipped += proc.marksSkipped();
         r.programsRun += proc.programsRun();
+        if (!proc.error().empty())
+            r.errors.push_back(proc.error());
     }
 
     r.eventsExecuted = machine.eventq().eventsExecuted();
@@ -231,6 +233,12 @@ RunResult::toJson() const
     }
     if (waitLatency.count() > 0)
         v.set("wait_latency", waitLatency.toJson());
+    if (!errors.empty()) {
+        json::Value list = json::array();
+        for (const std::string &e : errors)
+            list.push(e);
+        v.set("errors", std::move(list));
+    }
     return v;
 }
 

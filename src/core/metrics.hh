@@ -113,7 +113,7 @@ class LogHistogram
 /** Aggregated outcome of one simulation. */
 struct RunResult
 {
-    /** False when the tick limit was hit (deadlock/livelock). */
+    /** False on a tick-limit stop (deadlock) or a failed run. */
     bool completed = false;
 
     /** Tick at which the last processor drained. */
@@ -207,6 +207,9 @@ struct RunResult
      */
     LogHistogram waitLatency;
 
+    /** Protocol errors that failed the run, as the native backend's. */
+    std::vector<std::string> errors;
+
     /** Fraction of processor-cycles spent computing. */
     double
     utilization() const
@@ -242,7 +245,7 @@ struct RunResult
      * always emitted in the same order (new fields append after the
      * existing block), so trajectory diffs line up; tools should
      * treat absent keys as zero. `wait_latency` appears only when
-     * the run was profiled.
+     * the run was profiled, `errors` only when the run failed.
      */
     json::Value toJson() const;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <iomanip>
 
+#include "ir/semantics.hh"
+
 namespace psync {
 namespace core {
 
@@ -50,43 +52,6 @@ segmentKindName(SegmentKind kind)
         return "start";
     }
     return "?";
-}
-
-/** Op kinds whose `var` field names a sync variable. */
-bool
-spanHasVar(ir::OpKind kind)
-{
-    switch (kind) {
-      case ir::OpKind::syncWaitGE:
-      case ir::OpKind::syncWrite:
-      case ir::OpKind::syncFetchInc:
-      case ir::OpKind::pcMark:
-      case ir::OpKind::pcTransfer:
-      case ir::OpKind::keyedRead:
-      case ir::OpKind::keyedWrite:
-      case ir::OpKind::ctrBarrier:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** Op kinds that can have produced the value a waiter saw. */
-bool
-isSyncWriterKind(ir::OpKind kind)
-{
-    switch (kind) {
-      case ir::OpKind::syncWrite:
-      case ir::OpKind::syncFetchInc:
-      case ir::OpKind::pcMark:
-      case ir::OpKind::pcTransfer:
-      case ir::OpKind::ctrBarrier:
-      case ir::OpKind::keyedRead:
-      case ir::OpKind::keyedWrite:
-        return true;
-      default:
-        return false;
-    }
 }
 
 /** Sync-var accesses that commit a new value (vs. observe one). */
@@ -239,8 +204,9 @@ buildCriticalPathProfile(const sim::TraceLog &log,
             const TraceEvent *s = *it;
             if (!fallback)
                 fallback = s;
-            if (s->id == var &&
-                isSyncWriterKind(s->codeAs<ir::OpKind>()))
+            // Only an op that may change a sync variable can have
+            // produced the value a waiter saw.
+            if (s->id == var && ir::signals(s->codeAs<ir::OpKind>()))
                 return s;
         }
         return fallback;
@@ -312,8 +278,9 @@ buildCriticalPathProfile(const sim::TraceLog &log,
         frontier = from;
     };
     auto push_op = [&](const TraceEvent *sp, sim::Tick from) {
+        // A sync op's span names the variable it acted on.
         push_seg(SegmentKind::op, sp->proc, from, sp, sp->id,
-                 spanHasVar(sp->codeAs<ir::OpKind>()));
+                 ir::isSync(sp->codeAs<ir::OpKind>()));
     };
 
     // Drain between the last op and the completion tick.

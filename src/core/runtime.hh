@@ -115,7 +115,6 @@ struct DoacrossResult
     /** Effect of the IR pass pipeline, over every iteration. */
     ir::PassStats passStats;
 
-    sim::Tick totalWithInit() const { return run.cycles + initCycles; }
     bool correct() const { return violations.empty(); }
 };
 

@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "ir/semantics.hh"
+
 namespace psync {
 namespace ir {
 
@@ -43,41 +45,40 @@ renderWord(SyncWord w)
 class ReachTable
 {
   public:
-    /** Fold one op's signal sources into the table. */
+    /**
+     * Fold one op's signal sources into the table: a write or
+     * maybe-write raises its variable's maximum, an increment adds 1.
+     */
     void
     add(const Op &op)
     {
-        switch (op.kind) {
-          case OpKind::syncWrite:
-          case OpKind::pcMark:
-          case OpKind::pcTransfer:
-            write(op.var, op.value);
-            break;
-          case OpKind::syncFetchInc:
-          case OpKind::keyedRead:
-          case OpKind::keyedWrite:
-            at(op.var).increments += 1;
-            break;
-          case OpKind::ctrBarrier:
-            at(op.var).increments += 1;
-            write(op.aux, op.value);
-            break;
-          default:
-            break;
-        }
+        forEachEffect(op.kind, [&](EffectSpec e) {
+            if (e.effect == Effect::increment) {
+                at(field(op, e.on)).increments += 1;
+            } else if (e.effect == Effect::write ||
+                       e.effect == Effect::maybeWrite) {
+                VarReach &r = at(field(op, e.on));
+                r.maxWritten = std::max(r.maxWritten, field(op, e.arg));
+                r.written = true;
+            }
+        });
     }
 
     /**
-     * Append an error when wait-like `op` of iteration `iter` waits
-     * for a threshold its variable cannot reach.
+     * Append an error for each wait of `op` (of iteration `iter`)
+     * whose threshold its variable cannot reach.
      */
     void
     check(std::uint64_t iter, const Op &op,
           const InitValueFn &init_value,
           std::vector<std::string> &errors) const
     {
-        auto require = [&](SyncVarId var, SyncWord need) {
-            SyncWord reach = reachable(var, init_value);
+        forEachEffect(op.kind, [&](EffectSpec e) {
+            if (e.effect != Effect::wait)
+                return;
+            const SyncVarId var = field(op, e.on);
+            const SyncWord need = field(op, e.arg);
+            const SyncWord reach = reachable(var, init_value);
             if (reach >= need)
                 return;
             std::ostringstream os;
@@ -87,22 +88,7 @@ class ReachTable
                << " but max reachable value is "
                << renderWord(reach);
             errors.push_back(os.str());
-        };
-        switch (op.kind) {
-          case OpKind::syncWaitGE:
-          case OpKind::keyedRead:
-          case OpKind::keyedWrite:
-            require(op.var, op.value);
-            break;
-          case OpKind::pcTransfer:
-            require(op.var, op.aux);
-            break;
-          case OpKind::ctrBarrier:
-            require(op.aux, op.value);
-            break;
-          default:
-            break;
-        }
+        });
     }
 
   private:
@@ -112,14 +98,6 @@ class ReachTable
         if (var >= vars_.size())
             vars_.resize(std::size_t{var} + 1);
         return vars_[var];
-    }
-
-    void
-    write(SyncVarId var, SyncWord value)
-    {
-        VarReach &r = at(var);
-        r.maxWritten = std::max(r.maxWritten, value);
-        r.written = true;
     }
 
     /**
@@ -208,40 +186,6 @@ waitsIn(const Program &program)
     return n;
 }
 
-/** True for the wait-like ops the verifier checks. */
-bool
-waitLike(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::syncWaitGE:
-      case OpKind::keyedRead:
-      case OpKind::keyedWrite:
-      case OpKind::pcTransfer:
-      case OpKind::ctrBarrier:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** True for the ops that fold into the verifier's reach. */
-bool
-signals(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::syncWrite:
-      case OpKind::pcMark:
-      case OpKind::pcTransfer:
-      case OpKind::syncFetchInc:
-      case OpKind::keyedRead:
-      case OpKind::keyedWrite:
-      case OpKind::ctrBarrier:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /**
  * Take one program through the enabled transforms, counting its ops
  * and waits before and after into `stats`.
@@ -321,7 +265,10 @@ fitSlopes(const Program &a, const Program &b, std::int64_t dt,
  * a class whose first member emitted `raw` and whose members span
  * `span` coordinates: ops that share a variable keep sharing it and
  * shift their values together, ops on different variables never
- * meet, and no iteration tag moves (peephole compares them).
+ * meet, and no iteration tag moves (peephole compares them). The
+ * variables compared are those of each op's waits, writes and
+ * increments; maybe-writes teach elimination nothing, so they take
+ * no part.
  */
 bool
 transformsDecideAlike(const Program &raw,
@@ -341,30 +288,14 @@ transformsDecideAlike(const Program &raw,
         const OpSlope &s = slopes[k];
         if (s.iterTag != 0)
             return false;
-        switch (op.kind) {
-          case OpKind::syncWaitGE:
-          case OpKind::syncWrite:
-          case OpKind::keyedRead:
-          case OpKind::keyedWrite:
-            uses.push_back({op.var, s.var, true, s.value});
-            break;
-          case OpKind::pcTransfer:
-            // Waits var >= aux, then writes value: both thresholds
-            // bound the same variable.
-            if (s.aux != s.value)
-                return false;
-            uses.push_back({op.var, s.var, true, s.value});
-            break;
-          case OpKind::syncFetchInc:
-            uses.push_back({op.var, s.var, false, 0});
-            break;
-          case OpKind::ctrBarrier:
-            uses.push_back({op.var, s.var, false, 0});
-            uses.push_back({op.aux, s.aux, true, s.value});
-            break;
-          default:
-            break;
-        }
+        forEachEffect(op.kind, [&](EffectSpec e) {
+            if (e.effect == Effect::wait || e.effect == Effect::write)
+                uses.push_back({field(op, e.on), field(s, e.on), true,
+                                field(s, e.arg)});
+            else if (e.effect == Effect::increment)
+                uses.push_back({field(op, e.on), field(s, e.on), false,
+                                0});
+        });
     }
     for (std::size_t a = 0; a < uses.size(); ++a) {
         for (std::size_t b = a + 1; b < uses.size(); ++b) {
@@ -416,7 +347,7 @@ verifyPool(const IterationPool &pool, const InitValueFn &init_value)
                 indices.push_back(k);
         l.waits = static_cast<std::uint32_t>(indices.size());
         for (std::uint32_t k = 0; k < it.size; ++k)
-            if (waitLike(it.ops[k].kind))
+            if (has(it.ops[k].kind, Effect::wait))
                 indices.push_back(k);
         l.end = static_cast<std::uint32_t>(indices.size());
         l.done = true;
@@ -622,58 +553,37 @@ std::uint64_t
 eliminateRedundantWaits(Program &program)
 {
     // Known lower bound on each variable's value at the current
-    // point of this program, established by earlier ops. Kept ops
-    // are compacted in place.
+    // point of this program, established by earlier ops' effects in
+    // program order. Kept ops are compacted in place.
     BoundTable bound;
     std::vector<Op> &ops = program.ops;
     std::size_t kept = 0;
     for (std::size_t k = 0; k < ops.size(); ++k) {
         const Op &op = ops[k];
-        switch (op.kind) {
-          case OpKind::syncWaitGE: {
-            SyncWord *known = bound.find(op.var);
-            if (known != nullptr && *known >= op.value)
-                continue; // dominated: drop the wait
-            SyncWord &b = bound[op.var];
-            b = std::max(b, op.value);
-            break;
-          }
-          case OpKind::syncWrite: {
-            SyncWord &b = bound[op.var];
-            b = std::max(b, op.value);
-            break;
-          }
-          case OpKind::pcTransfer: {
-            // Waits var >= aux, then writes value.
-            SyncWord &b = bound[op.var];
-            b = std::max(b, std::max(op.aux, op.value));
-            break;
-          }
-          case OpKind::syncFetchInc:
-            if (SyncWord *known = bound.find(op.var))
-                *known += 1; // own increment; var is monotone
-            break;
-          case OpKind::keyedRead:
-          case OpKind::keyedWrite: {
-            // Waits key >= value, then the module increments it.
-            SyncWord &b = bound[op.var];
-            b = std::max(b, op.value) + 1;
-            break;
-          }
-          case OpKind::ctrBarrier: {
-            SyncWord &rel = bound[op.aux];
-            rel = std::max(rel, op.value);
-            if (SyncWord *known = bound.find(op.var))
-                *known += 1;
-            break;
-          }
-          case OpKind::pcMark:
-            // Conditional write (skipped while unowned): does NOT
-            // establish var >= value.
-            break;
-          default:
-            break;
-        }
+        // A wait that is the op's only effect is dropped when the
+        // bound already covers it.
+        const bool lone = effectsOf(op.kind)[1].effect == Effect::none;
+        bool drop = false;
+        forEachEffect(op.kind, [&](EffectSpec e) {
+            const SyncVarId var = field(op, e.on);
+            if (e.effect == Effect::wait && lone) {
+                const SyncWord *known = bound.find(var);
+                if (known != nullptr && *known >= field(op, e.arg)) {
+                    drop = true;
+                    return;
+                }
+            }
+            if (e.effect == Effect::wait || e.effect == Effect::write) {
+                SyncWord &b = bound[var];
+                b = std::max(b, field(op, e.arg));
+            } else if (e.effect == Effect::increment) {
+                if (SyncWord *known = bound.find(var))
+                    *known += 1; // own increment; var is monotone
+            }
+            // A maybe-write may be skipped: it establishes nothing.
+        });
+        if (drop)
+            continue;
         if (kept != k)
             ops[kept] = op;
         ++kept;

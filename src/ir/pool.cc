@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ir/semantics.hh"
+
 namespace psync {
 namespace ir {
 
@@ -92,18 +94,9 @@ DataImage::numbered(const IterationPool &pool)
     std::vector<Addr> addrs;
     for (std::size_t i = 0; i < pool.size(); ++i) {
         const Iteration it = pool.at(i);
-        for (std::size_t k = 0; k < it.size; ++k) {
-            switch (it.ops[k].kind) {
-              case OpKind::dataRead:
-              case OpKind::dataWrite:
-              case OpKind::keyedRead:
-              case OpKind::keyedWrite:
+        for (std::size_t k = 0; k < it.size; ++k)
+            if (has(it.ops[k].kind, Effect::data))
                 addrs.push_back(it.op(k).addr);
-                break;
-              default:
-                break;
-            }
-        }
     }
     std::sort(addrs.begin(), addrs.end());
     addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());

@@ -36,7 +36,10 @@ using sim::SyncVarId;
 using sim::SyncWord;
 using sim::Tick;
 
-/** Kinds of operations an executor can interpret. */
+/**
+ * Kinds of operations an executor can interpret; what each one does
+ * is defined once, in ir/semantics.hh.
+ */
 enum class OpKind : std::uint8_t
 {
     /** Spend `cycles` of pure computation. */
@@ -51,35 +54,21 @@ enum class OpKind : std::uint8_t
     syncWrite,
     /** Atomically increment sync var `var` (value ignored). */
     syncFetchInc,
-    /**
-     * Improved-primitive mark_PC (Fig. 4.3): write `value` to
-     * `var` only if this process already owns the PC or ownership
-     * has been transferred; otherwise skip without waiting.
-     * The owner field of `value` is the process id.
-     */
+    /** mark_PC (Fig. 4.3) of `value` = <process, step> on PC `var`. */
     pcMark,
-    /**
-     * Improved-primitive transfer_PC (Fig. 4.3): if the PC is not
-     * yet owned, spin until it is (value >= `aux`), then write
-     * `value` (= <pid+X, 0>) to hand it to the next owner.
-     */
+    /** transfer_PC (Fig. 4.3): own PC `var` at `aux`, hand on `value`. */
     pcTransfer,
     /**
-     * Cedar-style combined keyed read: one request to the module
-     * holding key `var` and the datum at `addr`; the module tests
-     * key >= `value`, performs the access, and increments the key
+     * Cedar combined keyed read of `addr` under key `var` >= `value`
      * (section 3.1, [26]). Requires the memory sync fabric.
      */
     keyedRead,
     /** Combined keyed write (same protocol as keyedRead). */
     keyedWrite,
     /**
-     * Counter-based barrier episode: atomically increment `var`;
-     * the arrival that brings the count to generation * P writes
-     * the generation number to release variable `aux`; everyone
-     * then spins until the release variable reaches the
-     * generation. The canonical hot-spot barrier Example 4
-     * compares the butterfly barrier against.
+     * Counter-barrier episode, counter `var`, release `aux`,
+     * generation `value` of `cycles` processes: the hot-spot
+     * barrier Example 4 compares the butterfly barrier against.
      */
     ctrBarrier,
     /** Zero-time marker: statement instance `stmt` begins. */

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "core/value_rule.hh"
+#include "ir/semantics.hh"
 #include "sim/logging.hh"
 
 namespace psync {
@@ -70,17 +71,6 @@ NativeExecutor::NativeExecutor(NativeSyncFabric &fabric,
 }
 
 void
-NativeExecutor::fail(ThreadState &ts, std::string message)
-{
-    ts.failed = true;
-    {
-        std::lock_guard<std::mutex> lk(errorsMutex_);
-        errors_.push_back(std::move(message));
-    }
-    fabric_.abortAll();
-}
-
-void
 NativeExecutor::maybeJitter(ThreadState &ts)
 {
     if (cfg_.timingSeed == 0)
@@ -113,20 +103,33 @@ NativeExecutor::access(const sim::Op &op, std::uint64_t iter,
     }
 }
 
-bool
-NativeExecutor::runProgram(ir::Iteration iteration, ThreadState &ts,
-                           Deadline deadline)
+/**
+ * One lane's walk of ir::perform: the primitives bound to the
+ * fabric's atomics, each continuation called inline. A primitive
+ * that fails (an aborted wait, a protocol violation) clears `ok` and
+ * runs no continuation.
+ */
+struct NativeExecutor::Lane
 {
-    bool owned_pc = false;
-    ++ts.programsRun;
+    NativeExecutor &exec;
+    ThreadState &ts;
+    Deadline deadline;
+    /** Iteration the op being performed belongs to. */
+    std::uint64_t iter = 0;
+    /** Improved-primitive ownership flag (Fig. 4.3), per program. */
+    bool ownedPc = false;
+    bool ok = true;
 
-    auto wait_ge = [&](sim::SyncVarId var, sim::SyncWord threshold) {
+    template <class K>
+    void
+    waitGE(sim::SyncVarId var, sim::SyncWord threshold, K k)
+    {
         ++ts.waits;
-        WaitOutcome out =
-            fabric_.waitGE(var, threshold, deadline, cfg_.profile);
+        WaitOutcome out = exec.fabric_.waitGE(var, threshold, deadline,
+                                              exec.cfg_.profile);
         ts.spins += out.spins;
         ts.parks += out.parks;
-        if (cfg_.profile && (out.spins || out.parks)) {
+        if (exec.cfg_.profile && (out.spins || out.parks)) {
             // Instantly satisfied waits never blocked; recording
             // them would drown the distribution in zeros, mirroring
             // the simulator's "no edge for instant waits" rule.
@@ -134,15 +137,76 @@ NativeExecutor::runProgram(ir::Iteration iteration, ThreadState &ts,
             if (out.parkWakeNanos)
                 ts.parkWakeNs.record(out.parkWakeNanos);
         }
-        return out.satisfied;
-    };
+        if (!out.satisfied) {
+            ok = false;
+            return;
+        }
+        k();
+    }
 
-    auto fetch_add = [&](sim::SyncVarId var) {
-        if (cfg_.profile)
-            return fabric_.fetchAddCounted(var, 1, ts.faRetries);
-        return fabric_.fetchAdd(var, 1);
-    };
+    template <class K>
+    void
+    read(sim::SyncVarId var, K k)
+    {
+        k(exec.fabric_.load(var));
+    }
 
+    template <class K>
+    void
+    write(sim::SyncVarId var, sim::SyncWord value, K k)
+    {
+        exec.fabric_.store(var, value);
+        k();
+    }
+
+    template <class K>
+    void
+    fetchInc(sim::SyncVarId var, K k)
+    {
+        k(exec.cfg_.profile
+              ? exec.fabric_.fetchAddCounted(var, 1, ts.faRetries)
+              : exec.fabric_.fetchAdd(var, 1));
+    }
+
+    template <class K>
+    void
+    keyed(const sim::Op &op, K k)
+    {
+        // The Cedar module's atomic test-access-increment, unrolled:
+        // the exact-threshold key protocol admits at most the
+        // accessors of one order number at a time, and the acq_rel
+        // increment's release sequence orders their accesses before
+        // any later-threshold accessor.
+        waitGE(op.var, op.value, [&] {
+            exec.access(op, iter, ir::storesData(op.kind), ts);
+            fetchInc(op.var, [&](sim::SyncWord) { k(); });
+        });
+    }
+
+    bool ownsPc() const { return ownedPc; }
+    void ownPc() { ownedPc = true; }
+    void skipMark() { ++ts.marksSkipped; }
+
+    void
+    fail(std::string message)
+    {
+        {
+            std::lock_guard<std::mutex> lk(exec.errorsMutex_);
+            exec.errors_.push_back(std::move(message));
+        }
+        exec.fabric_.abortAll();
+        ok = false;
+    }
+
+    void done() {}
+};
+
+bool
+NativeExecutor::runProgram(ir::Iteration iteration, ThreadState &ts,
+                           Deadline deadline)
+{
+    ++ts.programsRun;
+    Lane lane{*this, ts, deadline};
     for (std::size_t k = 0; k < iteration.size; ++k) {
         if (fabric_.aborted())
             return false;
@@ -163,90 +227,16 @@ NativeExecutor::runProgram(ir::Iteration iteration, ThreadState &ts,
             break;
         }
         const sim::Op op = iteration.op(k);
-        std::uint64_t iter = op.iterTag ? op.iterTag : iteration.iter;
-        switch (op.kind) {
-          case sim::OpKind::stmtStart:
-          case sim::OpKind::stmtEnd:
-          case sim::OpKind::compute:
-            break;
-          case sim::OpKind::dataRead:
-          case sim::OpKind::dataWrite:
-            access(op, iter, op.kind == sim::OpKind::dataWrite, ts);
-            break;
-          case sim::OpKind::syncWaitGE:
-            ++ts.syncOps;
-            if (!wait_ge(op.var, op.value))
-                return false;
-            break;
-          case sim::OpKind::syncWrite:
-            ++ts.syncOps;
-            fabric_.store(op.var, op.value);
-            break;
-          case sim::OpKind::syncFetchInc:
-            ++ts.syncOps;
-            fetch_add(op.var);
-            break;
-          case sim::OpKind::pcMark: {
-            ++ts.syncOps;
-            if (owned_pc) {
-                fabric_.store(op.var, op.value);
-                break;
-            }
-            sim::SyncWord cur = fabric_.load(op.var);
-            std::uint32_t cur_owner = sim::PcWord::owner(cur);
-            std::uint32_t my_owner = sim::PcWord::owner(op.value);
-            if (cur_owner < my_owner) {
-                // Ownership not transferred yet; skip without
-                // waiting (Fig. 4.3). Only the owner writes a PC,
-                // so the load-check-store below cannot race.
-                ++ts.marksSkipped;
-                break;
-            }
-            if (cur_owner > my_owner) {
-                fail(ts, sim::csprintf(
-                            "PC %u owned by %u past process %u: "
-                            "ownership protocol violated",
-                            op.var, cur_owner, my_owner));
-                return false;
-            }
-            owned_pc = true;
-            fabric_.store(op.var, op.value);
-            break;
-          }
-          case sim::OpKind::pcTransfer:
-            ++ts.syncOps;
-            if (!owned_pc) {
-                if (!wait_ge(op.var, op.aux))
-                    return false;
-                owned_pc = true;
-            }
-            fabric_.store(op.var, op.value);
-            break;
-          case sim::OpKind::ctrBarrier: {
-            ++ts.syncOps;
-            std::uint64_t num_procs = op.cycles;
-            sim::SyncWord old = fetch_add(op.var);
-            if (old + 1 == op.value * num_procs)
-                fabric_.store(op.aux, op.value);
-            if (!wait_ge(op.aux, op.value))
-                return false;
-            break;
-          }
-          case sim::OpKind::keyedRead:
-          case sim::OpKind::keyedWrite: {
-            // The Cedar module's atomic test-access-increment,
-            // unrolled: the exact-threshold key protocol admits at
-            // most the accessors of one order number at a time, and
-            // the acq_rel increment's release sequence orders their
-            // accesses before any later-threshold accessor.
-            ++ts.syncOps;
-            if (!wait_ge(op.var, op.value))
-                return false;
-            access(op, iter, op.kind == sim::OpKind::keyedWrite, ts);
-            fetch_add(op.var);
-            break;
-          }
+        lane.iter = op.iterTag ? op.iterTag : iteration.iter;
+        if (op.kind == sim::OpKind::dataRead ||
+            op.kind == sim::OpKind::dataWrite) {
+            access(op, lane.iter, ir::storesData(op.kind), ts);
+            continue;
         }
+        ++ts.syncOps;
+        ir::perform(lane, op);
+        if (!lane.ok)
+            return false;
     }
     return true;
 }
@@ -311,7 +301,6 @@ bool
 NativeExecutor::runLaneBody(unsigned lane, Body body)
 {
     ThreadState &ts = states_[lane];
-    ts.id = lane;
     ts.jitterState =
         cfg_.timingSeed ? core::mix64(cfg_.timingSeed + lane) : 0;
     const bool ok = body(ts);

@@ -5,7 +5,9 @@
  * Runs the same iteration pools the simulator's processors
  * interpret, building each op from its class body at dispatch
  * (ir::Iteration::op), on real host threads against a
- * NativeSyncFabric and a word-granular atomic data memory. Work
+ * NativeSyncFabric and a word-granular atomic data memory. A sync op
+ * is a walk of ir::perform (ir/semantics.hh), as in the simulator,
+ * with the primitives bound to the fabric's atomics. Work
  * distribution mirrors core::SchedulePolicy: a shared fetch&add
  * counter claims iterations (plain, chunked, or guided block sizes)
  * exactly like the paper's self-scheduling dispatcher, or static
@@ -260,7 +262,6 @@ class NativeExecutor
   private:
     struct ThreadState
     {
-        unsigned id = 0;
         std::uint64_t programsRun = 0;
         std::uint64_t syncOps = 0;
         std::uint64_t waits = 0;
@@ -269,7 +270,6 @@ class NativeExecutor
         std::uint64_t marksSkipped = 0;
         std::vector<AccessRecord> accessLog;
         std::uint64_t jitterState = 0;
-        bool failed = false;
 
         /** Profiling-run instrumentation (cfg.profile). */
         std::uint64_t faRetries = 0;
@@ -293,6 +293,9 @@ class NativeExecutor
         return clock_.fetch_add(1, std::memory_order_relaxed);
     }
 
+    /** A thread's walk of ir::perform (executor.cc). */
+    struct Lane;
+
     void maybeJitter(ThreadState &ts);
     /** Load or store op's data word; log it in recording rounds. */
     void access(const sim::Op &op, std::uint64_t iter, bool is_write,
@@ -303,8 +306,8 @@ class NativeExecutor
                     std::uint64_t &end);
     /**
      * The one lane setup of every entry point: reset lane `lane`'s
-     * id and jitter stream, run `body(ts)` (false on failure or
-     * abort), and flag the round failed when it fails.
+     * jitter stream, run `body(ts)` (false on failure or abort), and
+     * flag the round failed when it fails.
      */
     template <class Body> bool runLaneBody(unsigned lane, Body body);
     /**
@@ -317,7 +320,6 @@ class NativeExecutor
     NativeRunResult
     collect(std::vector<ThreadState> &states,
             std::uint64_t wall_nanos, bool all_ran);
-    void fail(ThreadState &ts, std::string message);
 
     NativeSyncFabric &fabric_;
     NativeDataMemory &data_;

@@ -78,7 +78,7 @@ class Bus : public Interconnect
      */
     void sampleTimeline(TraceLog &t, Tick at) const;
 
-    const std::string &name() const override { return name_; }
+    const std::string &name() const { return name_; }
 
   private:
     struct Request

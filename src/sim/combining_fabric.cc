@@ -19,8 +19,7 @@ CombiningSyncFabric::CombiningSyncFabric(EventQueue &eq,
       numModules_(num_modules),
       serviceCycles(service_cycles),
       tracer(trace),
-      network("sync_net", num_ports, num_modules, stage_cycles,
-              port_cycles),
+      network(num_ports, num_modules, stage_cycles, port_cycles),
       moduleFreeAt(num_modules, 0),
       moduleOps_(num_modules, 0)
 {

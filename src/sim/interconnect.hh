@@ -14,7 +14,6 @@
 #define PSYNC_SIM_INTERCONNECT_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/inline_function.hh"
 #include "sim/types.hh"
@@ -52,8 +51,6 @@ class Interconnect
 
     /** Fraction of capacity used over [0, end_tick]. */
     virtual double utilization(Tick end_tick) const = 0;
-
-    virtual const std::string &name() const = 0;
 };
 
 } // namespace sim

@@ -48,7 +48,7 @@ Machine::Machine(const MachineConfig &cfg, TraceSink *trace,
         break;
       case InterconnectKind::omega:
         dataNet_ = std::make_unique<OmegaNetwork>(
-            eventq_, "data_net", config_.numProcs,
+            eventq_, config_.numProcs,
             stagesFor(std::max(config_.numProcs,
                                config_.memory.numModules)),
             config_.netStageCycles, config_.netPortCycles);

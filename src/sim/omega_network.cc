@@ -8,11 +8,10 @@
 namespace psync {
 namespace sim {
 
-OmegaNetwork::OmegaNetwork(EventQueue &eq, std::string net_name,
-                           unsigned num_ports, unsigned num_stages,
-                           Tick stage_cycles, Tick port_cycles)
+OmegaNetwork::OmegaNetwork(EventQueue &eq, unsigned num_ports,
+                           unsigned num_stages, Tick stage_cycles,
+                           Tick port_cycles)
     : eventq(eq),
-      name_(std::move(net_name)),
       numStages(num_stages),
       stageCycles(stage_cycles),
       portCycles(port_cycles),
@@ -86,13 +85,11 @@ OmegaNetwork::fireFlight(std::uint32_t slot)
     handler(inject);
 }
 
-CombiningOmegaNetwork::CombiningOmegaNetwork(std::string net_name,
-                                             unsigned num_ports,
+CombiningOmegaNetwork::CombiningOmegaNetwork(unsigned num_ports,
                                              unsigned num_endpoints,
                                              Tick stage_cycles,
                                              Tick port_cycles)
-    : name_(std::move(net_name)),
-      stageCycles(stage_cycles),
+    : stageCycles(stage_cycles),
       portCycles(port_cycles),
       portFreeAt(num_ports, 0)
 {

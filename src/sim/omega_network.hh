@@ -39,15 +39,14 @@ class OmegaNetwork : public Interconnect
   public:
     /**
      * @param eq          event queue
-     * @param net_name    name used in trace and debug output
      * @param num_ports   injection ports (= processors)
      * @param num_stages  switch stages (log2 of endpoints)
      * @param stage_cycles latency per stage
      * @param port_cycles  min cycles between injections per port
      */
-    OmegaNetwork(EventQueue &eq, std::string net_name,
-                 unsigned num_ports, unsigned num_stages,
-                 Tick stage_cycles, Tick port_cycles = 1);
+    OmegaNetwork(EventQueue &eq, unsigned num_ports,
+                 unsigned num_stages, Tick stage_cycles,
+                 Tick port_cycles = 1);
 
     void transact(ProcId who, GrantHandler on_done) override;
     void transact(ProcId who, GrantHandler on_grant,
@@ -59,8 +58,6 @@ class OmegaNetwork : public Interconnect
 
     /** Aggregate utilization across all injection ports. */
     double utilization(Tick end_tick) const override;
-
-    const std::string &name() const override { return name_; }
 
     unsigned stages() const { return numStages; }
     Tick traversalCycles() const { return numStages * stageCycles; }
@@ -84,7 +81,6 @@ class OmegaNetwork : public Interconnect
     void fireFlight(std::uint32_t slot);
 
     EventQueue &eventq;
-    std::string name_;
     unsigned numStages;
     Tick stageCycles;
     Tick portCycles;
@@ -135,15 +131,13 @@ class CombiningOmegaNetwork
 {
   public:
     /**
-     * @param net_name     name of the network
      * @param num_ports    injection ports (= processors)
      * @param num_endpoints memory-side endpoints (sync modules)
      * @param stage_cycles latency per switch stage
      * @param port_cycles  min cycles between injections per port
      */
-    CombiningOmegaNetwork(std::string net_name, unsigned num_ports,
-                          unsigned num_endpoints, Tick stage_cycles,
-                          Tick port_cycles = 1);
+    CombiningOmegaNetwork(unsigned num_ports, unsigned num_endpoints,
+                          Tick stage_cycles, Tick port_cycles = 1);
 
     /** Outcome of routing one packet, computed at injection. */
     struct Delivery
@@ -218,8 +212,6 @@ class CombiningOmegaNetwork
     /** Emit per-stage conflict/combine samples to `t` at `at`. */
     void sampleTimeline(TraceLog &t, Tick at) const;
 
-    const std::string &name() const { return name_; }
-
   private:
     /**
      * Most recent combinable packet of one (var, cls) routed through
@@ -236,7 +228,6 @@ class CombiningOmegaNetwork
 
     unsigned switchAt(ProcId who, unsigned dest, unsigned stage) const;
 
-    std::string name_;
     unsigned numStages;
     unsigned endpointBits;
     Tick stageCycles;

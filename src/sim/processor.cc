@@ -10,8 +10,9 @@ namespace sim {
 Processor::Processor(EventQueue &eq, ProcId id, SyncFabric &fab,
                      CacheSystem &cache_sys, TraceSink *sink,
                      TraceLog *event_tracer)
-    : eventq(eq), id_(id), fabric(fab), caches(cache_sys),
-      trace(sink), tracer(event_tracer)
+    : eventq(eq), id_(id), fabric(fab),
+      keyedFabric_(dynamic_cast<MemorySyncFabric *>(&fab)),
+      caches(cache_sys), trace(sink), tracer(event_tracer)
 {
 }
 
@@ -61,45 +62,26 @@ void
 Processor::step()
 {
     while (opIndex < current.size) {
-        const Op op = current.op(opIndex);
+        op_ = current.op(opIndex);
         ++opIndex;
-        switch (op.kind) {
+        switch (op_.kind) {
           case OpKind::stmtStart:
             if (trace)
-                trace->stmtStart(op.stmt, opIter(op), eventq.now());
+                trace->stmtStart(op_.stmt, opIter(), eventq.now());
             continue;
           case OpKind::stmtEnd:
             if (trace)
-                trace->stmtEnd(op.stmt, opIter(op), eventq.now());
+                trace->stmtEnd(op_.stmt, opIter(), eventq.now());
             continue;
           case OpKind::compute:
-            execCompute(op);
+            execCompute();
             return;
           case OpKind::dataRead:
           case OpKind::dataWrite:
-            execData(op);
+            execData();
             return;
-          case OpKind::syncWaitGE:
-            execWaitGE(op);
-            return;
-          case OpKind::syncWrite:
-            execWrite(op);
-            return;
-          case OpKind::syncFetchInc:
-            execFetchInc(op);
-            return;
-          case OpKind::pcMark:
-            execPcMark(op);
-            return;
-          case OpKind::pcTransfer:
-            execPcTransfer(op);
-            return;
-          case OpKind::ctrBarrier:
-            execCtrBarrier(op);
-            return;
-          case OpKind::keyedRead:
-          case OpKind::keyedWrite:
-            execKeyed(op);
+          default:
+            issue();
             return;
         }
     }
@@ -107,313 +89,168 @@ Processor::step()
 }
 
 void
-Processor::execCompute(const Op &op)
+Processor::execCompute()
 {
     setActivity(ProcActivity::compute);
-    computeCycles_ += op.cycles;
+    computeCycles_ += op_.cycles;
     tracePhase(TracePhase::compute, eventq.now(),
-               eventq.now() + op.cycles);
-    traceOpSpan(op.id, op.kind, 0, opIter(op), eventq.now(),
-                eventq.now() + op.cycles);
-    eventq.scheduleIn(op.cycles, [this]() { step(); });
+               eventq.now() + op_.cycles);
+    traceOpSpan(0, eventq.now(), eventq.now() + op_.cycles);
+    eventq.scheduleIn(op_.cycles, [this]() { step(); });
 }
 
 void
-Processor::execData(const Op &op)
+Processor::execData()
 {
     setActivity(ProcActivity::stall);
     Tick start = eventq.now();
-    bool is_write = op.kind == OpKind::dataWrite;
-    auto done = [this, op, start, is_write]() {
+    auto on_done = [this, start]() {
         Tick end = eventq.now();
         stallCycles_ += end - start;
         tracePhase(TracePhase::stall, start, end);
-        traceOpSpan(op.id, op.kind, 0, opIter(op), start, end);
+        traceOpSpan(0, start, end);
         if (trace) {
-            trace->access(op.stmt, op.ref, opIter(op), op.addr,
-                          is_write, start, end);
+            trace->access(op_.stmt, op_.ref, opIter(), op_.addr,
+                          ir::storesData(op_.kind), start, end);
         }
         step();
     };
-    if (is_write)
-        caches.write(id_, op.addr, done);
+    if (ir::storesData(op_.kind))
+        caches.write(id_, op_.addr, on_done);
     else
-        caches.read(id_, op.addr, done);
+        caches.read(id_, op_.addr, on_done);
 }
 
 void
-Processor::execWaitGE(const Op &op)
+Processor::chargeWait(SyncVarId var, Tick waited)
 {
-    ++syncOpsIssued_;
-    setActivity(ProcActivity::sync);
-    Tick issue = fabric.issueCost();
-    syncOverheadCycles_ += issue;
-    tracePhase(TracePhase::syncOverhead, eventq.now(),
-               eventq.now() + issue);
-    Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
-        setActivity(ProcActivity::spin);
-        fabric.waitGE(id_, op.var, op.value,
-                      [this, op, start](Tick waited) {
-            spinCycles_ += waited;
-            tracePhase(TracePhase::spin, eventq.now() - waited,
-                       eventq.now());
-            traceWait(op.var, op.id, eventq.now() - waited);
-            traceOpSpan(op.id, op.kind, op.var, opIter(op), start,
-                        eventq.now());
-            step();
-        });
-    });
+    spinCycles_ += waited;
+    tracePhase(TracePhase::spin, eventq.now() - waited, eventq.now());
+    traceWait(var, eventq.now() - waited);
 }
 
+template <class K>
 void
-Processor::execWrite(const Op &op)
+Processor::waitGE(SyncVarId var, SyncWord t, K k)
 {
-    ++syncOpsIssued_;
-    setActivity(ProcActivity::sync);
-    Tick issue = fabric.issueCost();
-    syncOverheadCycles_ += issue;
-    tracePhase(TracePhase::syncOverhead, eventq.now(),
-               eventq.now() + issue);
-    Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
-        fabric.write(id_, op.var, op.value, [this, op, start]() {
-            // Anything beyond the fixed issue cost (memory-fabric
-            // write latency) is synchronization overhead too.
-            Tick total = eventq.now() - start;
-            Tick fixed = fabric.issueCost();
-            syncOverheadCycles_ += total > fixed ? total - fixed : 0;
-            tracePhase(TracePhase::syncOverhead, start + fixed,
-                       eventq.now());
-            traceOpSpan(op.id, op.kind, op.var, opIter(op), start,
-                        eventq.now());
-            step();
-        });
-    });
-}
-
-void
-Processor::execFetchInc(const Op &op)
-{
-    ++syncOpsIssued_;
-    setActivity(ProcActivity::sync);
-    Tick issue = fabric.issueCost();
-    syncOverheadCycles_ += issue;
-    tracePhase(TracePhase::syncOverhead, eventq.now(),
-               eventq.now() + issue);
-    Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
-        fabric.fetchInc(id_, op.var, [this, op, start](SyncWord) {
-            Tick total = eventq.now() - start;
-            Tick fixed = fabric.issueCost();
-            syncOverheadCycles_ += total > fixed ? total - fixed : 0;
-            tracePhase(TracePhase::syncOverhead, start + fixed,
-                       eventq.now());
-            traceOpSpan(op.id, op.kind, op.var, opIter(op), start,
-                        eventq.now());
-            step();
-        });
-    });
-}
-
-void
-Processor::execPcMark(const Op &op)
-{
-    ++syncOpsIssued_;
-    setActivity(ProcActivity::sync);
-    Tick issue = fabric.issueCost();
-    syncOverheadCycles_ += issue;
-    tracePhase(TracePhase::syncOverhead, eventq.now(),
-               eventq.now() + issue);
-    std::uint32_t my_owner = PcWord::owner(op.value);
-    Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, my_owner, start]() {
-        if (ownedPc) {
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
-                traceOpSpan(op.id, op.kind, op.var, opIter(op),
-                            start, eventq.now());
-                step();
-            });
-            return;
-        }
-        fabric.read(id_, op.var,
-                    [this, op, my_owner, start](SyncWord cur) {
-            std::uint32_t cur_owner = PcWord::owner(cur);
-            if (cur_owner < my_owner) {
-                // Ownership has not been transferred yet; proceed
-                // without waiting (Fig. 4.3).
-                ++marksSkipped_;
-                traceOpSpan(op.id, op.kind, op.var, opIter(op),
-                            start, eventq.now());
-                step();
-                return;
-            }
-            if (cur_owner > my_owner) {
-                panic("PC %u owned by %u past process %u: ownership "
-                      "protocol violated", op.var, cur_owner, my_owner);
-            }
-            ownedPc = true;
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
-                traceOpSpan(op.id, op.kind, op.var, opIter(op),
-                            start, eventq.now());
-                step();
-            });
-        });
-    });
-}
-
-void
-Processor::execPcTransfer(const Op &op)
-{
-    ++syncOpsIssued_;
-    setActivity(ProcActivity::sync);
-    Tick issue = fabric.issueCost();
-    syncOverheadCycles_ += issue;
-    tracePhase(TracePhase::syncOverhead, eventq.now(),
-               eventq.now() + issue);
-    Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
-        if (ownedPc) {
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
-                traceOpSpan(op.id, op.kind, op.var, opIter(op),
-                            start, eventq.now());
-                step();
-            });
-            return;
-        }
-        // get_PC: wait until ownership reaches this process.
-        setActivity(ProcActivity::spin);
-        fabric.waitGE(id_, op.var, op.aux,
-                      [this, op, start](Tick waited) {
-            spinCycles_ += waited;
-            tracePhase(TracePhase::spin, eventq.now() - waited,
-                       eventq.now());
-            traceWait(op.var, op.id, eventq.now() - waited);
-            ownedPc = true;
+    setActivity(ProcActivity::spin);
+    fabric.waitGE(id_, var, t, [this, var, k](Tick waited) {
+        // A barrier books its whole wait when it completes.
+        if (op_.kind != OpKind::ctrBarrier) {
+            chargeWait(var, waited);
             setActivity(ProcActivity::sync);
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
-                traceOpSpan(op.id, op.kind, op.var, opIter(op),
-                            start, eventq.now());
-                step();
-            });
-        });
+        }
+        k();
     });
 }
 
+template <class K>
 void
-Processor::execKeyed(const Op &op)
+Processor::read(SyncVarId var, K k)
 {
-    auto *mem_fab = dynamic_cast<MemorySyncFabric *>(&fabric);
-    if (mem_fab == nullptr) {
-        panic("keyed access needs memory-resident keys (Cedar "
-              "synchronization processors live in the memory "
-              "modules)");
-    }
-    ++syncOpsIssued_;
-    setActivity(ProcActivity::sync);
-    Tick issue = fabric.issueCost();
-    syncOverheadCycles_ += issue;
-    tracePhase(TracePhase::syncOverhead, eventq.now(),
-               eventq.now() + issue);
-    Tick start = eventq.now();
-    bool is_write = op.kind == OpKind::keyedWrite;
-    // Capture the individual op fields, not the Op: with the extra
-    // bookkeeping words the full-Op capture spills the handler past
-    // the inline buffer on every keyed access.
-    SyncVarId key = op.var;
-    SyncWord threshold = op.value;
-    Addr addr = op.addr;
-    std::uint32_t stmt = op.stmt;
-    std::uint16_t ref = op.ref;
-    std::uint32_t op_id = op.id;
-    std::uint64_t iter = opIter(op);
-    eventq.scheduleIn(issue, [this, key, threshold, addr, stmt, ref,
-                              op_id, iter, start, issue, is_write,
-                              mem_fab]() {
-        setActivity(ProcActivity::spin);
-        mem_fab->keyedAccess(id_, key, threshold,
-                             [this, key, addr, stmt, ref, op_id,
-                              iter, start, issue,
-                              is_write](Tick waited) {
-            spinCycles_ += waited;
-            tracePhase(TracePhase::spin, eventq.now() - waited,
-                       eventq.now());
-            // Stall is what remains after the issue cost (already
-            // booked as sync overhead) and the spin wait.
-            Tick past_issue = eventq.now() - (start + issue);
-            stallCycles_ += past_issue > waited
-                ? past_issue - waited
-                : 0;
-            Tick end = eventq.now();
-            traceWait(key, op_id, end - waited);
-            traceOpSpan(op_id,
-                        is_write ? OpKind::keyedWrite
-                                 : OpKind::keyedRead,
-                        key, iter, start, end);
-            if (trace) {
-                // The data access happens inside the module
-                // service that just completed — after the key test
-                // passed — so the record anchors at completion.
-                trace->access(stmt, ref, iter, addr, is_write, end,
-                              end);
-            }
-            step();
-        });
-    });
+    fabric.read(id_, var, std::move(k));
 }
 
+template <class K>
 void
-Processor::execCtrBarrier(const Op &op)
+Processor::write(SyncVarId var, SyncWord value, K k)
 {
-    ++syncOpsIssued_;
-    setActivity(ProcActivity::sync);
-    Tick issue = fabric.issueCost();
-    syncOverheadCycles_ += issue;
-    tracePhase(TracePhase::syncOverhead, eventq.now(),
-               eventq.now() + issue);
-    Tick start = eventq.now();
-    std::uint64_t iter = opIter(op);
-    eventq.scheduleIn(issue, [this, op, start, issue, iter]() {
-        fabric.fetchInc(id_, op.var,
-                        [this, op, start, issue,
-                         iter](SyncWord old_val) {
-            // Capture only scalar pieces in `resume`: the
-            // last-arrival path copies it into two more handlers,
-            // so a fat closure would spill past the inline buffer.
-            std::uint32_t op_id = op.id;
-            SyncVarId release = op.aux;
-            auto resume = [this, start, iter, op_id, release]() {
-                // Spin starts after the issue cost, which is
-                // already booked as sync overhead — the trace
-                // below always anchored there; the counter now
-                // agrees instead of double-counting the issue.
-                Tick wait_start = start + fabric.issueCost();
-                spinCycles_ += eventq.now() > wait_start
-                    ? eventq.now() - wait_start
-                    : 0;
-                tracePhase(TracePhase::spin, wait_start,
-                           eventq.now());
-                traceWait(release, op_id, wait_start);
-                traceOpSpan(op_id, OpKind::ctrBarrier, release,
-                            iter, start, eventq.now());
-                step();
-            };
-            std::uint64_t num_procs = op.cycles;
+    fabric.write(id_, var, value, std::move(k));
+}
+
+template <class K>
+void
+Processor::fetchInc(SyncVarId var, K k)
+{
+    fabric.fetchInc(id_, var, [this, k](SyncWord old) {
+        // A barrier spins from its arrival on.
+        if (op_.kind == OpKind::ctrBarrier)
             setActivity(ProcActivity::spin);
-            if (old_val + 1 == op.value * num_procs) {
-                // Last arrival: release this generation.
-                SyncWord gen = op.value;
-                fabric.write(id_, release, gen, [this, release, gen,
-                                                 resume]() {
-                    fabric.waitGE(id_, release, gen,
-                                  [resume](Tick) { resume(); });
-                });
-            } else {
-                fabric.waitGE(id_, release, op.value,
-                              [resume](Tick) { resume(); });
-            }
-        });
+        k(old);
     });
+}
+
+template <class K>
+void
+Processor::keyed(const Op &op, K k)
+{
+    if (keyedFabric_ == nullptr) {
+        fail("keyed access needs memory-resident keys (Cedar "
+             "synchronization processors live in the memory "
+             "modules)");
+        return;
+    }
+    setActivity(ProcActivity::spin);
+    keyedFabric_->keyedAccess(id_, op.var, op.value,
+                              [this, k](Tick waited) {
+        chargeWait(op_.var, waited);
+        // Stall is what remains after the issue cost (already
+        // booked as sync overhead) and the spin wait.
+        Tick past_issue = eventq.now() - (opStart_ + fabric.issueCost());
+        stallCycles_ += past_issue > waited ? past_issue - waited : 0;
+        k();
+    });
+}
+
+void
+Processor::issue()
+{
+    ++syncOpsIssued_;
+    setActivity(ProcActivity::sync);
+    Tick cost = fabric.issueCost();
+    syncOverheadCycles_ += cost;
+    opStart_ = eventq.now();
+    tracePhase(TracePhase::syncOverhead, opStart_, opStart_ + cost);
+    eventq.scheduleIn(cost, [this]() { ir::perform(*this, op_); });
+}
+
+void
+Processor::fail(std::string message)
+{
+    PSYNC_DPRINTF(eventq, Proc, "proc %u fails: %s", id_,
+                  message.c_str());
+    error_ = std::move(message);
+    // Stop the machine: nothing this run does after a protocol
+    // violation means anything, and a polling waiter would
+    // otherwise spin on to the tick limit.
+    eventq.clear();
+}
+
+void
+Processor::done()
+{
+    Tick end = eventq.now();
+    Tick issued = opStart_ + fabric.issueCost();
+    SyncVarId var = op_.var;
+    // Pricing, the one per-kind choice made here: where the cycles
+    // past the issue cost go that no wait has claimed. The
+    // hand-off writes of pcMark and pcTransfer are charged nowhere.
+    switch (op_.kind) {
+      case OpKind::syncWrite:
+      case OpKind::syncFetchInc:
+        // Memory-fabric write latency is synchronization overhead.
+        syncOverheadCycles_ += end - issued;
+        tracePhase(TracePhase::syncOverhead, issued, end);
+        break;
+      case OpKind::ctrBarrier:
+        // The whole episode is one wait on the release variable.
+        var = op_.aux;
+        spinCycles_ += end - issued;
+        tracePhase(TracePhase::spin, issued, end);
+        traceWait(var, issued);
+        break;
+      default:
+        break;
+    }
+    traceOpSpan(var, opStart_, end);
+    if (trace && ir::has(op_.kind, ir::Effect::data)) {
+        // A keyed op's data access happens inside the module
+        // service that just completed — after the key test passed —
+        // so the record anchors at completion.
+        trace->access(op_.stmt, op_.ref, opIter(), op_.addr,
+                      ir::storesData(op_.kind), end, end);
+    }
+    step();
 }
 
 } // namespace sim

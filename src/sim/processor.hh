@@ -4,12 +4,14 @@
  *
  * A processor repeatedly fetches an iteration from the runtime's
  * scheduler and interprets its ops, building each from the
- * iteration's class body as it reaches it (ir::Iteration::op). One memory or
- * synchronization operation is outstanding at a time (the machines
- * the paper targets are simple in-order designs). Cycle accounting
- * is split into compute, busy-wait (spin), synchronization
- * overhead, and data-access stall, which are the quantities the
- * paper's arguments are about.
+ * iteration's class body as it reaches it (ir::Iteration::op). One
+ * memory or synchronization operation is outstanding at a time (the
+ * machines the paper targets are simple in-order designs), held here
+ * while in flight. A sync op is a walk of ir::perform
+ * (ir/semantics.hh) whose continuations are the fabric's completion
+ * handlers; what stays here is pricing: cycles split into compute,
+ * busy-wait (spin), synchronization overhead, and data-access stall,
+ * which are the quantities the paper's arguments are about.
  */
 
 #ifndef PSYNC_SIM_PROCESSOR_HH
@@ -17,9 +19,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 
-#include "sim/cache.hh"
 #include "ir/pool.hh"
+#include "ir/semantics.hh"
+#include "sim/cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/program.hh"
 #include "sim/sync_fabric.hh"
@@ -76,7 +80,13 @@ class Processor
     std::uint64_t programsRun() const { return programsRun_; }
     std::uint64_t marksSkipped() const { return marksSkipped_; }
 
+    /** Why this processor failed the run; empty if it did not. */
+    const std::string &error() const { return error_; }
+
   private:
+    template <class Lane>
+    friend void ir::perform(Lane &lane, const ir::Op &op);
+
     void fetchNext();
     void beginProgram(const ir::Iteration &iteration);
     void step();
@@ -91,26 +101,25 @@ class Processor
     }
 
     /**
-     * Record one executed-op span (issue through completion).
-     * Empty spans are dropped, like empty phase intervals.
+     * Record the op in flight's span (issue through completion), on
+     * `var`. Empty spans are dropped, like empty phase intervals.
      */
     void
-    traceOpSpan(std::uint32_t op_id, OpKind kind, SyncVarId var,
-                std::uint64_t iter, Tick start, Tick end)
+    traceOpSpan(SyncVarId var, Tick start, Tick end)
     {
         if (end > start) {
-            sim::trace(tracer, TraceEvent::span(id_, iter, op_id,
-                                                kind, var, start,
+            sim::trace(tracer, TraceEvent::span(id_, opIter(), op_.id,
+                                                op_.kind, var, start,
                                                 end));
         }
     }
 
-    /** Record a wait of op `op_id` on `var` that ended now. */
+    /** Record a wait of the op in flight on `var` that ended now. */
     void
-    traceWait(SyncVarId var, std::uint32_t op_id, Tick start)
+    traceWait(SyncVarId var, Tick start)
     {
         if (eventq.now() > start) {
-            sim::trace(tracer, TraceEvent::wait(id_, var, op_id,
+            sim::trace(tracer, TraceEvent::wait(id_, var, op_.id,
                                                 start,
                                                 eventq.now()));
         }
@@ -124,26 +133,37 @@ class Processor
             activity_ = a;
     }
 
-    /** Iteration an op belongs to (iterTag overrides program iter). */
+    /** Iteration the op in flight belongs to (iterTag overrides). */
     std::uint64_t
-    opIter(const Op &op) const
+    opIter() const
     {
-        return op.iterTag ? op.iterTag : current.iter;
+        return op_.iterTag ? op_.iterTag : current.iter;
     }
 
-    void execCompute(const Op &op);
-    void execData(const Op &op);
-    void execWaitGE(const Op &op);
-    void execWrite(const Op &op);
-    void execFetchInc(const Op &op);
-    void execPcMark(const Op &op);
-    void execPcTransfer(const Op &op);
-    void execCtrBarrier(const Op &op);
-    void execKeyed(const Op &op);
+    void execCompute();
+    void execData();
+    /** Every sync op's prologue: book the issue cost, then perform. */
+    void issue();
+    void chargeWait(SyncVarId var, Tick waited);
+
+    // The primitives ir::perform walks a sync op with. A failure
+    // stops the machine: no later event runs.
+    template <class K> void waitGE(SyncVarId var, SyncWord t, K k);
+    template <class K> void read(SyncVarId var, K k);
+    template <class K> void write(SyncVarId var, SyncWord value, K k);
+    template <class K> void fetchInc(SyncVarId var, K k);
+    template <class K> void keyed(const Op &op, K k);
+    bool ownsPc() const { return ownedPc; }
+    void ownPc() { ownedPc = true; }
+    void skipMark() { ++marksSkipped_; }
+    void fail(std::string message);
+    void done();
 
     EventQueue &eventq;
     ProcId id_;
     SyncFabric &fabric;
+    /** The fabric, if its keys are memory-resident (keyed ops). */
+    MemorySyncFabric *keyedFabric_;
     CacheSystem &caches;
     TraceSink *trace;
     TraceLog *tracer;
@@ -151,9 +171,14 @@ class Processor
     Dispatch dispatch_;
     ir::Iteration current;
     size_t opIndex = 0;
+    /** The op in flight; continuations refer to it, never copy it. */
+    Op op_;
+    /** Tick the op in flight was issued at. */
+    Tick opStart_ = 0;
 
     /** Improved-primitive ownership flag (Fig. 4.3), per program. */
     bool ownedPc = false;
+    std::string error_;
 
     bool halted_ = false;
     Tick haltTick_ = 0;

@@ -29,7 +29,7 @@ bitReverse(unsigned v, unsigned bits)
 
 TEST(CombiningNetworkTest, SinglePacketCrossesEveryStage)
 {
-    CombiningOmegaNetwork net("net", 8, 8, 2);
+    CombiningOmegaNetwork net(8, 8, 2);
     EXPECT_EQ(net.stages(), 3u);
     EXPECT_EQ(net.switchesPerStage(), 4u);
 
@@ -52,7 +52,7 @@ TEST(CombiningNetworkTest, HotModuleBurstCombinesAsTreeP512)
     // stage: ports w and w+256 share a stage-0 switch, the stage-1
     // survivors pair (w, w+128), and so on — one packet reaches the
     // module, 511 are absorbed on the way.
-    CombiningOmegaNetwork net("net", 512, 512, 1);
+    CombiningOmegaNetwork net(512, 512, 1);
     ASSERT_EQ(net.stages(), 9u);
 
     Tick root_arrival = 0;
@@ -83,7 +83,7 @@ TEST(CombiningNetworkTest, UncombinableHotModuleSerializesP512)
     // The same burst without combining: every packet funnels into
     // the single module-side switch, which must carry all of them
     // back to back.
-    CombiningOmegaNetwork net("net", 512, 512, 1);
+    CombiningOmegaNetwork net(512, 512, 1);
 
     Tick last_arrival = 0;
     for (ProcId p = 0; p < 512; ++p) {
@@ -115,7 +115,7 @@ TEST(CombiningNetworkTest, BitReversalConflictsAtP1024)
     // Bit-reversal is the textbook non-routable permutation for an
     // omega network: distinct destinations, yet packets collide in
     // the interior stages.
-    CombiningOmegaNetwork net("net", 1024, 1024, 1);
+    CombiningOmegaNetwork net(1024, 1024, 1);
     ASSERT_EQ(net.stages(), 10u);
     ASSERT_EQ(net.switchesPerStage(), 512u);
 
@@ -144,8 +144,8 @@ TEST(CombiningNetworkTest, ModelIsDeterministic)
             net.inject(p, bitReverse(p, 10), 3,
                        CombineClass::fetchAdd, p, p % 7);
     };
-    CombiningOmegaNetwork a("a", 1024, 1024, 1);
-    CombiningOmegaNetwork b("b", 1024, 1024, 1);
+    CombiningOmegaNetwork a(1024, 1024, 1);
+    CombiningOmegaNetwork b(1024, 1024, 1);
     drive(a);
     drive(b);
     EXPECT_EQ(a.transactions(), b.transactions());
@@ -164,13 +164,13 @@ TEST(CombiningNetworkTest, HoldExtendsTheCombiningWindow)
     // Without a hold, a packet's wait-buffer entry expires after one
     // stage crossing and a staggered arrival passes by; held until
     // the reply returns, the same arrival merges.
-    CombiningOmegaNetwork cold("cold", 8, 8, 1);
+    CombiningOmegaNetwork cold(8, 8, 1);
     auto r1 = cold.inject(0, 0, 9, CombineClass::fetchAdd, 1, 0);
     ASSERT_FALSE(r1.combined);
     auto r2 = cold.inject(4, 0, 9, CombineClass::fetchAdd, 2, 5);
     EXPECT_FALSE(r2.combined);
 
-    CombiningOmegaNetwork warm("warm", 8, 8, 1);
+    CombiningOmegaNetwork warm(8, 8, 1);
     auto h1 = warm.inject(0, 0, 9, CombineClass::fetchAdd, 1, 0);
     ASSERT_FALSE(h1.combined);
     warm.holdResidents(0, 0, 9, CombineClass::fetchAdd, 1, 20);

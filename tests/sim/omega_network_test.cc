@@ -13,7 +13,7 @@ using psync::ir::Iteration;
 TEST(OmegaNetworkTest, TraversalLatency)
 {
     EventQueue eq;
-    OmegaNetwork net(eq, "net", 4, 3, 2);
+    OmegaNetwork net(eq, 4, 3, 2);
     Tick done = 0;
     eq.schedule(10, [&]() {
         net.transact(0, [&](Tick grant) {
@@ -29,7 +29,7 @@ TEST(OmegaNetworkTest, TraversalLatency)
 TEST(OmegaNetworkTest, DistinctPortsDoNotSerialize)
 {
     EventQueue eq;
-    OmegaNetwork net(eq, "net", 4, 2, 1);
+    OmegaNetwork net(eq, 4, 2, 1);
     std::vector<Tick> done;
     eq.schedule(0, [&]() {
         for (ProcId p = 0; p < 4; ++p)
@@ -45,7 +45,7 @@ TEST(OmegaNetworkTest, DistinctPortsDoNotSerialize)
 TEST(OmegaNetworkTest, SamePortSerializesInjection)
 {
     EventQueue eq;
-    OmegaNetwork net(eq, "net", 2, 2, 1, 3);
+    OmegaNetwork net(eq, 2, 2, 1, 3);
     std::vector<Tick> done;
     eq.schedule(0, [&]() {
         net.transact(0, [&](Tick) { done.push_back(eq.now()); });
@@ -61,7 +61,7 @@ TEST(OmegaNetworkTest, SamePortSerializesInjection)
 TEST(OmegaNetworkTest, GrantHookFiresAtInjection)
 {
     EventQueue eq;
-    OmegaNetwork net(eq, "net", 2, 2, 1, 4);
+    OmegaNetwork net(eq, 2, 2, 1, 4);
     std::vector<Tick> grants;
     eq.schedule(0, [&]() {
         net.transact(0, [&](Tick) { grants.push_back(eq.now()); },
@@ -84,7 +84,6 @@ TEST(OmegaNetworkTest, MachineBuildsNetworkMachine)
     cfg.fabric = FabricKind::memory;
     Machine m(cfg);
     EXPECT_EQ(m.dataBus(), nullptr);
-    EXPECT_GT(m.dataNet().name().size(), 0u);
 
     // A simple program still runs.
     std::vector<std::vector<Program>> progs(16);

@@ -8,7 +8,6 @@
 #include "workloads/nested.hh"
 
 using namespace psync;
-using psync::ir::Iteration;
 
 namespace {
 
@@ -96,17 +95,14 @@ TEST(CedarCombiningTest, RegisterFabricRejectsKeyedOps)
     std::vector<sim::Program> progs(1);
     progs[0].iter = 1;
     progs[0].ops = {sim::Op::mkKeyed(false, 0, 0, 8, 0)};
-    size_t next = 0;
-    auto dispatch = [&](sim::ProcId,
-                        std::function<void(const Iteration *)> cb) {
-        if (next >= progs.size()) {
-            cb(nullptr);
-            return;
-        }
-        const auto it = Iteration::of(progs[next++]);
-        cb(&it);
-    };
-    EXPECT_DEATH(m.run(dispatch), "memory-resident keys");
+    // The plan is at fault, not the simulator: the run fails with a
+    // message instead of aborting the process.
+    core::RunResult r = core::runProgramPool(
+        m, progs, core::SchedulePolicy::staticCyclic);
+    EXPECT_FALSE(r.completed);
+    ASSERT_EQ(r.errors.size(), 1u);
+    EXPECT_NE(r.errors[0].find("memory-resident keys"),
+              std::string::npos);
 }
 
 TEST(CedarCombiningTest, ParkedRequestsRetryAtModuleOnly)
