@@ -632,24 +632,6 @@ peephole(Program &program)
     return merged;
 }
 
-std::uint64_t
-countWaits(const std::vector<Program> &programs)
-{
-    std::uint64_t n = 0;
-    for (const Program &program : programs)
-        n += waitsIn(program);
-    return n;
-}
-
-std::uint64_t
-countOps(const std::vector<Program> &programs)
-{
-    std::uint64_t n = 0;
-    for (const Program &program : programs)
-        n += program.ops.size();
-    return n;
-}
-
 PassStats
 runPasses(std::vector<Program> &programs, const PassConfig &config,
           const InitValueFn &init_value)

@@ -138,12 +138,6 @@ std::uint64_t eliminateRedundantWaits(Program &program);
  */
 std::uint64_t peephole(Program &program);
 
-/** Count sync_wait_ge ops across a program set. */
-std::uint64_t countWaits(const std::vector<Program> &programs);
-
-/** Count all ops across a program set. */
-std::uint64_t countOps(const std::vector<Program> &programs);
-
 /**
  * Run the configured pipeline in place over a lowered program set,
  * in one walk (see the file comment). The verifier checks the

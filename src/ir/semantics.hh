@@ -184,6 +184,25 @@ field(const Fields &f, Field which) -> decltype(f.value)
 }
 
 /**
+ * The failure message of a mark_PC that finds PC `var` owned by
+ * process `owner`, past its own process `self`. Cold and never
+ * inlined, so perform's mark continuation stays small enough to
+ * inline into each walker.
+ */
+[[gnu::cold, gnu::noinline]] inline std::string
+ownershipViolation(SyncVarId var, std::uint32_t owner,
+                   std::uint32_t self)
+{
+    return std::string("PC ")
+        .append(std::to_string(var))
+        .append(" owned by ")
+        .append(std::to_string(owner))
+        .append(" past process ")
+        .append(std::to_string(self))
+        .append(": ownership protocol violated");
+}
+
+/**
  * Perform sync op `op` on `lane`, whose primitives take
  * continuations `k` that capture only `&lane` and `&op` and that the
  * lane may run inline or later:
@@ -231,13 +250,7 @@ perform(Lane &lane, const Op &op)
                 lane.skipMark();
                 lane.done();
             } else if (owner > self) {
-                lane.fail(std::string("PC ")
-                              .append(std::to_string(op.var))
-                              .append(" owned by ")
-                              .append(std::to_string(owner))
-                              .append(" past process ")
-                              .append(std::to_string(self))
-                              .append(": ownership protocol violated"));
+                lane.fail(ownershipViolation(op.var, owner, self));
             } else {
                 lane.ownPc();
                 lane.write(op.var, op.value, [&lane] { lane.done(); });

@@ -27,10 +27,8 @@ pauseSpin(unsigned n)
 } // namespace
 
 NativeDataMemory::NativeDataMemory(const ir::DataImage &image)
-    : image_(image),
-      words_(new std::atomic<std::uint64_t>[image.words()])
+    : image_(image), words_(new LineWord[image.words()])
 {
-    clearAll();
 }
 
 void
@@ -46,8 +44,8 @@ NativeDataMemory::snapshot() const
     std::map<sim::Addr, std::uint64_t> image;
     for (const ir::DataImage::Region &r : image_.regions()) {
         for (std::uint64_t k = 0; k < r.words; ++k) {
-            std::uint64_t value =
-                words_[r.first + k].load(std::memory_order_acquire);
+            std::uint64_t value = words_[r.first + k].value.load(
+                std::memory_order_acquire);
             if (value != 0)
                 image[r.base + (k << r.shift)] = value;
         }
@@ -59,7 +57,7 @@ void
 NativeDataMemory::clearAll()
 {
     for (std::uint64_t w = 0; w < image_.words(); ++w)
-        words_[w].store(0, std::memory_order_relaxed);
+        words_[w].value.store(0, std::memory_order_relaxed);
 }
 
 NativeExecutor::NativeExecutor(NativeSyncFabric &fabric,
@@ -251,8 +249,8 @@ NativeExecutor::beginRun(unsigned lanes, bool record_accesses)
         ts.reset();
     errors_.clear();
     log_.clear();
-    nextClaim_.store(0, std::memory_order_relaxed);
-    clock_.store(1, std::memory_order_relaxed);
+    nextClaim_.value.store(0, std::memory_order_relaxed);
+    clock_.value.store(1, std::memory_order_relaxed);
     anyFailed_.store(false, std::memory_order_relaxed);
 }
 
@@ -265,20 +263,20 @@ NativeExecutor::claimRange(std::uint64_t total, std::uint64_t &begin,
         std::uint64_t chunk =
             std::max<std::uint64_t>(1, cfg_.chunkSize);
         std::uint64_t old =
-            nextClaim_.fetch_add(chunk, std::memory_order_relaxed);
+            nextClaim_.value.fetch_add(chunk, std::memory_order_relaxed);
         begin = old;
         end = std::min(total, old + chunk);
         return old < total;
       }
       case core::SchedulePolicy::guidedSelfScheduling: {
         std::uint64_t old =
-            nextClaim_.load(std::memory_order_relaxed);
+            nextClaim_.value.load(std::memory_order_relaxed);
         for (;;) {
             if (old >= total)
                 return false;
             std::uint64_t size = std::max<std::uint64_t>(
                 1, (total - old) / (2 * laneCount_));
-            if (nextClaim_.compare_exchange_weak(
+            if (nextClaim_.value.compare_exchange_weak(
                     old, old + size, std::memory_order_relaxed)) {
                 begin = old;
                 end = std::min(total, old + size);
@@ -288,7 +286,7 @@ NativeExecutor::claimRange(std::uint64_t total, std::uint64_t &begin,
       }
       default: {
         std::uint64_t old =
-            nextClaim_.fetch_add(1, std::memory_order_relaxed);
+            nextClaim_.value.fetch_add(1, std::memory_order_relaxed);
         begin = old;
         end = old + 1;
         return old < total;

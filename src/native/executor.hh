@@ -137,10 +137,19 @@ struct NativeRunResult
     }
 };
 
+/** A 64-bit atomic alone on its cache line. */
+struct alignas(kCacheLine) LineWord
+{
+    std::atomic<std::uint64_t> value{0};
+};
+static_assert(sizeof(LineWord) == kCacheLine &&
+              alignof(LineWord) == kCacheLine);
+
 /**
  * Word-granular shared data memory: one relaxed atomic per word of
  * a pool's data image, in one flat array. An access finds its word
- * from the image's regions; nothing is hashed.
+ * from the image's regions; nothing is hashed. Each word is a
+ * LineWord, so lanes on neighbouring iterations never write one line.
  */
 class NativeDataMemory
 {
@@ -154,7 +163,7 @@ class NativeDataMemory
         const std::uint64_t w = image_.wordOf(addr);
         if (w == ir::DataImage::npos)
             outside(addr);
-        return words_[w];
+        return words_[w].value;
     }
 
     /** Words in the image. */
@@ -180,7 +189,8 @@ class NativeDataMemory
     [[noreturn]] static void outside(sim::Addr addr);
 
     ir::DataImage image_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
+    /** Zeroed at construction: the never-written state. */
+    std::unique_ptr<LineWord[]> words_;
 };
 
 /** Executes iteration pools natively. */
@@ -290,7 +300,7 @@ class NativeExecutor
     std::uint64_t
     ticket()
     {
-        return clock_.fetch_add(1, std::memory_order_relaxed);
+        return clock_.value.fetch_add(1, std::memory_order_relaxed);
     }
 
     /** A thread's walk of ir::perform (executor.cc). */
@@ -324,8 +334,9 @@ class NativeExecutor
     NativeSyncFabric &fabric_;
     NativeDataMemory &data_;
     NativeConfig cfg_;
-    std::atomic<std::uint64_t> clock_{1};
-    std::atomic<std::uint64_t> nextClaim_{0};
+    /** Every lane RMWs these: each has its own line, away from cfg_. */
+    LineWord clock_{1};
+    LineWord nextClaim_;
     std::mutex errorsMutex_;
     std::vector<std::string> errors_;
     std::vector<AccessRecord> log_;

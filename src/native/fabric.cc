@@ -29,53 +29,33 @@ constexpr auto kParkSlice = std::chrono::microseconds(500);
 
 } // namespace
 
-NativeSyncFabric::NativeSyncFabric(unsigned spin_limit)
-    : spinLimit_(spin_limit)
+NativeSyncFabric::NativeSyncFabric(unsigned count, unsigned spin_limit)
+    : slots_(new Slot[count]), count_(count), spinLimit_(spin_limit)
 {
 }
 
 NativeSyncFabric::NativeSyncFabric(const sim::SyncFabric &planned,
                                    unsigned spin_limit)
-    : spinLimit_(spin_limit)
+    : NativeSyncFabric(planned.allocated(), spin_limit)
 {
-    unsigned count = planned.allocated();
-    for (unsigned v = 0; v < count; ++v)
-        words_.emplace_back(planned.peek(v));
+    for (unsigned v = 0; v < count_; ++v)
+        slots_[v].word.store(planned.peek(v), std::memory_order_relaxed);
 }
 
 NativeSyncFabric::NativeSyncFabric(
     const std::vector<sim::SyncWord> &init_words, unsigned spin_limit)
-    : spinLimit_(spin_limit)
+    : NativeSyncFabric(static_cast<unsigned>(init_words.size()),
+                       spin_limit)
 {
-    for (sim::SyncWord w : init_words)
-        words_.emplace_back(w);
-}
-
-sim::SyncVarId
-NativeSyncFabric::allocate(unsigned count, sim::SyncWord init)
-{
-    auto first = static_cast<sim::SyncVarId>(words_.size());
-    for (unsigned i = 0; i < count; ++i) {
-        words_.emplace_back(init);
-        if (epochEnabled_) {
-            // A zero tag is stale for every epoch (epochs start at
-            // 1), so reads of the new word resolve to its init
-            // value — which is also what the word itself holds.
-            init_.push_back(init);
-            tags_.emplace_back(0);
-        }
-    }
-    return first;
+    for (unsigned v = 0; v < count_; ++v)
+        slots_[v].word.store(init_words[v], std::memory_order_relaxed);
 }
 
 void
 NativeSyncFabric::enableEpochReuse()
 {
-    init_.resize(words_.size());
-    for (std::size_t v = 0; v < words_.size(); ++v)
-        init_[v] = words_[v].load(std::memory_order_relaxed);
-    while (tags_.size() < words_.size())
-        tags_.emplace_back(0);
+    for (unsigned v = 0; v < count_; ++v)
+        slots_[v].init = slots_[v].word.load(std::memory_order_relaxed);
     epochEnabled_ = true;
 }
 
@@ -90,10 +70,9 @@ NativeSyncFabric::beginEpoch()
 }
 
 bool
-NativeSyncFabric::claimWord(sim::SyncVarId var, std::uint64_t epoch)
+NativeSyncFabric::claimWord(Slot &slot, std::uint64_t epoch)
 {
-    std::atomic<std::uint64_t> &tag = tags_[var];
-    std::uint64_t cur = tag.load(std::memory_order_acquire);
+    std::uint64_t cur = slot.tag.load(std::memory_order_acquire);
     for (;;) {
         if (cur == epoch)
             return false;
@@ -101,12 +80,12 @@ NativeSyncFabric::claimWord(sim::SyncVarId var, std::uint64_t epoch)
             // Another writer is initializing right now; wait for
             // the tag to land, then the word is current.
             cpuRelax();
-            cur = tag.load(std::memory_order_acquire);
+            cur = slot.tag.load(std::memory_order_acquire);
             continue;
         }
-        if (tag.compare_exchange_weak(cur, epoch | kClaimBit,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire))
+        if (slot.tag.compare_exchange_weak(cur, epoch | kClaimBit,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_acquire))
             return true;
     }
 }
@@ -117,34 +96,34 @@ NativeSyncFabric::claimWord(sim::SyncVarId var, std::uint64_t epoch)
  * publishes the epoch tag; everyone else returns once the tag is
  * current. No-op when epoch reuse is off.
  */
-void
+NativeSyncFabric::Slot &
 NativeSyncFabric::ensureCurrent(sim::SyncVarId var)
 {
+    Slot &slot = slots_[var];
     if (!epochEnabled_)
-        return;
+        return slot;
     std::uint64_t e = epoch_.load(std::memory_order_relaxed);
-    if (tags_[var].load(std::memory_order_acquire) == e)
-        return;
-    if (claimWord(var, e)) {
-        words_[var].store(init_[var], std::memory_order_relaxed);
-        publishTag(var, e);
+    if (slot.tag.load(std::memory_order_acquire) == e)
+        return slot;
+    if (claimWord(slot, e)) {
+        slot.word.store(slot.init, std::memory_order_relaxed);
+        slot.tag.store(e, std::memory_order_release);
     }
+    return slot;
 }
 
 void
 NativeSyncFabric::store(sim::SyncVarId var, sim::SyncWord value)
 {
-    ensureCurrent(var);
-    words_[var].store(value, std::memory_order_release);
+    ensureCurrent(var).word.store(value, std::memory_order_release);
     wake(var);
 }
 
 sim::SyncWord
 NativeSyncFabric::fetchAdd(sim::SyncVarId var, sim::SyncWord delta)
 {
-    ensureCurrent(var);
-    sim::SyncWord old =
-        words_[var].fetch_add(delta, std::memory_order_acq_rel);
+    sim::SyncWord old = ensureCurrent(var).word.fetch_add(
+        delta, std::memory_order_acq_rel);
     wake(var);
     return old;
 }
@@ -154,8 +133,7 @@ NativeSyncFabric::fetchAddCounted(sim::SyncVarId var,
                                   sim::SyncWord delta,
                                   std::uint64_t &retries)
 {
-    ensureCurrent(var);
-    std::atomic<sim::SyncWord> &word = words_[var];
+    std::atomic<sim::SyncWord> &word = ensureCurrent(var).word;
     sim::SyncWord cur = word.load(std::memory_order_relaxed);
     while (!word.compare_exchange_weak(cur, cur + delta,
                                        std::memory_order_acq_rel,

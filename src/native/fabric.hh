@@ -45,6 +45,11 @@
  * accessors) and also clears a pending abort, which is what makes
  * timeout -> abortAll -> resubmit-clean possible on a long-lived
  * fabric.
+ *
+ * Layout: each variable's value, epoch tag and init value fill one
+ * kCacheLine slot of a flat array sized once, at construction. A
+ * lane polling a variable then sees traffic only when that variable
+ * is written, as the paper's processors poll local images.
  */
 
 #ifndef PSYNC_NATIVE_FABRIC_HH
@@ -53,8 +58,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -63,6 +69,10 @@
 
 namespace psync {
 namespace native {
+
+/** Bytes per cache line; not std::hardware_destructive_interference_size,
+ * which GCC 12 reports in a header (-Winterference-size). */
+inline constexpr std::size_t kCacheLine = 64;
 
 /** Host-time point used for wait deadlines. */
 using Deadline = std::chrono::steady_clock::time_point;
@@ -97,12 +107,10 @@ struct WaitOutcome
 class NativeSyncFabric
 {
   public:
-    explicit NativeSyncFabric(unsigned spin_limit = 64);
-
     /**
-     * Mirror a planned simulator fabric: allocate the same number
-     * of variables and copy each one's current (initialized) value,
-     * so programs emitted against the sim fabric's variable ids run
+     * Mirror a planned simulator fabric: the same number of
+     * variables, each holding its current (initialized) value, so
+     * programs emitted against the sim fabric's variable ids run
      * unchanged.
      */
     NativeSyncFabric(const sim::SyncFabric &planned,
@@ -118,14 +126,7 @@ class NativeSyncFabric
     NativeSyncFabric(const NativeSyncFabric &) = delete;
     NativeSyncFabric &operator=(const NativeSyncFabric &) = delete;
 
-    /** Allocate `count` variables initialized to `init`. Not
-     * thread-safe; setup only. */
-    sim::SyncVarId allocate(unsigned count, sim::SyncWord init);
-
-    unsigned allocated() const
-    {
-        return static_cast<unsigned>(words_.size());
-    }
+    unsigned allocated() const { return count_; }
 
     /** Acquire-load the current value. */
     sim::SyncWord
@@ -173,14 +174,14 @@ class NativeSyncFabric
     void
     poke(sim::SyncVarId var, sim::SyncWord value)
     {
-        words_[var].store(value, std::memory_order_release);
+        slots_[var].word.store(value, std::memory_order_release);
     }
 
     /**
      * Snapshot the current values as the fabric's init image and
      * switch every accessor to the epoch-tag protocol. Setup only
-     * (no concurrent accessors); call once, after allocation and
-     * any poke() overrides.
+     * (no concurrent accessors); call once, after any poke()
+     * overrides.
      */
     void enableEpochReuse();
 
@@ -202,6 +203,18 @@ class NativeSyncFabric
     }
 
   private:
+    /** One variable, alone on its cache line. */
+    struct alignas(kCacheLine) Slot
+    {
+        std::atomic<sim::SyncWord> word{0};
+        /** Epoch tag (epoch reuse only); 0 is stale for every epoch. */
+        std::atomic<std::uint64_t> tag{0};
+        /** Init-image value restored (logically) by beginEpoch(). */
+        sim::SyncWord init = 0;
+    };
+    static_assert(sizeof(Slot) == kCacheLine &&
+                  alignof(Slot) == kCacheLine);
+
     struct Shard
     {
         std::mutex m;
@@ -233,45 +246,38 @@ class NativeSyncFabric
     sim::SyncWord
     loadValue(sim::SyncVarId var, std::memory_order order) const
     {
+        const Slot &slot = slots_[var];
         if (!epochEnabled_)
-            return words_[var].load(order);
+            return slot.word.load(order);
         std::uint64_t e = epoch_.load(std::memory_order_relaxed);
-        if (tags_[var].load(std::memory_order_acquire) != e)
-            return init_[var];
-        return words_[var].load(order);
+        if (slot.tag.load(std::memory_order_acquire) != e)
+            return slot.init;
+        return slot.word.load(order);
     }
 
     /**
-     * Claim a stale word for the current epoch before its first
+     * Claim a stale slot for the current epoch before its first
      * write: CAS the tag to the claim sentinel, making this thread
      * the word's exclusive initializer; everyone else spins on the
      * tag (or reads the init value) until the epoch tag lands.
      * Returns true when this caller won the claim (and must publish
      * the tag after writing); false when the tag is already current.
      */
-    bool claimWord(sim::SyncVarId var, std::uint64_t epoch);
+    static bool claimWord(Slot &slot, std::uint64_t epoch);
 
-    /** Pre-write hook: lazily reinit a stale word for this epoch. */
-    void ensureCurrent(sim::SyncVarId var);
-
-    void publishTag(sim::SyncVarId var, std::uint64_t epoch)
-    {
-        tags_[var].store(epoch, std::memory_order_release);
-    }
+    /** Pre-write hook: lazily reinit a stale word for this epoch;
+     * returns the variable's slot. */
+    Slot &ensureCurrent(sim::SyncVarId var);
 
     /** Notify var's shard if its waiter count says someone may be
      * parked. */
     void wake(sim::SyncVarId var);
 
-    /**
-     * deque keeps element addresses stable across setup-time
-     * allocate() growth (atomics are neither movable nor copyable).
-     */
-    std::deque<std::atomic<sim::SyncWord>> words_;
-    /** Per-word epoch tags (epoch reuse only; parallel to words_). */
-    std::deque<std::atomic<std::uint64_t>> tags_;
-    /** Init image restored (logically) by each beginEpoch(). */
-    std::vector<sim::SyncWord> init_;
+    /** Allocate `count` slots; the constructors fill their words. */
+    NativeSyncFabric(unsigned count, unsigned spin_limit);
+
+    std::unique_ptr<Slot[]> slots_;
+    unsigned count_;
     mutable Shard shards_[kNumShards];
     unsigned spinLimit_;
     bool epochEnabled_ = false;

@@ -24,9 +24,6 @@ namespace sim {
 using OpKind = ir::OpKind;
 using Op = ir::Op;
 using Program = ir::Program;
-using ProgramBuilder = ir::ProgramBuilder;
-using ir::disassemble;
-using ir::opKindName;
 
 /** Event-trace consumer; see core/trace_check for the verifier. */
 class TraceSink

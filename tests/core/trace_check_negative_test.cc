@@ -124,9 +124,9 @@ TEST(TraceCheckNegativeTest, NativeBackendReportsViolation)
     // interleaving: the consumer signals `read_done` after its read
     // and the producer awaits it between its early signal and its
     // write. Every run orders the read before the write.
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId v = fabric.allocate(1, 0);
-    sim::SyncVarId read_done = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(2, 0));
+    const sim::SyncVarId v = 0;
+    const sim::SyncVarId read_done = 1;
     auto programs =
         brokenPrograms(v, {sim::Op::mkWaitGE(read_done, 1)},
                        {sim::Op::mkWrite(read_done, 1)});

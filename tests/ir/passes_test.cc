@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -99,6 +100,18 @@ lower(const dep::Loop &loop, sync::SchemeKind kind)
     return out;
 }
 
+/** Ops of `programs`, or only those of kind `only`. */
+std::uint64_t
+countOps(const std::vector<ir::Program> &programs,
+         std::optional<ir::OpKind> only = std::nullopt)
+{
+    std::uint64_t n = 0;
+    for (const ir::Program &program : programs)
+        for (const ir::Op &op : program.ops)
+            n += !only || op.kind == *only;
+    return n;
+}
+
 /**
  * The pipeline stage by stage: elimination over every program, then
  * peephole over every program, then the verifier over the plan.
@@ -108,8 +121,8 @@ stagedPasses(std::vector<ir::Program> &programs,
              const ir::PassConfig &cfg, const ir::InitValueFn &init)
 {
     ir::PassStats stats;
-    stats.opsBefore = ir::countOps(programs);
-    stats.waitsBefore = ir::countWaits(programs);
+    stats.opsBefore = countOps(programs);
+    stats.waitsBefore = countOps(programs, ir::OpKind::syncWaitGE);
     if (cfg.enabled && cfg.eliminateRedundantWaits)
         for (ir::Program &program : programs)
             stats.waitsEliminated +=
@@ -121,8 +134,8 @@ stagedPasses(std::vector<ir::Program> &programs,
         stats.verifierErrors = ir::verifyPrograms(programs, init);
         stats.verified = stats.verifierErrors.empty();
     }
-    stats.opsAfter = ir::countOps(programs);
-    stats.waitsAfter = ir::countWaits(programs);
+    stats.opsAfter = countOps(programs);
+    stats.waitsAfter = countOps(programs, ir::OpKind::syncWaitGE);
     return stats;
 }
 

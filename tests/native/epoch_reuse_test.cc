@@ -122,8 +122,8 @@ epochRoundsMatchFresh(sync::SchemeKind kind, int rounds)
 
 TEST(EpochReuseTest, LoadSeesInitImageAfterBeginEpoch)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId v = fabric.allocate(3, 7);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(3, 7));
+    const sim::SyncVarId v = 0;
     fabric.poke(v + 2, 41);
     fabric.enableEpochReuse();
 
@@ -156,8 +156,9 @@ TEST(EpochReuseTest, TimeoutAbortsThenEpochClearsForCleanRerun)
     // watchdog deadline must turn it into completed=false via
     // abortAll, and beginEpoch() must clear the abort so a healthy
     // program then runs clean on the very same fabric.
-    native::NativeSyncFabric fabric(0); // spin_limit 0: park fast
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    // spin_limit 0: park fast.
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0), 0);
+    const sim::SyncVarId v = 0;
     fabric.enableEpochReuse();
 
     sim::Program stuck;

@@ -9,8 +9,10 @@
 #include <thread>
 #include <tuple>
 
+#include "core/plan_cache.hh"
 #include "core/value_rule.hh"
 #include "native/executor.hh"
+#include "workloads/fig21.hh"
 
 using namespace psync;
 
@@ -54,12 +56,66 @@ independent(std::uint64_t n)
     return programs;
 }
 
+/**
+ * Every word of a NativeDataMemory over `image` starts a cache line,
+ * and no two words share one.
+ */
+void
+expectOneLinePerWord(const ir::DataImage &image)
+{
+    native::NativeDataMemory data(image);
+    std::set<std::uintptr_t> lines;
+    for (const ir::DataImage::Region &r : image.regions()) {
+        for (std::uint64_t k = 0; k < r.words; ++k) {
+            const sim::Addr addr = r.base + (k << r.shift);
+            const auto at =
+                reinterpret_cast<std::uintptr_t>(&data.word(addr));
+            EXPECT_EQ(at % native::kCacheLine, 0u) << "addr " << addr;
+            lines.insert(at / native::kCacheLine);
+        }
+    }
+    EXPECT_EQ(lines.size(), image.words());
+}
+
 } // namespace
+
+TEST(NativeDataMemoryTest, EveryWordHasItsOwnCacheLine)
+{
+    // A hand-built pool over three regions: words 8 bytes apart, the
+    // FFT chunk region (1 << 34) and the renamed-copy region
+    // (1 << 36), 16 bytes apart.
+    std::vector<sim::Program> programs;
+    for (std::uint64_t i = 1; i <= 12; ++i) {
+        sim::Program p;
+        p.iter = i;
+        p.ops = {sim::Op::mkData(true, 1000 + i * 8, 0, 0),
+                 sim::Op::mkData(false, (sim::Addr(1) << 34) + i * 8,
+                                 1, 0),
+                 sim::Op::mkData(true, (sim::Addr(1) << 36) + i * 16,
+                                 2, 0)};
+        programs.push_back(p);
+    }
+    const ir::DataImage hand =
+        ir::DataImage::numbered(ir::IterationPool::borrow(programs));
+    ASSERT_EQ(hand.regions().size(), 3u);
+    expectOneLinePerWord(hand);
+
+    // A cached instance-scheme plan, whose image adds its renamed
+    // copies' regions to the loop's arrays.
+    core::RunConfig cfg;
+    cfg.machine.numProcs = 4;
+    cfg.machine.fabric = sim::FabricKind::memory;
+    core::PlanCache cache(1);
+    auto plan = cache.get(workloads::makeFig21Loop(20),
+                          sync::SchemeKind::instanceBased, cfg);
+    ASSERT_GE(plan->image.regions().size(), 2u);
+    expectOneLinePerWord(plan->image);
+}
 
 TEST(NativeDataMemoryTest, ScansEveryReferencedAddress)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0));
+    const sim::SyncVarId v = 0;
     auto programs = producerConsumer(v, 640);
     const ir::IterationPool pool = ir::IterationPool::borrow(programs);
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
@@ -95,7 +151,7 @@ TEST(NativeDataMemoryTest, HandBuiltImageSpansChunkAndCopyRegions)
     ASSERT_EQ(image.regions().size(), 2u);
     EXPECT_EQ(image.words(), 2 * n + 1); // chunk + n*8 is only read
 
-    native::NativeSyncFabric fabric;
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>{});
     native::NativeDataMemory data(image);
     native::NativeConfig cfg;
     cfg.numThreads = 1;
@@ -107,8 +163,8 @@ TEST(NativeDataMemoryTest, HandBuiltImageSpansChunkAndCopyRegions)
 
 TEST(NativeExecutorTest, ProducerConsumerObservesWrittenValue)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0));
+    const sim::SyncVarId v = 0;
     auto programs = producerConsumer(v, 640);
     const ir::IterationPool pool = ir::IterationPool::borrow(programs);
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
@@ -140,7 +196,7 @@ TEST(NativeExecutorTest, EveryPolicyRunsEachProgramOnce)
           core::SchedulePolicy::chunkedSelfScheduling,
           core::SchedulePolicy::guidedSelfScheduling,
           core::SchedulePolicy::staticCyclic}) {
-        native::NativeSyncFabric fabric;
+        native::NativeSyncFabric fabric(std::vector<sim::SyncWord>{});
         auto programs = independent(23);
         const ir::IterationPool pool = ir::IterationPool::borrow(programs);
         native::NativeDataMemory data(ir::DataImage::numbered(pool));
@@ -181,7 +237,7 @@ TEST(NativeExecutorTest, LogIsSortedByUniqueEndTickets)
             expected.emplace(i, op.stmt, op.addr);
         programs.push_back(p);
     }
-    native::NativeSyncFabric fabric;
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>{});
     const ir::IterationPool pool = ir::IterationPool::borrow(programs);
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
@@ -234,9 +290,9 @@ TEST(NativeExecutorTest, LogIsSortedByUniqueEndTickets)
 
 TEST(NativeExecutorTest, PerProcessorBarrierCompletes)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId counter = fabric.allocate(1, 0);
-    sim::SyncVarId release = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(2, 0));
+    const sim::SyncVarId counter = 0;
+    const sim::SyncVarId release = 1;
     const unsigned procs = 4;
     std::vector<std::vector<sim::Program>> per_proc(procs);
     for (unsigned p = 0; p < procs; ++p) {
@@ -266,8 +322,8 @@ TEST(NativeExecutorTest, PerProcessorBarrierCompletes)
 TEST(NativeExecutorTest, JitteredRunsStayCorrect)
 {
     for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-        native::NativeSyncFabric fabric;
-        sim::SyncVarId v = fabric.allocate(1, 0);
+        native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0));
+        const sim::SyncVarId v = 0;
         auto programs = producerConsumer(v, 640);
         const ir::IterationPool pool = ir::IterationPool::borrow(programs);
         native::NativeDataMemory data(ir::DataImage::numbered(pool));
@@ -285,8 +341,8 @@ TEST(NativeExecutorTest, JitteredRunsStayCorrect)
 
 TEST(NativeExecutorTest, DeadlockTurnsIntoFailureNotHang)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0));
+    const sim::SyncVarId v = 0;
     sim::Program stuck;
     stuck.iter = 1;
     stuck.ops = {sim::Op::mkWaitGE(v, 1)}; // never satisfied
@@ -314,7 +370,7 @@ TEST(NativeExecutorTest, ReplayFeedsEveryRecordToSink)
             ++accesses;
         }
     };
-    native::NativeSyncFabric fabric;
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>{});
     auto programs = independent(9);
     const ir::IterationPool pool = ir::IterationPool::borrow(programs);
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
@@ -332,7 +388,7 @@ TEST(NativeExecutorTest, GuidedHandlesFewerProgramsThanThreads)
     // pool is smaller than the thread count; the std::max clamp to
     // a one-iteration claim is what guarantees progress. Run with
     // far more threads than programs and demand exactly-once.
-    native::NativeSyncFabric fabric;
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>{});
     auto programs = independent(3);
     const ir::IterationPool pool = ir::IterationPool::borrow(programs);
     native::NativeDataMemory data(ir::DataImage::numbered(pool));

@@ -24,8 +24,8 @@ soon(std::chrono::milliseconds ms = 5000ms)
 
 TEST(NativeFabricTest, AllocateLoadStoreFetchAdd)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId base = fabric.allocate(3, 7);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(3, 7));
+    const sim::SyncVarId base = 0;
     EXPECT_EQ(fabric.allocated(), 3u);
     EXPECT_EQ(fabric.load(base + 2), 7u);
 
@@ -54,8 +54,8 @@ TEST(NativeFabricTest, MirrorsPlannedSimFabric)
 
 TEST(NativeFabricTest, WaitAlreadySatisfiedReturnsImmediately)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId v = fabric.allocate(1, 10);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 10));
+    const sim::SyncVarId v = 0;
     auto outcome = fabric.waitGE(v, 10, soon());
     EXPECT_TRUE(outcome.satisfied);
     EXPECT_EQ(outcome.parks, 0u);
@@ -63,8 +63,8 @@ TEST(NativeFabricTest, WaitAlreadySatisfiedReturnsImmediately)
 
 TEST(NativeFabricTest, WaiterSeesConcurrentStore)
 {
-    native::NativeSyncFabric fabric;
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0));
+    const sim::SyncVarId v = 0;
     std::thread writer([&] {
         std::this_thread::sleep_for(10ms);
         fabric.store(v, 3);
@@ -78,8 +78,8 @@ TEST(NativeFabricTest, WaiterSeesConcurrentStore)
 TEST(NativeFabricTest, ZeroSpinLimitParksAndStillWakes)
 {
     // spin_limit 0 forces the park path on every wait.
-    native::NativeSyncFabric fabric(0);
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0), 0);
+    const sim::SyncVarId v = 0;
     std::thread writer([&] {
         std::this_thread::sleep_for(20ms);
         fabric.store(v, 1);
@@ -92,8 +92,8 @@ TEST(NativeFabricTest, ZeroSpinLimitParksAndStillWakes)
 
 TEST(NativeFabricTest, DeadlineAbortsFabric)
 {
-    native::NativeSyncFabric fabric(4);
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0), 4);
+    const sim::SyncVarId v = 0;
     auto outcome = fabric.waitGE(v, 1, soon(50ms));
     EXPECT_FALSE(outcome.satisfied);
     EXPECT_TRUE(fabric.aborted());
@@ -104,8 +104,8 @@ TEST(NativeFabricTest, DeadlineAbortsFabric)
 
 TEST(NativeFabricTest, AbortReleasesParkedWaiters)
 {
-    native::NativeSyncFabric fabric(0);
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0), 0);
+    const sim::SyncVarId v = 0;
     std::vector<std::thread> waiters;
     std::vector<native::WaitOutcome> outcomes(4);
     for (int i = 0; i < 4; ++i) {
@@ -123,8 +123,8 @@ TEST(NativeFabricTest, AbortReleasesParkedWaiters)
 
 TEST(NativeFabricTest, ManyWaitersOneVariable)
 {
-    native::NativeSyncFabric fabric(8);
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0), 8);
+    const sim::SyncVarId v = 0;
     std::vector<std::thread> waiters;
     std::atomic<unsigned> satisfied{0};
     for (int i = 0; i < 8; ++i) {
@@ -146,8 +146,8 @@ TEST(NativeFabricTest, FetchAddChainWakesThresholdWaiter)
 {
     // Barrier-arrival shape: waiter needs the count to reach N via
     // increments from several threads.
-    native::NativeSyncFabric fabric(0);
-    sim::SyncVarId v = fabric.allocate(1, 0);
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(1, 0), 0);
+    const sim::SyncVarId v = 0;
     std::thread waiter_thread;
     native::WaitOutcome outcome;
     waiter_thread = std::thread(
@@ -171,8 +171,10 @@ TEST(NativeFabricTest, AbortWakesParkedWaitersOnEveryShard)
     // and require that a single abort releases them all promptly —
     // a missed shard would hold its waiter until the 5 s deadline.
     constexpr unsigned kWaiters = 16;
-    native::NativeSyncFabric fabric(0); // no spin: park immediately
-    sim::SyncVarId base = fabric.allocate(kWaiters, 0);
+    // No spin: park immediately.
+    native::NativeSyncFabric fabric(
+        std::vector<sim::SyncWord>(kWaiters, 0), 0);
+    const sim::SyncVarId base = 0;
 
     std::vector<std::thread> waiters;
     std::vector<native::WaitOutcome> outcomes(kWaiters);

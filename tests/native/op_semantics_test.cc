@@ -99,10 +99,7 @@ Outcome
 runNative(const std::vector<sim::SyncWord> &init,
           const std::vector<std::vector<Program>> &per_proc)
 {
-    native::NativeSyncFabric fabric;
-    fabric.allocate(static_cast<unsigned>(init.size()), 0);
-    for (std::size_t v = 0; v < init.size(); ++v)
-        fabric.poke(static_cast<sim::SyncVarId>(v), init[v]);
+    native::NativeSyncFabric fabric(init);
     const ir::IterationPool pool = ir::IterationPool::borrow(per_proc);
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
@@ -272,7 +269,7 @@ TEST(OpSemanticsTest, EveryKindAgreesOnBothBackends)
           sim::OpKind::syncFetchInc, sim::OpKind::pcMark,
           sim::OpKind::pcTransfer, sim::OpKind::ctrBarrier,
           sim::OpKind::keyedRead, sim::OpKind::keyedWrite})
-        EXPECT_TRUE(covered.count(kind)) << sim::opKindName(kind);
+        EXPECT_TRUE(covered.count(kind)) << ir::opKindName(kind);
 }
 
 TEST(OpSemanticsTest, OwnershipViolationFailsTheRunOnBothBackends)
