@@ -1702,8 +1702,6 @@ runScenarioNative(const Scenario &scenario, unsigned threads,
 
     native::NativeConfig ncfg;
     ncfg.numThreads = threads;
-    ncfg.schedule = scenario.config.schedule;
-    ncfg.chunkSize = scenario.config.chunkSize;
     ncfg.profile = profile;
     if (!scenario.build) {
         record.result = native::runDoacrossNative(
@@ -1728,7 +1726,8 @@ runScenarioNative(const Scenario &scenario, unsigned threads,
                 static_cast<unsigned>(programs.perProc.size());
             r.run = executor.runPerProcessor(pool);
         } else {
-            r.run = executor.runPool(pool);
+            r.run = executor.runPool(pool, scenario.config.schedule,
+                                     scenario.config.chunkSize);
         }
         if (scenario.loop) {
             dep::Loop loop = scenario.loop();

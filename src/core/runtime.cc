@@ -1,7 +1,5 @@
 #include "core/runtime.hh"
 
-#include <memory>
-
 #include "core/value_trace.hh"
 #include "sim/logging.hh"
 
@@ -33,6 +31,48 @@ initCost(const sync::SchemePlan &plan, const sim::MachineConfig &mc)
     // Memory-resident variables: the writes serialize on the data
     // bus; module service overlaps across interleaved modules.
     return plan.initWrites * mc.dataBusCycles + mc.memory.serviceCycles;
+}
+
+/**
+ * Run `pool` on `machine` under `dispatch`: a processor whose cursor
+ * is drained claims with a fetch&add on the dispatch counter, priced
+ * by the memory system, when the dispatch claims.
+ */
+RunResult
+runDispatched(sim::Machine &machine, const ir::IterationPool &pool,
+              const Dispatch &dispatch, sim::Tick tick_limit)
+{
+    using Callback = std::function<void(const ir::Iteration *)>;
+    std::vector<Cursor> cursors;
+    for (unsigned p = 0; p < dispatch.lanes(); ++p)
+        cursors.push_back(dispatch.start(p));
+
+    auto hand = [&pool](Cursor &cursor, const Callback &cb) {
+        if (cursor.empty())
+            return cb(nullptr);
+        const ir::Iteration it = pool.at(cursor.take());
+        cb(&it);
+    };
+    auto next = [&](sim::ProcId who, Callback cb) {
+        if (!cursors[who].empty() || !dispatch.claims())
+            return hand(cursors[who], cb);
+        machine.memory().rmw(
+            who, dispatchCounterAddr,
+            [&dispatch](sim::SyncWord old) {
+                return old + dispatch.claimSize(old);
+            },
+            [&, who, cb = std::move(cb)](sim::SyncWord old) {
+                Cursor &cursor = cursors[who];
+                if (dispatch.refill(cursor, old))
+                    PSYNC_DPRINTF(machine.eventq(), Sched,
+                                  "proc %u claims iters [%llu, %llu]", who,
+                                  static_cast<unsigned long long>(old + 1),
+                                  static_cast<unsigned long long>(
+                                      cursor.end));
+                hand(cursor, cb);
+            });
+    };
+    return collectResult(machine, machine.run(next, tick_limit));
 }
 
 } // namespace
@@ -120,22 +160,6 @@ runDoacross(const dep::Loop &loop, sync::SchemeKind kind,
     return result;
 }
 
-const char *
-schedulePolicyName(SchedulePolicy policy)
-{
-    switch (policy) {
-      case SchedulePolicy::selfScheduling:
-        return "self";
-      case SchedulePolicy::chunkedSelfScheduling:
-        return "chunked";
-      case SchedulePolicy::guidedSelfScheduling:
-        return "guided";
-      case SchedulePolicy::staticCyclic:
-        return "static";
-    }
-    return "unknown";
-}
-
 RunResult
 runProgramPool(sim::Machine &machine,
                const std::vector<sim::Program> &programs,
@@ -151,104 +175,10 @@ runProgramPool(sim::Machine &machine, const ir::IterationPool &pool,
                SchedulePolicy policy, sim::Tick tick_limit,
                std::uint64_t chunk_size)
 {
-    const std::uint64_t total = pool.size();
-    bool completed = false;
-
-    if (policy == SchedulePolicy::selfScheduling ||
-        policy == SchedulePolicy::chunkedSelfScheduling ||
-        policy == SchedulePolicy::guidedSelfScheduling) {
-        sim::Memory &mem = machine.memory();
-        const unsigned p = machine.numProcs();
-
-        // Size of the block one fetch&add claims, given the old
-        // counter value.
-        auto claim_size = [policy, chunk_size, total,
-                           p](sim::SyncWord old_value) {
-            switch (policy) {
-              case SchedulePolicy::chunkedSelfScheduling:
-                return std::max<std::uint64_t>(1, chunk_size);
-              case SchedulePolicy::guidedSelfScheduling: {
-                std::uint64_t remaining =
-                    old_value < total ? total - old_value : 0;
-                return std::max<std::uint64_t>(1,
-                                               remaining / (2 * p));
-              }
-              default:
-                return std::uint64_t{1};
-            }
-        };
-
-        // Iterations already claimed but not yet run, per proc.
-        auto local = std::make_shared<
-            std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
-            p, std::pair<std::uint64_t, std::uint64_t>{0, 0});
-
-        sim::EventQueue &eq = machine.eventq();
-        auto dispatch =
-            [&mem, &eq, &pool, total, claim_size,
-             local](sim::ProcId who,
-                    std::function<void(const ir::Iteration *)> cb) {
-            (void)eq;
-            auto &range = (*local)[who];
-            if (range.first < range.second) {
-                const ir::Iteration it = pool.at(range.first++);
-                cb(&it);
-                return;
-            }
-            mem.rmw(who, dispatchCounterAddr,
-                    [claim_size](sim::SyncWord old_value) {
-                        return old_value + claim_size(old_value);
-                    },
-                    [&eq, &pool, total, claim_size, local, who,
-                     cb = std::move(cb)](sim::SyncWord old_value) {
-                        (void)eq;
-                        if (old_value >= total) {
-                            cb(nullptr);
-                            return;
-                        }
-                        std::uint64_t end = std::min(
-                            total,
-                            old_value + claim_size(old_value));
-                        PSYNC_DPRINTF(eq, Sched,
-                                      "proc %u claims iters "
-                                      "[%llu, %llu]",
-                                      who,
-                                      static_cast<unsigned long long>(
-                                          old_value + 1),
-                                      static_cast<unsigned long long>(
-                                          end));
-                        (*local)[who] = {old_value + 1, end};
-                        const ir::Iteration it = pool.at(old_value);
-                        cb(&it);
-                    });
-        };
-        completed = machine.run(dispatch, tick_limit);
-    } else {
-        unsigned p = machine.numProcs();
-        sim::EventQueue &eq = machine.eventq();
-        std::vector<std::uint64_t> next(p);
-        for (unsigned q = 0; q < p; ++q)
-            next[q] = q;
-        auto dispatch =
-            [&next, &eq, &pool, total,
-             p](sim::ProcId who,
-                std::function<void(const ir::Iteration *)> cb) {
-            (void)eq;
-            std::uint64_t idx = next[who];
-            if (idx >= total) {
-                cb(nullptr);
-                return;
-            }
-            PSYNC_DPRINTF(eq, Sched, "proc %u takes iter %llu",
-                          who,
-                          static_cast<unsigned long long>(idx + 1));
-            next[who] += p;
-            const ir::Iteration it = pool.at(idx);
-            cb(&it);
-        };
-        completed = machine.run(dispatch, tick_limit);
-    }
-    return collectResult(machine, completed);
+    return runDispatched(
+        machine, pool,
+        Dispatch(policy, chunk_size, pool.size(), machine.numProcs()),
+        tick_limit);
 }
 
 sim::Tick
@@ -287,19 +217,7 @@ runPerProcessorPrograms(sim::Machine &machine,
                    lanes.empty() ? std::size_t{0} : lanes.size() - 1,
                    machine.numProcs());
 
-    std::vector<std::size_t> next(lanes.begin(), lanes.end() - 1);
-    auto dispatch = [&pool, &lanes, &next](
-                        sim::ProcId who,
-                        std::function<void(const ir::Iteration *)> cb) {
-        if (next[who] >= lanes[who + 1]) {
-            cb(nullptr);
-            return;
-        }
-        const ir::Iteration it = pool.at(next[who]++);
-        cb(&it);
-    };
-    bool completed = machine.run(dispatch, tick_limit);
-    return collectResult(machine, completed);
+    return runDispatched(machine, pool, Dispatch(lanes), tick_limit);
 }
 
 } // namespace core

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dispatch.hh"
 #include "core/metrics.hh"
 #include "core/trace_check.hh"
 #include "dep/dep_graph.hh"
@@ -24,36 +25,6 @@
 
 namespace psync {
 namespace core {
-
-/** How iterations are handed to processors. */
-enum class SchedulePolicy
-{
-    /**
-     * Shared iteration counter advanced by fetch&add in memory —
-     * the dynamic self-scheduling of [Tang, Yew & Zhu], assumed by
-     * all the paper's examples. Dispatch order equals iteration
-     * order, which the PC-folding ownership chain relies on.
-     */
-    selfScheduling,
-    /**
-     * Self-scheduling, but each fetch&add claims a fixed block of
-     * `chunkSize` consecutive iterations: one dispatch RMW per
-     * chunk instead of per iteration, at the price of coarser load
-     * balancing and chunk-serialized pipelining.
-     */
-    chunkedSelfScheduling,
-    /**
-     * Guided self-scheduling: each claim takes
-     * max(1, remaining / (2P)) iterations — large chunks early,
-     * single iterations near the end.
-     */
-    guidedSelfScheduling,
-    /** Iteration k runs on processor (k-1) mod P, no shared state. */
-    staticCyclic,
-};
-
-/** Printable schedule-policy name. */
-const char *schedulePolicyName(SchedulePolicy policy);
 
 /** Everything configuring one Doacross run. */
 struct RunConfig
@@ -162,11 +133,11 @@ sim::Tick sequentialCycles(const dep::Loop &loop,
 
 /**
  * Run a shared iteration pool on an already-built machine:
- * processors pull iterations in pool order, either through the
- * simulated self-scheduling counter or by static cyclic
- * assignment. Used by runDoacross and by the hand-transformed
- * section 5 workloads (whose schemes allocate fabric variables
- * before emission).
+ * processors pull iterations in pool order under `policy`
+ * (core/dispatch.hh), each claim a fetch&add on a simulated memory
+ * word. Used by runDoacross and by the hand-transformed section 5
+ * workloads (whose schemes allocate fabric variables before
+ * emission).
  */
 RunResult runProgramPool(sim::Machine &machine,
                          const ir::IterationPool &pool,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <system_error>
 #include <thread>
 
 #include "core/value_rule.hh"
@@ -188,11 +189,7 @@ struct NativeExecutor::Lane
     void
     fail(std::string message)
     {
-        {
-            std::lock_guard<std::mutex> lk(exec.errorsMutex_);
-            exec.errors_.push_back(std::move(message));
-        }
-        exec.fabric_.abortAll();
+        exec.fail(std::move(message));
         ok = false;
     }
 
@@ -240,11 +237,22 @@ NativeExecutor::runProgram(ir::Iteration iteration, ThreadState &ts,
 }
 
 void
-NativeExecutor::beginRun(unsigned lanes, bool record_accesses)
+NativeExecutor::fail(std::string message)
 {
-    laneCount_ = std::max(1u, lanes);
+    {
+        std::lock_guard<std::mutex> lk(errorsMutex_);
+        errors_.push_back(std::move(message));
+    }
+    fabric_.abortAll();
+}
+
+void
+NativeExecutor::beginRun(const core::Dispatch &dispatch,
+                         bool record_accesses)
+{
+    dispatch_ = dispatch;
     recordAccesses_ = record_accesses;
-    states_.resize(laneCount_);
+    states_.resize(dispatch.lanes());
     for (auto &ts : states_)
         ts.reset();
     errors_.clear();
@@ -255,78 +263,39 @@ NativeExecutor::beginRun(unsigned lanes, bool record_accesses)
 }
 
 bool
-NativeExecutor::claimRange(std::uint64_t total, std::uint64_t &begin,
-                           std::uint64_t &end)
-{
-    switch (cfg_.schedule) {
-      case core::SchedulePolicy::chunkedSelfScheduling: {
-        std::uint64_t chunk =
-            std::max<std::uint64_t>(1, cfg_.chunkSize);
-        std::uint64_t old =
-            nextClaim_.value.fetch_add(chunk, std::memory_order_relaxed);
-        begin = old;
-        end = std::min(total, old + chunk);
-        return old < total;
-      }
-      case core::SchedulePolicy::guidedSelfScheduling: {
-        std::uint64_t old =
-            nextClaim_.value.load(std::memory_order_relaxed);
-        for (;;) {
-            if (old >= total)
-                return false;
-            std::uint64_t size = std::max<std::uint64_t>(
-                1, (total - old) / (2 * laneCount_));
-            if (nextClaim_.value.compare_exchange_weak(
-                    old, old + size, std::memory_order_relaxed)) {
-                begin = old;
-                end = std::min(total, old + size);
-                return true;
-            }
-        }
-      }
-      default: {
-        std::uint64_t old =
-            nextClaim_.value.fetch_add(1, std::memory_order_relaxed);
-        begin = old;
-        end = old + 1;
-        return old < total;
-      }
-    }
-}
-
-template <class Body>
-bool
-NativeExecutor::runLaneBody(unsigned lane, Body body)
-{
-    ThreadState &ts = states_[lane];
-    ts.jitterState =
-        cfg_.timingSeed ? core::mix64(cfg_.timingSeed + lane) : 0;
-    const bool ok = body(ts);
-    if (!ok)
-        anyFailed_.store(true, std::memory_order_release);
-    return ok;
-}
-
-bool
 NativeExecutor::runLane(const ir::IterationPool &pool, unsigned lane,
                         Deadline deadline)
 {
-    return runLaneBody(lane, [&](ThreadState &ts) {
-        const std::uint64_t total = pool.size();
-        bool ok = true;
-        if (cfg_.schedule == core::SchedulePolicy::staticCyclic) {
-            for (std::uint64_t i = lane; ok && i < total;
-                 i += laneCount_)
-                ok = runProgram(pool.at(i), ts, deadline);
-        } else {
-            std::uint64_t begin = 0, end = 0;
-            while (ok && claimRange(total, begin, end)) {
-                for (std::uint64_t i = begin; ok && i < end; ++i)
-                    ok = runProgram(pool.at(i), ts, deadline);
-            }
+    // A local copy: the lane loop reads it after every program.
+    const core::Dispatch dispatch = dispatch_;
+    // A fixed-size claim is one fetch&add. A guided claim's size
+    // depends on the count it finds, so it CASes the counter to the
+    // end of the block it would take, and stops once none is left.
+    std::atomic<std::uint64_t> &counter = nextClaim_.value;
+    auto claim = [&](core::Cursor &cursor) {
+        if (dispatch.fixedClaims())
+            return dispatch.refill(
+                cursor, counter.fetch_add(dispatch.claimSize(0),
+                                          std::memory_order_relaxed));
+        for (std::uint64_t old = counter.load(std::memory_order_relaxed);;) {
+            if (!dispatch.refill(cursor, old))
+                return false;
+            if (counter.compare_exchange_weak(old, cursor.end,
+                                              std::memory_order_relaxed))
+                return true;
         }
-        return ok;
-    });
+    };
+
+    ThreadState &ts = states_[lane];
+    ts.jitterState =
+        cfg_.timingSeed ? core::mix64(cfg_.timingSeed + lane) : 0;
+    core::Cursor cursor = dispatch.start(lane);
+    bool ok = true;
+    while (ok && (!cursor.empty() || (dispatch.claims() && claim(cursor))))
+        ok = runProgram(pool.at(cursor.take()), ts, deadline);
+    if (!ok)
+        anyFailed_.store(true, std::memory_order_release);
+    return ok;
 }
 
 NativeRunResult
@@ -336,54 +305,38 @@ NativeExecutor::finishRun(std::uint64_t wall_nanos)
                    !anyFailed_.load(std::memory_order_acquire));
 }
 
-template <class LaneMain>
 NativeRunResult
-NativeExecutor::spawnRound(unsigned lanes, LaneMain lane_main)
+NativeExecutor::spawnRound(const ir::IterationPool &pool,
+                           const core::Dispatch &dispatch)
 {
     using Clock = std::chrono::steady_clock;
     const Deadline deadline =
         Clock::now() + std::chrono::milliseconds(cfg_.timeoutMs);
 
-    beginRun(lanes, cfg_.recordAccesses);
+    beginRun(dispatch, cfg_.recordAccesses);
 
+    const unsigned lanes = dispatch.lanes();
     const auto wall_start = Clock::now();
-    std::vector<std::thread> pool;
-    pool.reserve(lanes);
-    for (unsigned t = 0; t < lanes; ++t)
-        pool.emplace_back([&, t] { lane_main(t, deadline); });
-    for (auto &thread : pool)
+    std::vector<std::thread> threads;
+    threads.reserve(lanes);
+    for (unsigned t = 0; t < lanes; ++t) {
+        try {
+            threads.emplace_back(
+                [this, &pool, t, deadline] { runLane(pool, t, deadline); });
+        } catch (const std::system_error &e) {
+            // The lanes already running may wait on this one: the
+            // failure aborts them, and they return to be joined.
+            fail(sim::csprintf("could not start lane %u of %u: %s", t,
+                               lanes, e.what()));
+            break;
+        }
+    }
+    for (auto &thread : threads)
         thread.join();
     return finishRun(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             Clock::now() - wall_start)
             .count()));
-}
-
-NativeRunResult
-NativeExecutor::runPool(const ir::IterationPool &pool)
-{
-    return spawnRound(std::max(1u, cfg_.numThreads),
-                      [&](unsigned lane, Deadline deadline) {
-                          runLane(pool, lane, deadline);
-                      });
-}
-
-NativeRunResult
-NativeExecutor::runPerProcessor(const ir::IterationPool &pool)
-{
-    const std::vector<std::size_t> &lanes = pool.lanes();
-    return spawnRound(
-        static_cast<unsigned>(lanes.empty() ? 0 : lanes.size() - 1),
-        [&](unsigned lane, Deadline deadline) {
-            runLaneBody(lane, [&](ThreadState &ts) {
-                for (std::size_t i = lanes[lane]; i < lanes[lane + 1];
-                     ++i) {
-                    if (!runProgram(pool.at(i), ts, deadline))
-                        return false;
-                }
-                return true;
-            });
-        });
 }
 
 NativeRunResult

@@ -7,11 +7,10 @@
  * (ir::Iteration::op), on real host threads against a
  * NativeSyncFabric and a word-granular atomic data memory. A sync op
  * is a walk of ir::perform (ir/semantics.hh), as in the simulator,
- * with the primitives bound to the fabric's atomics. Work
- * distribution mirrors core::SchedulePolicy: a shared fetch&add
- * counter claims iterations (plain, chunked, or guided block sizes)
- * exactly like the paper's self-scheduling dispatcher, or static
- * cyclic assignment with no shared state.
+ * with the primitives bound to the fabric's atomics. Iterations
+ * reach lanes by core::Dispatch (core/dispatch.hh), the simulator's
+ * definition too; the executor binds only the claim, as a fetch_add
+ * on its claim counter, or a CAS loop for guided claims.
  *
  * A recording round logs every tagged data access with start/end
  * *tickets* drawn from one global relaxed fetch&add clock. A ticket
@@ -46,8 +45,8 @@
 #include <string>
 #include <vector>
 
+#include "core/dispatch.hh"
 #include "core/metrics.hh"
-#include "core/runtime.hh"
 #include "ir/pool.hh"
 #include "native/fabric.hh"
 #include "sim/program.hh"
@@ -59,10 +58,6 @@ namespace native {
 struct NativeConfig
 {
     unsigned numThreads = 4;
-    core::SchedulePolicy schedule =
-        core::SchedulePolicy::selfScheduling;
-    /** Iterations per claim under chunkedSelfScheduling. */
-    std::uint64_t chunkSize = 4;
     /** Spin polls before a waiter parks. */
     unsigned spinLimit = 64;
     /**
@@ -201,17 +196,27 @@ class NativeExecutor
                    const NativeConfig &cfg);
 
     /**
-     * Pool mode: `cfg.numThreads` threads claim iterations in pool
-     * order per the schedule policy (the native runDoacross path).
+     * Pool mode: `cfg.numThreads` threads take iterations in pool
+     * order under `policy` (the native runDoacross path).
      */
-    NativeRunResult runPool(const ir::IterationPool &pool);
+    NativeRunResult
+    runPool(const ir::IterationPool &pool, core::SchedulePolicy policy,
+            std::uint64_t chunk_size = 4)
+    {
+        return spawnRound(
+            pool, {policy, chunk_size, pool.size(), cfg_.numThreads});
+    }
 
     /**
      * Per-processor mode: thread t executes lane t of a
      * per-processor pool in order (barrier / FFT workloads); one
      * thread per lane.
      */
-    NativeRunResult runPerProcessor(const ir::IterationPool &pool);
+    NativeRunResult
+    runPerProcessor(const ir::IterationPool &pool)
+    {
+        return spawnRound(pool, core::Dispatch(pool.lanes()));
+    }
 
     /**
      * Gang mode — the runtime service's spawn-free path. The
@@ -219,29 +224,29 @@ class NativeExecutor
      * a service instead keeps a persistent gang and drives the same
      * machinery directly:
      *
-     *   executor.beginRun(lanes, record);     // leader, quiescent
+     *   executor.beginRun(dispatch, record);  // leader, quiescent
      *   ok[t] = executor.runLane(pool, t, deadline); // each lane
      *   result = executor.finishRun(wall);    // leader, after all
      *                                         // lanes returned
      *
      * beginRun resets all per-run state (claim counter, ticket
      * clock, errors, and each lane's counters in place, keeping its
-     * log's capacity) and fixes the lane count the schedule policy
-     * partitions over; `record` overrides cfg.recordAccesses for
-     * this run, letting a service sample verification every Nth
-     * request without paying on the rest: a round that does not
-     * record neither logs nor draws tickets. One executor can host
+     * log's capacity) and fixes how iterations reach the round's
+     * lanes; `record` overrides cfg.recordAccesses for this run,
+     * letting a service sample verification every Nth request
+     * without paying on the rest: a round that does not record
+     * neither logs nor draws tickets. One executor can host
      * any number of sequential begin/lanes/finish rounds, recording
      * or not, in any order. The begin and finish calls must be
      * quiescent (no lane still running); lanes synchronize with
      * beginRun through the caller's dispatch handshake.
      */
-    void beginRun(unsigned lanes, bool record_accesses);
+    void beginRun(const core::Dispatch &dispatch, bool record_accesses);
 
     /**
      * Execute lane `lane`'s share of the iteration pool under the
-     * configured schedule policy. Thread-safe across lanes of one
-     * round. @return false when this lane failed or aborted.
+     * round's dispatch. Thread-safe across lanes of one round.
+     * @return false when this lane failed or aborted.
      */
     bool runLane(const ir::IterationPool &pool, unsigned lane,
                  Deadline deadline);
@@ -312,21 +317,15 @@ class NativeExecutor
                 ThreadState &ts);
     bool runProgram(ir::Iteration iteration, ThreadState &ts,
                     Deadline deadline);
-    bool claimRange(std::uint64_t total, std::uint64_t &begin,
-                    std::uint64_t &end);
-    /**
-     * The one lane setup of every entry point: reset lane `lane`'s
-     * jitter stream, run `body(ts)` (false on failure or abort), and
-     * flag the round failed when it fails.
-     */
-    template <class Body> bool runLaneBody(unsigned lane, Body body);
+    /** Record a fatal error and abort the fabric's waiters. */
+    void fail(std::string message);
     /**
      * The run*() entry points' round: fix the deadline, begin a
-     * round of `lanes` lanes, run `lane_main(lane, deadline)` on one
-     * spawned thread per lane, join, and finish the round.
+     * round under `dispatch`, run runLane on one spawned thread per
+     * lane (one that cannot start fails the round), join, finish.
      */
-    template <class LaneMain>
-    NativeRunResult spawnRound(unsigned lanes, LaneMain lane_main);
+    NativeRunResult spawnRound(const ir::IterationPool &pool,
+                               const core::Dispatch &dispatch);
     NativeRunResult
     collect(std::vector<ThreadState> &states,
             std::uint64_t wall_nanos, bool all_ran);
@@ -343,7 +342,7 @@ class NativeExecutor
 
     /** Per-round gang state (beginRun .. finishRun). */
     std::vector<ThreadState> states_;
-    unsigned laneCount_ = 0;
+    core::Dispatch dispatch_{core::SchedulePolicy::selfScheduling, 1, 0, 1};
     bool recordAccesses_ = true;
     std::atomic<bool> anyFailed_{false};
 };

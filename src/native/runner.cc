@@ -24,7 +24,7 @@ runDoacrossNative(const dep::Loop &loop, sync::SchemeKind kind,
     NativeSyncFabric fabric(planning.fabric(), ncfg.spinLimit);
     NativeDataMemory data(planned.image);
     NativeExecutor executor(fabric, data, ncfg);
-    result.run = executor.runPool(planned.pool);
+    result.run = executor.runPool(planned.pool, cfg.schedule, cfg.chunkSize);
 
     if (cfg.checkTrace && ncfg.recordAccesses) {
         core::TraceChecker checker;

@@ -57,7 +57,7 @@ struct NativeDoacrossResult
 /**
  * Plan `kind` for `loop` (same rules and machine shape as
  * core::runDoacross under `cfg`), execute natively under `ncfg`,
- * verify, and report. `cfg.checkTrace` gates the checker replay the
+ * dispatched by `cfg.schedule`, verify, and report. `cfg.checkTrace` gates the checker replay the
  * same way it gates simulator trace checking.
  */
 NativeDoacrossResult runDoacrossNative(const dep::Loop &loop,

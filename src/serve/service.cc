@@ -22,16 +22,6 @@ nanosSince(Clock::time_point from, Clock::time_point to)
             .count());
 }
 
-/** Executor config of one gang: lanes fixed by the gang size. */
-native::NativeConfig
-executorConfig(const ServeConfig &cfg)
-{
-    native::NativeConfig ncfg = cfg.native;
-    ncfg.numThreads = std::max(1u, cfg.gangSize);
-    ncfg.timeoutMs = cfg.requestTimeoutMs;
-    return ncfg;
-}
-
 } // namespace
 
 core::ReferenceBuilder
@@ -41,14 +31,13 @@ renamedReferenceBuilder(const ServeConfig &cfg)
             timeout_ms = cfg.requestTimeoutMs](
                const core::CachedPlan &plan,
                core::ReferenceImage &image) {
-        native::NativeConfig ncfg;
-        ncfg.numThreads = 1;
-        ncfg.spinLimit = spin_limit;
-        ncfg.timeoutMs = timeout_ms;
         native::NativeSyncFabric fabric(plan.initWords, spin_limit);
         native::NativeDataMemory data(plan.image);
-        native::NativeExecutor executor(fabric, data, ncfg);
-        executor.beginRun(1, true);
+        native::NativeExecutor executor(fabric, data, {});
+        executor.beginRun(
+            core::Dispatch(core::SchedulePolicy::selfScheduling, 1,
+                           plan.pool.size(), 1),
+            true);
         const auto start = Clock::now();
         executor.runLane(plan.pool, 0,
                          start + std::chrono::milliseconds(timeout_ms));
@@ -69,7 +58,7 @@ DoacrossService::Arena::Arena(
     : plan(p),
       fabric(p->initWords, cfg.native.spinLimit),
       data(p->image),
-      executor(fabric, data, executorConfig(cfg))
+      executor(fabric, data, cfg.native)
 {
     // From here on, every request restores the plan's init image
     // with one epoch bump instead of |initWords| writes.
@@ -187,8 +176,14 @@ DoacrossService::serveRequest(Gang &gang, Request &req)
 
     arena.fabric.beginEpoch();
     epochsBegun_.fetch_add(1, std::memory_order_relaxed);
-    arena.data.clearAll();
-    arena.executor.beginRun(cfg_.gangSize, record);
+    // One epoch per request: in its first, an arena's data words are
+    // still as construction zeroed them.
+    if (arena.fabric.epoch() > 1)
+        arena.data.clearAll();
+    arena.executor.beginRun(
+        core::Dispatch(core::SchedulePolicy::selfScheduling, 1,
+                       arena.plan->pool.size(), cfg_.gangSize),
+        record);
 
     const auto wall_start = Clock::now();
     const native::Deadline deadline =

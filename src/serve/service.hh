@@ -17,9 +17,10 @@
  *  - each (gang, plan) pair keeps an arena: a NativeSyncFabric in
  *    epoch-reuse mode (beginEpoch() logically restores the plan's
  *    init image in O(1) — the paper's §4 initialization cost,
- *    amortized away), a NativeDataMemory (cleared per request: data
- *    words are request payload, only sync vars are epoch-reused),
- *    and a NativeExecutor driven through its gang-mode API;
+ *    amortized away), a NativeDataMemory (cleared before each reuse:
+ *    data words are request payload, only sync vars are
+ *    epoch-reused), and a NativeExecutor driven through its
+ *    gang-mode API, which self-schedules over the gang's lanes;
  *  - each completion is published as soon as its request is
  *    served, with its submit-to-publish latency recorded in a
  *    per-gang LogHistogram;
@@ -69,7 +70,7 @@ struct ServeConfig
     unsigned gangs = 2;
     /** Threads per gang = lanes per execution. */
     unsigned gangSize = 4;
-    /** Execution knobs (schedule, chunk, spin, jitter, profile). */
+    /** Execution knobs (spin, jitter, profile). */
     native::NativeConfig native;
     /** Submission queue slots (rounded up to a power of two). */
     std::size_t queueCapacity = 1024;

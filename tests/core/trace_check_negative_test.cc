@@ -134,9 +134,8 @@ TEST(TraceCheckNegativeTest, NativeBackendReportsViolation)
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     cfg.numThreads = 2;
-    cfg.schedule = core::SchedulePolicy::staticCyclic;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(pool);
+    auto result = exec.runPool(pool, core::SchedulePolicy::staticCyclic);
     ASSERT_TRUE(result.completed);
 
     core::TraceChecker checker;

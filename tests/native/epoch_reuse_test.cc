@@ -86,7 +86,8 @@ epochRoundsMatchFresh(sync::SchemeKind kind, int rounds)
     for (int round = 0; round < rounds; ++round) {
         fabric.beginEpoch();
         data.clearAll();
-        auto run = exec.runPool(plan->pool);
+        auto run =
+            exec.runPool(plan->pool, core::SchedulePolicy::selfScheduling);
         ASSERT_TRUE(run.completed)
             << name << " epoch round " << round;
         ASSERT_TRUE(run.errors.empty()) << name;
@@ -100,7 +101,8 @@ epochRoundsMatchFresh(sync::SchemeKind kind, int rounds)
         native::NativeDataMemory fresh_data(plan->image);
         native::NativeExecutor fresh_exec(fresh_fabric, fresh_data,
                                           ncfg);
-        auto fresh_run = fresh_exec.runPool(plan->pool);
+        auto fresh_run = fresh_exec.runPool(
+            plan->pool, core::SchedulePolicy::selfScheduling);
         ASSERT_TRUE(fresh_run.completed)
             << name << " fresh round " << round;
         RunImage fresh = imageOf(fresh_exec, fresh_data);
@@ -176,7 +178,7 @@ TEST(EpochReuseTest, TimeoutAbortsThenEpochClearsForCleanRerun)
         const ir::IterationPool pool = ir::IterationPool::borrow(programs);
         native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeExecutor exec(fabric, data, ncfg);
-        auto run = exec.runPool(pool);
+        auto run = exec.runPool(pool, core::SchedulePolicy::selfScheduling);
         EXPECT_FALSE(run.completed);
         EXPECT_TRUE(fabric.aborted());
     }
@@ -197,7 +199,7 @@ TEST(EpochReuseTest, TimeoutAbortsThenEpochClearsForCleanRerun)
         const ir::IterationPool pool = ir::IterationPool::borrow(programs);
         native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeExecutor exec(fabric, data, ncfg);
-        auto run = exec.runPool(pool);
+        auto run = exec.runPool(pool, core::SchedulePolicy::selfScheduling);
         EXPECT_TRUE(run.completed);
         EXPECT_TRUE(run.errors.empty());
     }

@@ -83,7 +83,10 @@ class Arena
     {
         fabric_.beginEpoch();
         data_.clearAll();
-        executor_.beginRun(kLanes, record);
+        executor_.beginRun(
+            core::Dispatch(core::SchedulePolicy::selfScheduling, 1,
+                           plan_.pool.size(), kLanes),
+            record);
         const native::Deadline deadline =
             std::chrono::steady_clock::now() +
             std::chrono::seconds(20);

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 
@@ -156,7 +162,8 @@ TEST(NativeDataMemoryTest, HandBuiltImageSpansChunkAndCopyRegions)
     native::NativeConfig cfg;
     cfg.numThreads = 1;
     native::NativeExecutor exec(fabric, data, cfg);
-    ASSERT_TRUE(exec.runPool(pool).completed);
+    ASSERT_TRUE(
+        exec.runPool(pool, core::SchedulePolicy::selfScheduling).completed);
     EXPECT_EQ(data.snapshot(), expected);
     EXPECT_TRUE(exec.verifyValues().empty());
 }
@@ -171,7 +178,7 @@ TEST(NativeExecutorTest, ProducerConsumerObservesWrittenValue)
     native::NativeConfig cfg;
     cfg.numThreads = 2;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(pool);
+    auto result = exec.runPool(pool, core::SchedulePolicy::selfScheduling);
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(result.programsRun, 2u);
 
@@ -202,9 +209,8 @@ TEST(NativeExecutorTest, EveryPolicyRunsEachProgramOnce)
         native::NativeDataMemory data(ir::DataImage::numbered(pool));
         native::NativeConfig cfg;
         cfg.numThreads = 4;
-        cfg.schedule = policy;
         native::NativeExecutor exec(fabric, data, cfg);
-        auto result = exec.runPool(pool);
+        auto result = exec.runPool(pool, policy);
         ASSERT_TRUE(result.completed);
         EXPECT_EQ(result.programsRun, 23u);
         // Exactly-once: every word written exactly its own value.
@@ -241,12 +247,12 @@ TEST(NativeExecutorTest, LogIsSortedByUniqueEndTickets)
     const ir::IterationPool pool = ir::IterationPool::borrow(programs);
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
-    cfg.numThreads = kLanes;
-    cfg.schedule = core::SchedulePolicy::staticCyclic;
-    native::NativeExecutor exec(fabric, data, cfg);
+    native::NativeExecutor exec(fabric, data, native::NativeConfig{});
 
     for (int round = 0; round < 3; ++round) {
-        exec.beginRun(kLanes, true);
+        exec.beginRun(core::Dispatch(core::SchedulePolicy::staticCyclic,
+                                     1, pool.size(), kLanes),
+                      true);
         const native::Deadline deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(20);
         std::atomic<unsigned> started{0};
@@ -319,6 +325,54 @@ TEST(NativeExecutorTest, PerProcessorBarrierCompletes)
     EXPECT_EQ(fabric.load(release), 3u);
 }
 
+TEST(NativeExecutorDeathTest, LaneThatCannotStartFailsTheRun)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer's shadow memory outgrows the cap";
+#else
+    // 64 lanes meet at one barrier, so each lane that starts keeps
+    // its stack until the run aborts. The child caps its address
+    // space 48 MB above what it uses, room for a few 8 MB stacks:
+    // a later lane cannot start, and the run must fail with that
+    // reason instead of terminating.
+    constexpr unsigned kLanes = 64;
+    native::NativeSyncFabric fabric(std::vector<sim::SyncWord>(2, 0));
+    std::vector<std::vector<sim::Program>> per_proc(kLanes);
+    for (unsigned p = 0; p < kLanes; ++p) {
+        sim::Program prog;
+        prog.iter = p + 1;
+        prog.ops = {sim::Op::mkCtrBarrier(0, 1, 1, kLanes)};
+        per_proc[p] = {prog};
+    }
+    const ir::IterationPool pool = ir::IterationPool::borrow(per_proc);
+    native::NativeDataMemory data(ir::DataImage::numbered(pool));
+    native::NativeExecutor exec(fabric, data, native::NativeConfig{});
+    EXPECT_EXIT(
+        {
+            std::ifstream status("/proc/self/status");
+            std::uint64_t vm_kb = 0;
+            for (std::string line; std::getline(status, line);) {
+                if (line.rfind("VmSize:", 0) == 0)
+                    vm_kb = std::stoull(line.substr(7));
+            }
+            rlimit cap{};
+            getrlimit(RLIMIT_AS, &cap);
+            cap.rlim_cur = (vm_kb << 10) + (std::uint64_t{48} << 20);
+            if (vm_kb == 0 || setrlimit(RLIMIT_AS, &cap) != 0)
+                std::exit(2);
+            const native::NativeRunResult result =
+                exec.runPerProcessor(pool);
+            for (const std::string &error : result.errors)
+                std::fprintf(stderr, "%s\n", error.c_str());
+            std::exit(!result.completed && result.errors.size() == 1
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0),
+        "could not start lane [0-9]+ of 64: ");
+#endif
+}
+
 TEST(NativeExecutorTest, JitteredRunsStayCorrect)
 {
     for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
@@ -331,7 +385,7 @@ TEST(NativeExecutorTest, JitteredRunsStayCorrect)
         cfg.numThreads = 2;
         cfg.timingSeed = seed;
         native::NativeExecutor exec(fabric, data, cfg);
-        auto result = exec.runPool(pool);
+        auto result = exec.runPool(pool, core::SchedulePolicy::selfScheduling);
         ASSERT_TRUE(result.completed) << "seed " << seed;
         EXPECT_TRUE(exec.verifyValues().empty()) << "seed " << seed;
         EXPECT_EQ(data.word(640).load(),
@@ -353,7 +407,7 @@ TEST(NativeExecutorTest, DeadlockTurnsIntoFailureNotHang)
     cfg.numThreads = 1;
     cfg.timeoutMs = 100;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(pool);
+    auto result = exec.runPool(pool, core::SchedulePolicy::selfScheduling);
     EXPECT_FALSE(result.completed);
     EXPECT_TRUE(fabric.aborted());
 }
@@ -376,7 +430,8 @@ TEST(NativeExecutorTest, ReplayFeedsEveryRecordToSink)
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     native::NativeExecutor exec(fabric, data, cfg);
-    ASSERT_TRUE(exec.runPool(pool).completed);
+    ASSERT_TRUE(
+        exec.runPool(pool, core::SchedulePolicy::selfScheduling).completed);
     Counter sink;
     exec.replayAccesses(sink);
     EXPECT_EQ(sink.accesses, 9u);
@@ -394,9 +449,9 @@ TEST(NativeExecutorTest, GuidedHandlesFewerProgramsThanThreads)
     native::NativeDataMemory data(ir::DataImage::numbered(pool));
     native::NativeConfig cfg;
     cfg.numThreads = 8;
-    cfg.schedule = core::SchedulePolicy::guidedSelfScheduling;
     native::NativeExecutor exec(fabric, data, cfg);
-    auto result = exec.runPool(pool);
+    auto result =
+        exec.runPool(pool, core::SchedulePolicy::guidedSelfScheduling);
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(result.programsRun, 3u);
     auto image = data.snapshot();
